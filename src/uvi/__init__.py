@@ -26,10 +26,8 @@ from .solver import (
     RunTrace,
     SolverConfig,
     SolverError,
-    StepState,
     compute_z_sq,
     fixed_step_mirror_prox,
-    optimistic_step,
     universal_mirror_prox,
     update_eta,
 )

@@ -36,6 +36,7 @@ error, 3 numeric abort.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -70,14 +71,19 @@ class ExperimentConfig:
     noise_bound: Optional[float]
     noise_sigma_sq: Optional[float]
     seeds: List[int]
-    eval_every: int
+    eval_every: Optional[int]
     record_every: int
     output_dir: str
-    raw: dict = field(default_factory=dict)
+    problem: Optional[operators.VIProblem] = field(default=None, repr=False)
 
     @property
     def stochastic(self) -> bool:
         return self.noise_bound is not None
+
+    @property
+    def gap_every(self) -> int:
+        """Gap-evaluation spacing; without ``eval_every``, only step T."""
+        return self.iterations if self.eval_every is None else self.eval_every
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -103,7 +109,8 @@ class ExperimentConfig:
             noise_bound = None if noise is None else float(noise["bound"])
             noise_sigma = None if noise is None else noise.get("sigma_sq")
             seeds = [int(s) for s in doc.get("seeds", [0])]
-            eval_every = int(doc.get("eval_every", iterations))
+            eval_every = doc.get("eval_every")
+            eval_every = None if eval_every is None else int(eval_every)
             record_every = int(doc.get("record_every", 1))
             output_dir = str(doc.get("output_dir", "uvi-out"))
         except (KeyError, TypeError, ValueError) as exc:
@@ -122,39 +129,33 @@ class ExperimentConfig:
             eval_every=eval_every,
             record_every=record_every,
             output_dir=output_dir,
-            raw=doc,
         )
         cfg.validate()
         return cfg
 
     def validate(self):
-        if self.mode not in ("universal", "fixed-step"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode == "fixed-step" and not (self.eta is not None and self.eta > 0):
-            raise ConfigError("fixed-step mode requires eta > 0")
-        if self.iterations < 1:
-            raise ConfigError("T must be >= 1")
-        if not self.g0 > 0:
-            raise ConfigError("g0 must be positive")
+        # SolverConfig checks T, g0, the mode, eta and record_every.
+        try:
+            self.solver_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.stochastic and not self.seeds:
             raise ConfigError("stochastic mode requires a non-empty seed list")
         if not self.seeds:
             self.seeds = [0]
-        if self.eval_every < 1 or self.record_every < 1:
-            raise ConfigError("eval_every and record_every must be >= 1")
-        if self.eval_every % self.record_every != 0:
+        if self.gap_every < 1:
+            raise ConfigError("eval_every must be >= 1")
+        if self.gap_every % self.record_every != 0:
             raise ConfigError("eval_every must be a multiple of record_every")
         if self.noise_bound is not None and self.noise_bound < 0:
             raise ConfigError("noise bound must be nonnegative")
-        # Fails early on unknown problem names or bad parameters.
-        self.build_problem()
+        if self.problem is None:
+            # Built once per command; fails early on unknown names or bad params.
+            self.problem = operators.make_problem(self.problem_name, **self.problem_params)
 
-    def build_problem(self) -> operators.VIProblem:
-        return operators.make_problem(self.problem_name, **self.problem_params)
-
-    def solver_config(self, iterations: Optional[int] = None) -> solver.SolverConfig:
+    def solver_config(self) -> solver.SolverConfig:
         return solver.SolverConfig(
-            iterations=self.iterations if iterations is None else iterations,
+            iterations=self.iterations,
             g0=self.g0,
             mode=self.mode,
             eta=self.eta,
@@ -204,39 +205,39 @@ def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
+def _run_seed(config: ExperimentConfig, seed: int, out: Path) -> dict:
+    """Solve one seed, write its trace CSV, and return its summary entry."""
+    problem = config.problem
+    oracle = _oracle_for_seed(config, problem, seed)
+    if config.mode == "universal":
+        trace = solver.universal_mirror_prox(problem, config.solver_config(), oracle)
+    else:
+        trace = solver.fixed_step_mirror_prox(
+            problem, config.eta, config.iterations,
+            record_every=config.record_every, oracle=oracle,
+        )
+    _write_trace_csv(out / f"trace_{seed}.csv", problem, trace, config.gap_every)
+    entry = {
+        "seed": seed,
+        "final_gap": gap.dual_gap(problem, trace.x_avg),
+        "eta_final": trace.eta_final,
+        "max_xy_ratio": trace.max_xy_ratio,
+        "max_yy_ratio": trace.max_yy_ratio,
+        "max_z_sq": trace.max_z_sq,
+    }
+    if config.record_every == 1:
+        lhs, rhs = analysis.regret_bound_sides(problem, trace)
+        entry["lemma3_lhs"] = lhs
+        entry["lemma3_rhs"] = rhs
+    return entry
+
+
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """Execute one run per seed; write CSV traces and summary.json."""
-    problem = config.build_problem()
+    problem = config.problem
     out = _output_dir(config) if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    per_seed = []
-    traces = []
-    for seed in config.seeds:
-        oracle = _oracle_for_seed(config, problem, seed)
-        scfg = config.solver_config()
-        if config.mode == "universal":
-            trace = solver.universal_mirror_prox(problem, scfg, oracle)
-        else:
-            trace = solver.fixed_step_mirror_prox(
-                problem, config.eta, config.iterations,
-                record_every=config.record_every, oracle=oracle,
-            )
-        _write_trace_csv(out / f"trace_{seed}.csv", problem, trace, config.eval_every)
-        entry = {
-            "seed": seed,
-            "final_gap": gap.dual_gap(problem, trace.x_avg),
-            "eta_final": trace.eta_final,
-            "max_xy_ratio": trace.max_xy_ratio,
-            "max_yy_ratio": trace.max_yy_ratio,
-            "max_z_sq": trace.max_z_sq,
-        }
-        if config.record_every == 1:
-            lhs, rhs = analysis.regret_bound_sides(problem, trace)
-            entry["lemma3_lhs"] = lhs
-            entry["lemma3_rhs"] = rhs
-        per_seed.append(entry)
-        traces.append(trace)
+    per_seed = [_run_seed(config, seed, out) for seed in config.seeds]
 
     mean_gap = float(np.mean([e["final_gap"] for e in per_seed]))
     g_total = problem.g_bound + (config.noise_bound or 0.0)
@@ -258,7 +259,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> 
     summary = {
         "problem": {
             "name": problem.name,
-            "params": problem.params,
+            "params": config.problem_params,
             "g_bound": problem.g_bound,
             "smoothness": problem.smoothness,
             "diameter": problem.geom.diameter(),
@@ -271,7 +272,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> 
         "noise": None
         if not config.stochastic
         else {"bound": config.noise_bound, "sigma_sq": sigma_sq},
-        "eval_every": config.eval_every,
+        "eval_every": config.gap_every,
         "record_every": config.record_every,
         "seeds": config.seeds,
         "per_seed": per_seed,
@@ -293,7 +294,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> 
         encoding="utf-8",
         newline="\n",
     )
-    return {"summary": summary, "traces": traces, "out_dir": out}
+    return {"summary": summary, "out_dir": out}
 
 
 def cmd_run(config_path: str) -> int:
@@ -320,6 +321,10 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
         config = ExperimentConfig.from_file(config_path)
         if len(t_list) < 1:
             raise ConfigError("sweep needs at least one T value")
+        # Every budget is checked before the first solve writes anything.
+        subs = [dataclasses.replace(config, iterations=int(T)) for T in t_list]
+        for sub in subs:
+            sub.validate()
     except (ConfigError, operators.UnknownProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -327,8 +332,7 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     base_out = _output_dir(config)
     points = []
     try:
-        for T in t_list:
-            sub = ExperimentConfig.from_dict({**config.raw, "T": int(T)})
+        for T, sub in zip(t_list, subs):
             result = run_experiment(sub, out_dir=base_out / f"T_{T}")
             points.append((T, result["summary"]["mean_final_gap"]))
             print(f"T={T}: mean final gap {points[-1][1]:.6g}")
@@ -510,6 +514,8 @@ def _parse_t_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad T list {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty T list")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"T values must be >= 1, got {text!r}")
     return values
 
 

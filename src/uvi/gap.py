@@ -30,7 +30,7 @@ def dual_gap(problem: VIProblem, x) -> float:
     """Exact duality gap at a feasible point via the registered evaluator."""
     geom = problem.geom
     x = geom.check_point(x)
-    if not geom.contains(x, tol=1e-8):
+    if not geom._contains(x, 1e-8):
         raise GapError(f"point is not feasible for {geom.kind}")
     if problem.dual_gap_eval is None:
         raise GapError(f"problem {problem.name!r} has no registered duality-gap evaluator")

@@ -51,7 +51,10 @@ def project_simplex(z: np.ndarray) -> np.ndarray:
 
 
 class Geometry:
-    """Base class; concrete geometries supply the closed forms."""
+    """Base class; concrete geometries supply the closed forms as unchecked
+    kernels (``_prox``, ``_primal_norm``, ...) on raw float arrays. Each
+    public method validates its arguments once, then calls its kernel.
+    """
 
     kind = "abstract"
 
@@ -74,68 +77,85 @@ class Geometry:
     def diameter(self) -> float:
         return math.sqrt(self.diameter_sq)
 
-    def _prox_inputs(self, anchor, direction, eta):
+    def bregman(self, x, y) -> float:
+        return self._bregman(self.check_point(x), self.check_point(y))
+
+    def prox_step(self, anchor, direction, eta) -> np.ndarray:
         anchor = self.check_point(anchor)
         direction = self.check_point(direction)
         if not eta > 0:
             raise GeometryError(f"prox step size must be positive, got {eta}")
         if not np.all(np.isfinite(direction)):
             raise GeometryError("prox direction has non-finite components")
-        return anchor, direction, float(eta)
-
-    # Interface implemented by subclasses.
-    def bregman(self, x, y) -> float:
-        raise NotImplementedError
-
-    def prox_step(self, anchor, direction, eta) -> np.ndarray:
-        raise NotImplementedError
+        self._check_anchor(anchor)
+        return self._prox(anchor, direction, float(eta))
 
     def primal_norm(self, v) -> float:
-        raise NotImplementedError
+        return self._primal_norm(self.check_point(v))
 
     def dual_norm(self, v) -> float:
-        raise NotImplementedError
-
-    def min_point(self) -> np.ndarray:
-        raise NotImplementedError
+        return self._dual_norm(self.check_point(v))
 
     def mirror_value(self, x) -> float:
         """R(x), shifted so that min over K is exactly 0."""
-        raise NotImplementedError
+        return self._mirror_value(self.check_point(x))
 
     def contains(self, x, tol: float = 1e-10) -> bool:
+        return self._contains(self.check_point(x), tol)
+
+    def linear_minimize(self, c) -> tuple[np.ndarray, float]:
+        """Exact argmin/min of the linear function c.x over K."""
+        return self._linear_minimize(self.check_point(c))
+
+    # Interface implemented by subclasses.
+    def min_point(self) -> np.ndarray:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def linear_minimize(self, c) -> tuple[np.ndarray, float]:
-        """Exact argmin/min of the linear function c.x over K."""
+    def _check_anchor(self, anchor) -> None:
+        """Raise GeometryError where the mirror-map gradient is undefined."""
+
+    def _bregman(self, x, y) -> float:
+        raise NotImplementedError
+
+    def _prox(self, anchor, direction, eta) -> np.ndarray:
+        raise NotImplementedError
+
+    def _primal_norm(self, v) -> float:
+        raise NotImplementedError
+
+    def _dual_norm(self, v) -> float:
+        raise NotImplementedError
+
+    def _mirror_value(self, x) -> float:
+        raise NotImplementedError
+
+    def _contains(self, x, tol) -> bool:
+        raise NotImplementedError
+
+    def _linear_minimize(self, c) -> tuple[np.ndarray, float]:
         raise NotImplementedError
 
 
 class _EuclideanGeometry(Geometry):
     """Shared closed forms for R(x) = ||x - center||^2 / 2 geometries."""
 
-    def bregman(self, x, y) -> float:
-        x = self.check_point(x)
-        y = self.check_point(y)
+    def _bregman(self, x, y) -> float:
         d = x - y
         return 0.5 * float(d @ d)
 
-    def prox_step(self, anchor, direction, eta) -> np.ndarray:
-        anchor, direction, eta = self._prox_inputs(anchor, direction, eta)
+    def _prox(self, anchor, direction, eta) -> np.ndarray:
         return self.project(anchor - eta * direction)
 
-    def primal_norm(self, v) -> float:
-        v = self.check_point(v)
+    def _primal_norm(self, v) -> float:
         return float(np.linalg.norm(v))
 
-    def dual_norm(self, v) -> float:
-        return self.primal_norm(v)
+    def _dual_norm(self, v) -> float:
+        return self._primal_norm(v)
 
-    def mirror_value(self, x) -> float:
-        x = self.check_point(x)
+    def _mirror_value(self, x) -> float:
         d = x - self.min_point()
         return 0.5 * float(d @ d)
 
@@ -163,8 +183,7 @@ class EuclideanBall(_EuclideanGeometry):
     def min_point(self):
         return np.zeros(self.dim)
 
-    def contains(self, x, tol=1e-10):
-        x = self.check_point(x)
+    def _contains(self, x, tol):
         return np.linalg.norm(x) <= self.radius + tol
 
     def sample(self, rng):
@@ -172,8 +191,7 @@ class EuclideanBall(_EuclideanGeometry):
         v /= np.linalg.norm(v)
         return v * self.radius * rng.uniform() ** (1.0 / self.dim)
 
-    def linear_minimize(self, c):
-        c = self.check_point(c)
+    def _linear_minimize(self, c):
         nrm = np.linalg.norm(c)
         if nrm == 0.0:
             return np.zeros(self.dim), 0.0
@@ -205,20 +223,37 @@ class EuclideanBox(_EuclideanGeometry):
     def min_point(self):
         return self.center.copy()
 
-    def contains(self, x, tol=1e-10):
-        x = self.check_point(x)
+    def _contains(self, x, tol):
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def sample(self, rng):
         return rng.uniform(self.lower, self.upper)
 
-    def linear_minimize(self, c):
-        c = self.check_point(c)
+    def _linear_minimize(self, c):
         x = np.where(c > 0, self.lower, np.where(c < 0, self.upper, self.lower))
         return x.astype(float), float(c @ x)
 
 
-class EuclideanSimplex(_EuclideanGeometry):
+class _SimplexSet(Geometry):
+    """The probability simplex as a set: center, membership, samples, vertices."""
+
+    def min_point(self):
+        return np.full(self.dim, 1.0 / self.dim)
+
+    def _contains(self, x, tol):
+        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
+
+    def sample(self, rng):
+        return rng.dirichlet(np.ones(self.dim))
+
+    def _linear_minimize(self, c):
+        i = int(np.argmin(c))
+        x = np.zeros(self.dim)
+        x[i] = 1.0
+        return x, float(c[i])
+
+
+class EuclideanSimplex(_SimplexSet, _EuclideanGeometry):
     """Probability simplex with the squared-distance mirror map (l2/l2)."""
 
     kind = "euclidean-simplex"
@@ -231,25 +266,8 @@ class EuclideanSimplex(_EuclideanGeometry):
     def project(self, z):
         return project_simplex(z)
 
-    def min_point(self):
-        return np.full(self.dim, 1.0 / self.dim)
 
-    def contains(self, x, tol=1e-10):
-        x = self.check_point(x)
-        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
-
-    def sample(self, rng):
-        return rng.dirichlet(np.ones(self.dim))
-
-    def linear_minimize(self, c):
-        c = self.check_point(c)
-        i = int(np.argmin(c))
-        x = np.zeros(self.dim)
-        x[i] = 1.0
-        return x, float(c[i])
-
-
-class EntropicSimplex(Geometry):
+class EntropicSimplex(_SimplexSet):
     """Probability simplex with the negative-entropy mirror map.
 
     R(x) = sum_i x_i log x_i + log d, so min R = 0 at the uniform point and
@@ -268,9 +286,7 @@ class EntropicSimplex(Geometry):
             raise GeometryError("clamp_eps must be positive")
         super().__init__(dim, math.log(dim), clamp_eps)
 
-    def bregman(self, x, y) -> float:
-        x = self.check_point(x)
-        y = self.check_point(y)
+    def _bregman(self, x, y) -> float:
         if float(np.min(x)) < -1e-9:
             raise GeometryError("bregman: first argument is outside the simplex")
         if float(np.min(y)) <= 0.0:
@@ -281,10 +297,11 @@ class EntropicSimplex(Geometry):
         terms = np.where(xp > 0.0, xp * np.log(np.maximum(xp, 1e-300) / y), 0.0)
         return float(terms.sum())
 
-    def prox_step(self, anchor, direction, eta) -> np.ndarray:
-        anchor, direction, eta = self._prox_inputs(anchor, direction, eta)
+    def _check_anchor(self, anchor) -> None:
         if float(np.min(anchor)) <= 0.0:
             raise GeometryError("prox anchor must be interior (all coordinates > 0)")
+
+    def _prox(self, anchor, direction, eta) -> np.ndarray:
         logw = np.log(anchor) - eta * direction
         logw -= logw.max()
         w = np.exp(logw)
@@ -292,36 +309,16 @@ class EntropicSimplex(Geometry):
         w = np.maximum(w, self.clamp_eps)
         return w / w.sum()
 
-    def primal_norm(self, v) -> float:
-        v = self.check_point(v)
+    def _primal_norm(self, v) -> float:
         return float(np.abs(v).sum())
 
-    def dual_norm(self, v) -> float:
-        v = self.check_point(v)
+    def _dual_norm(self, v) -> float:
         return float(np.abs(v).max())
 
-    def min_point(self):
-        return np.full(self.dim, 1.0 / self.dim)
-
-    def mirror_value(self, x) -> float:
-        x = self.check_point(x)
+    def _mirror_value(self, x) -> float:
         xp = np.maximum(x, 0.0)
         terms = np.where(xp > 0.0, xp * np.log(np.maximum(xp, 1e-300)), 0.0)
         return float(terms.sum()) + math.log(self.dim)
-
-    def contains(self, x, tol=1e-10):
-        x = self.check_point(x)
-        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
-
-    def sample(self, rng):
-        return rng.dirichlet(np.ones(self.dim))
-
-    def linear_minimize(self, c):
-        c = self.check_point(c)
-        i = int(np.argmin(c))
-        x = np.zeros(self.dim)
-        x[i] = 1.0
-        return x, float(c[i])
 
 
 class ProductGeometry(Geometry):
@@ -342,56 +339,62 @@ class ProductGeometry(Geometry):
         self.v = geom_v
 
     def split(self, x):
-        x = self.check_point(x)
+        return self._split(self.check_point(x))
+
+    def _split(self, x):
         return x[: self.u.dim], x[self.u.dim :]
 
-    def bregman(self, x, y) -> float:
-        xu, xv = self.split(x)
-        yu, yv = self.split(y)
+    def _bregman(self, x, y) -> float:
+        xu, xv = self._split(x)
+        yu, yv = self._split(y)
         return (
-            self.u.bregman(xu, yu) / self.u.diameter_sq
-            + self.v.bregman(xv, yv) / self.v.diameter_sq
+            self.u._bregman(xu, yu) / self.u.diameter_sq
+            + self.v._bregman(xv, yv) / self.v.diameter_sq
         )
 
-    def prox_step(self, anchor, direction, eta) -> np.ndarray:
-        anchor, direction, eta = self._prox_inputs(anchor, direction, eta)
-        au, av = anchor[: self.u.dim], anchor[self.u.dim :]
-        du, dv = direction[: self.u.dim], direction[self.u.dim :]
-        pu = self.u.prox_step(au, du, eta * self.u.diameter_sq)
-        pv = self.v.prox_step(av, dv, eta * self.v.diameter_sq)
+    def _check_anchor(self, anchor) -> None:
+        au, av = self._split(anchor)
+        self.u._check_anchor(au)
+        self.v._check_anchor(av)
+
+    def _prox(self, anchor, direction, eta) -> np.ndarray:
+        au, av = self._split(anchor)
+        du, dv = self._split(direction)
+        pu = self.u._prox(au, du, eta * self.u.diameter_sq)
+        pv = self.v._prox(av, dv, eta * self.v.diameter_sq)
         return np.concatenate([pu, pv])
 
-    def primal_norm(self, v) -> float:
-        vu, vv = self.split(v)
-        nu = self.u.primal_norm(vu)
-        nv = self.v.primal_norm(vv)
+    def _primal_norm(self, v) -> float:
+        vu, vv = self._split(v)
+        nu = self.u._primal_norm(vu)
+        nv = self.v._primal_norm(vv)
         return math.sqrt(nu * nu / self.u.diameter_sq + nv * nv / self.v.diameter_sq)
 
-    def dual_norm(self, v) -> float:
-        vu, vv = self.split(v)
-        su = self.u.dual_norm(vu)
-        sv = self.v.dual_norm(vv)
+    def _dual_norm(self, v) -> float:
+        vu, vv = self._split(v)
+        su = self.u._dual_norm(vu)
+        sv = self.v._dual_norm(vv)
         return math.sqrt(self.u.diameter_sq * su * su + self.v.diameter_sq * sv * sv)
 
     def min_point(self):
         return np.concatenate([self.u.min_point(), self.v.min_point()])
 
-    def mirror_value(self, x) -> float:
-        xu, xv = self.split(x)
+    def _mirror_value(self, x) -> float:
+        xu, xv = self._split(x)
         return (
-            self.u.mirror_value(xu) / self.u.diameter_sq
-            + self.v.mirror_value(xv) / self.v.diameter_sq
+            self.u._mirror_value(xu) / self.u.diameter_sq
+            + self.v._mirror_value(xv) / self.v.diameter_sq
         )
 
-    def contains(self, x, tol=1e-10):
-        xu, xv = self.split(x)
-        return self.u.contains(xu, tol) and self.v.contains(xv, tol)
+    def _contains(self, x, tol):
+        xu, xv = self._split(x)
+        return self.u._contains(xu, tol) and self.v._contains(xv, tol)
 
     def sample(self, rng):
         return np.concatenate([self.u.sample(rng), self.v.sample(rng)])
 
-    def linear_minimize(self, c):
-        cu, cv = self.split(c)
-        pu, vu = self.u.linear_minimize(cu)
-        pv, vv = self.v.linear_minimize(cv)
+    def _linear_minimize(self, c):
+        cu, cv = self._split(c)
+        pu, vu = self.u._linear_minimize(cu)
+        pv, vv = self.v._linear_minimize(cv)
         return np.concatenate([pu, pv]), vu + vv

@@ -301,7 +301,7 @@ def noisy_eval(oracle: StochasticOracle, x) -> np.ndarray:
     """One fresh unbiased sample of the operator at a feasible point."""
     geom = oracle.base.geom
     x = geom.check_point(x)
-    if not geom.contains(x, tol=1e-8):
+    if not geom._contains(x, 1e-8):
         raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
     f = oracle.base.operator(x)
     if oracle.noise_bound == 0.0:
@@ -313,7 +313,7 @@ def noisy_eval_batch(oracle: StochasticOracle, x, count: int) -> np.ndarray:
     """``count`` independent samples at a fixed point, shape (count, dim)."""
     geom = oracle.base.geom
     x = geom.check_point(x)
-    if not geom.contains(x, tol=1e-8):
+    if not geom._contains(x, 1e-8):
         raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
     f = oracle.base.operator(x)
     if oracle.noise_bound == 0.0:

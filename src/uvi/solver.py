@@ -19,31 +19,37 @@ uniform average of the x_t iterates.
 
 Every step enforces the movement invariants ||x_t - y_{t-1}|| <= eta_t G and
 ||y_t - y_{t-1}|| <= eta_t G (hence Z_t <= G), where G bounds the dual norm
-of the sampled operator; a violation or a non-finite iterate aborts the run
-with the step index and step size in the exception.
+of the sampled operator; a violation, a non-finite operator value or a
+non-finite iterate aborts the run with the step index and step size in the
+exception.
+
+Arguments are validated once, at the public entry points: the geometry's
+``prox_step``, ``noisy_eval`` (shape and feasibility of the query point) and
+``dual_gap``. The loop itself evaluates the operator through
+``noisy_eval`` or ``VIProblem.operator`` and then calls the geometry's
+unchecked prox and norm kernels on raw arrays, whose outputs are feasible by
+construction; each of the three movement norms is computed once per step.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .geometry import Geometry, GeometryError
+from .geometry import GeometryError
 from .operators import StochasticOracle, VIProblem, noisy_eval
 
 __all__ = [
     "SolverConfig",
-    "StepState",
     "StepRecord",
     "RunTrace",
     "SolverError",
     "DivergenceError",
     "InvariantError",
-    "optimistic_step",
     "update_eta",
     "compute_z_sq",
     "universal_mirror_prox",
@@ -94,20 +100,6 @@ class SolverConfig:
 
 
 @dataclass
-class StepState:
-    """Mutable per-iteration state of the two-prox recursion."""
-
-    y_prev: np.ndarray
-    x_t: Optional[np.ndarray] = None
-    y_t: Optional[np.ndarray] = None
-    m_t: Optional[np.ndarray] = None
-    g_t: Optional[np.ndarray] = None
-    eta_t: float = 0.0
-    z_sq_t: float = 0.0
-    z_sq_accum: float = 0.0
-
-
-@dataclass
 class StepRecord:
     """One recorded step; x_prefix is the exact running sum of x_1..x_t."""
 
@@ -135,46 +127,42 @@ class RunTrace:
     records: List[StepRecord]
     x_avg: np.ndarray
     duration: float
-    eta_first: float
     eta_final: float
     z_sq_total: float
     max_xy_ratio: float
     max_yy_ratio: float
     max_z_sq: float
-    fixed_eta: Optional[float] = None
-    extras: dict = field(default_factory=dict)
-
-    def final_record(self) -> StepRecord:
-        return self.records[-1]
 
 
-def update_eta(state: StepState, diameter: float, g0: float) -> float:
+def update_eta(z_sq_accum: float, diameter: float, g0: float) -> float:
     """Adaptive step size D / sqrt(G0^2 + accumulated Z^2); D/G0 at t=1."""
     if diameter <= 0 or g0 <= 0:
         raise ValueError("diameter and g0 must be positive")
-    return diameter / math.sqrt(g0 * g0 + state.z_sq_accum)
+    return diameter / math.sqrt(g0 * g0 + z_sq_accum)
 
 
-def compute_z_sq(geom: Geometry, x_t, y_t, y_prev, eta_t: float) -> float:
+def compute_z_sq(xy_norm: float, xy_prev_norm: float, eta_t: float) -> float:
     """Movement statistic (||x_t - y_t||^2 + ||x_t - y_{t-1}||^2) / (5 eta_t^2)."""
     if not eta_t > 0:
         raise ValueError("eta_t must be positive")
-    a = geom.primal_norm(np.asarray(x_t, float) - np.asarray(y_t, float))
-    b = geom.primal_norm(np.asarray(x_t, float) - np.asarray(y_prev, float))
-    return (a * a + b * b) / (5.0 * eta_t * eta_t)
+    return (xy_norm * xy_norm + xy_prev_norm * xy_prev_norm) / (5.0 * eta_t * eta_t)
 
 
-def optimistic_step(geom: Geometry, state: StepState, hint, loss, eta: float):
-    """Two prox steps from y_{t-1}: against the hint for x_t, the loss for y_t."""
-    x_t = geom.prox_step(state.y_prev, hint, eta)
-    y_t = geom.prox_step(state.y_prev, loss, eta)
-    return x_t, y_t
+def _direction(value: np.ndarray, dim: int) -> np.ndarray:
+    """An operator value the prox kernels can take, or GeometryError."""
+    if value.shape != (dim,) or not np.isfinite(value).all():
+        raise GeometryError(
+            f"operator value must be a finite vector of dimension {dim}"
+        )
+    return value
 
 
 def _run_loop(
     problem: VIProblem, config: SolverConfig, oracle: Optional[StochasticOracle]
 ) -> RunTrace:
     geom = problem.geom
+    dim = geom.dim
+    prox, norm = geom._prox, geom._primal_norm
     diameter = geom.diameter()
     fixed = config.mode == "fixed-step"
     if oracle is not None:
@@ -186,29 +174,30 @@ def _run_loop(
         g_cap = problem.g_bound
         evaluate = problem.operator
 
-    state = StepState(y_prev=geom.min_point())
-    sum_x = np.zeros(geom.dim)
-    comp = np.zeros(geom.dim)
+    y_prev = geom.min_point()
+    sum_x = np.zeros(dim)
+    comp = np.zeros(dim)
     records: List[StepRecord] = []
-    max_xy = max_yy = max_zsq = 0.0
-    eta_first = 0.0
+    z_sq_accum = max_xy = max_yy = max_zsq = 0.0
+    eta = 0.0
     started = time.perf_counter()
 
     for t in range(1, config.iterations + 1):
-        eta = config.eta if fixed else update_eta(state, diameter, config.g0)
+        eta = config.eta if fixed else update_eta(z_sq_accum, diameter, config.g0)
         try:
-            m = np.asarray(evaluate(state.y_prev), dtype=float)
-            x = geom.prox_step(state.y_prev, m, eta)
-            g = np.asarray(evaluate(x), dtype=float)
-            y = geom.prox_step(state.y_prev, g, eta)
+            m = _direction(evaluate(y_prev), dim)
+            x = prox(y_prev, m, eta)
+            g = _direction(evaluate(x), dim)
+            y = prox(y_prev, g, eta)
         except GeometryError as exc:
             raise DivergenceError(t, eta, str(exc)) from exc
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise DivergenceError(t, eta, "non-finite iterate")
 
-        z_sq = compute_z_sq(geom, x, y, state.y_prev, eta)
-        ratio_x = geom.primal_norm(x - state.y_prev) / eta
-        ratio_y = geom.primal_norm(y - state.y_prev) / eta
+        xy_prev = norm(x - y_prev)
+        z_sq = compute_z_sq(norm(x - y), xy_prev, eta)
+        ratio_x = xy_prev / eta
+        ratio_y = norm(y - y_prev) / eta
         if math.isfinite(g_cap):
             if ratio_x > g_cap + _MOVEMENT_TOL or ratio_y > g_cap + _MOVEMENT_TOL:
                 raise InvariantError(
@@ -229,17 +218,13 @@ def _run_loop(
         comp = (total - sum_x) - incr
         sum_x = total
 
-        if t == 1:
-            eta_first = eta
-        state.x_t, state.y_t, state.m_t, state.g_t = x, y, m, g
-        state.eta_t, state.z_sq_t = eta, z_sq
         if t % config.record_every == 0 or t == config.iterations:
             records.append(
                 StepRecord(t=t, eta=eta, z_sq=z_sq, x=x, y=y, m=m, g=g,
                            x_prefix=sum_x.copy())
             )
-        state.z_sq_accum += z_sq
-        state.y_prev = y
+        z_sq_accum += z_sq
+        y_prev = y
 
     return RunTrace(
         problem_name=problem.name,
@@ -252,13 +237,11 @@ def _run_loop(
         records=records,
         x_avg=sum_x / config.iterations,
         duration=time.perf_counter() - started,
-        eta_first=eta_first,
-        eta_final=state.eta_t,
-        z_sq_total=state.z_sq_accum,
+        eta_final=eta,
+        z_sq_total=z_sq_accum,
         max_xy_ratio=max_xy,
         max_yy_ratio=max_yy,
         max_z_sq=max_zsq,
-        fixed_eta=config.eta if fixed else None,
     )
 
 

@@ -22,9 +22,25 @@ def write_config(tmp_path, name="config.json", **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     doc.update(overrides)
+    doc = {key: value for key, value in doc.items() if value is not OMIT}
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+OMIT = object()
+
+
+def count_problem_builds(monkeypatch):
+    calls = []
+    build = operators.make_problem
+
+    def counting(name, **params):
+        calls.append(name)
+        return build(name, **params)
+
+    monkeypatch.setattr(operators, "make_problem", counting)
+    return calls
 
 
 class TestRun:
@@ -117,6 +133,22 @@ class TestRun:
             assert float(eta) == rec.eta  # exact round trip
             assert float(z_sq) == rec.z_sq
 
+    def test_summary_holds_catalog_params_not_matrix(self, tmp_path):
+        params = {"d1": 4, "d2": 3, "seed": 2}
+        path = write_config(tmp_path, T=5, eval_every=5,
+                            problem={"name": "random-game", "params": params})
+        assert cli.cmd_run(str(path)) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["problem"]["params"] == params
+        assert "matrix" not in summary["problem"]["params"]
+        rebuilt = operators.make_problem("random-game", **summary["problem"]["params"])
+        assert rebuilt.g_bound == summary["problem"]["g_bound"]
+
+    def test_problem_built_once(self, tmp_path, monkeypatch):
+        calls = count_problem_builds(monkeypatch)
+        assert cli.cmd_run(str(write_config(tmp_path, T=5, eval_every=5))) == 0
+        assert calls == ["rps"]
+
     def test_fixed_step_mode(self, tmp_path):
         path = write_config(tmp_path, mode={"kind": "fixed-step", "eta": 0.25}, T=20,
                             eval_every=20)
@@ -143,6 +175,36 @@ class TestSweep:
     def test_sweep_bad_config(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "bogus", "params": {}})
         assert cli.cmd_sweep(str(path), [100]) == 2
+
+    def test_sweep_t_below_one_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            cli.main(["sweep", str(path), "--T", "0,100,200"])
+        assert err.value.code == 2
+        assert cli.cmd_sweep(str(path), [0, 100, 200]) == 2
+        assert not list(tmp_path.glob("out/T_*"))
+
+    def test_sweep_checks_every_budget_before_solving(self, tmp_path, capsys):
+        # Without eval_every each point evaluates at its own T, and 102 is
+        # not a multiple of record_every.
+        path = write_config(tmp_path, T=100, record_every=4, eval_every=OMIT)
+        assert cli.main(["sweep", str(path), "--T", "100,102,200"]) == 2
+        assert not list(tmp_path.glob("out/T_*"))
+
+    def test_sweep_default_eval_every_is_each_t(self, tmp_path, capsys):
+        path = write_config(tmp_path, T=10, eval_every=OMIT)
+        assert cli.cmd_sweep(str(path), [10, 20]) == 0
+        for T in (10, 20):
+            out = tmp_path / "out" / f"T_{T}"
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["eval_every"] == T
+            rows = (out / "trace_0.csv").read_text().splitlines()[1:]
+            assert [row.endswith(",") for row in rows] == [True] * (T - 1) + [False]
+
+    def test_sweep_builds_problem_once(self, tmp_path, monkeypatch, capsys):
+        calls = count_problem_builds(monkeypatch)
+        assert cli.cmd_sweep(str(write_config(tmp_path)), [10, 20, 40]) == 0
+        assert calls == ["rps"]
 
 
 class TestVerify:

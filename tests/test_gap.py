@@ -31,7 +31,6 @@ def synthetic_trace(geom, xs, gs, record_every=1):
         records=records,
         x_avg=prefix / len(xs),
         duration=0.0,
-        eta_first=1.0,
         eta_final=1.0,
         z_sq_total=0.0,
         max_xy_ratio=0.0,

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 import uvi
-from uvi.geometry import EntropicSimplex, EuclideanBall
+from uvi.geometry import EntropicSimplex, EuclideanBall, EuclideanSimplex
 from uvi.operators import StochasticOracle, convex_min_problem, make_problem, matrix_game
 from uvi.solver import (
     DivergenceError,
     SolverConfig,
-    StepState,
     compute_z_sq,
     fixed_step_mirror_prox,
-    optimistic_step,
     universal_mirror_prox,
     update_eta,
 )
@@ -24,58 +22,63 @@ ASYM = [[0.0, -1.0], [1.0, 0.0]]
 
 class TestUpdateEta:
     def test_first_step_is_d_over_g0(self):
-        state = StepState(y_prev=np.zeros(2))
-        assert update_eta(state, 1.0, 2.0) == pytest.approx(0.5)
+        assert update_eta(0.0, 1.0, 2.0) == pytest.approx(0.5)
 
     def test_accumulated_movement(self):
-        state = StepState(y_prev=np.zeros(2), z_sq_accum=3.0)
-        assert update_eta(state, 1.0, 1.0) == pytest.approx(0.5)
+        assert update_eta(3.0, 1.0, 1.0) == pytest.approx(0.5)
 
     def test_constant_under_zero_movement(self):
-        state = StepState(y_prev=np.zeros(2))
-        first = update_eta(state, 2.0, 1.0)
-        state.z_sq_accum = 0.0
-        assert update_eta(state, 2.0, 1.0) == first
+        z_sq_accum = 0.0
+        first = update_eta(z_sq_accum, 2.0, 1.0)
+        z_sq_accum += 0.0
+        assert update_eta(z_sq_accum, 2.0, 1.0) == first
+
+
+def z_sq_of(geom, x, y, y_prev, eta):
+    """Z^2 from the two movement norms the solver loop measures."""
+    return compute_z_sq(geom.primal_norm(x - y), geom.primal_norm(x - y_prev), eta)
 
 
 class TestComputeZSq:
     def test_no_movement(self):
         geom = EuclideanBall(1.0, 2)
         p = np.array([0.1, 0.0])
-        assert compute_z_sq(geom, p, p, p, 0.5) == 0.0
+        assert z_sq_of(geom, p, p, p, 0.5) == 0.0
 
     def test_frozen_value(self):
         geom = EuclideanBall(1.0, 2)
         x = np.zeros(2)
         y = np.array([0.1, 0.0])
         y_prev = np.array([0.2, 0.0])
-        assert compute_z_sq(geom, x, y, y_prev, 0.5) == pytest.approx(0.04)
+        assert z_sq_of(geom, x, y, y_prev, 0.5) == pytest.approx(0.04)
 
     def test_invalid_eta(self):
         geom = EuclideanBall(1.0, 2)
         with pytest.raises(ValueError):
-            compute_z_sq(geom, np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
+            z_sq_of(geom, np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
+
+
+def two_prox(geom, y_prev, hint, loss, eta):
+    """One round's two prox steps from y_{t-1}: hint gives x_t, loss gives y_t."""
+    return geom.prox_step(y_prev, hint, eta), geom.prox_step(y_prev, loss, eta)
 
 
 class TestOptimisticStep:
     def test_zero_vectors_fix_point(self):
         geom = EntropicSimplex(3)
-        state = StepState(y_prev=geom.min_point())
-        x, y = optimistic_step(geom, state, np.zeros(3), np.zeros(3), 1.0)
+        x, y = two_prox(geom, geom.min_point(), np.zeros(3), np.zeros(3), 1.0)
         np.testing.assert_allclose(x, geom.min_point(), atol=1e-12)
         np.testing.assert_allclose(y, geom.min_point(), atol=1e-12)
 
     def test_euclidean_interior_steps(self):
         geom = EuclideanBall(1.0, 2)
-        state = StepState(y_prev=np.zeros(2))
-        x, y = optimistic_step(geom, state, np.array([0.1, 0.0]), np.array([0.2, 0.0]), 1.0)
+        x, y = two_prox(geom, np.zeros(2), np.array([0.1, 0.0]), np.array([0.2, 0.0]), 1.0)
         np.testing.assert_allclose(x, [-0.1, 0.0], atol=1e-15)
         np.testing.assert_allclose(y, [-0.2, 0.0], atol=1e-15)
 
     def test_entropic_closed_form(self):
         geom = EntropicSimplex(2)
-        state = StepState(y_prev=geom.min_point())
-        x, _ = optimistic_step(geom, state, np.array([1.0, 0.0]), np.zeros(2), 1.0)
+        x, _ = two_prox(geom, geom.min_point(), np.array([1.0, 0.0]), np.zeros(2), 1.0)
         expected = np.array([math.exp(-1.0), 1.0]) / (math.exp(-1.0) + 1.0)
         np.testing.assert_allclose(x, expected, atol=1e-12)
 
@@ -212,6 +215,21 @@ class TestGuards:
             universal_mirror_prox(p, SolverConfig(iterations=5))
         assert err.value.t == 1
         assert err.value.eta == pytest.approx(math.sqrt(0.5))
+
+    @pytest.mark.parametrize("grad", [
+        lambda x: np.array([np.inf, 0.0, 0.0]),  # would slip through the entropic prox
+        lambda x: np.array([np.nan, 0.0, 0.0]),  # would crash the simplex projection
+        lambda x: np.zeros(2),
+        lambda x: np.float64(0.5),
+    ], ids=["inf", "nan", "short", "scalar"])
+    @pytest.mark.parametrize("geom", [EntropicSimplex(3), EuclideanSimplex(3)],
+                             ids=lambda g: g.kind)
+    def test_bad_operator_value_aborts(self, geom, grad):
+        p = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=geom,
+                               g_bound=1.0, min_value=0.0, name="bad-grad")
+        with pytest.raises(DivergenceError) as err:
+            universal_mirror_prox(p, SolverConfig(iterations=5))
+        assert err.value.t == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
