@@ -5,7 +5,16 @@ Subcommands:
 * ``uvi run <config.json>`` - one solver run per seed, writing
   ``trace_<seed>.csv`` and ``summary.json`` into the output directory.
 * ``uvi sweep <config.json> --T 500,1000,2000,4000`` - repeats the run
-  across iteration budgets and fits the log-log rate exponent.
+  across iteration budgets and fits the log-log rate exponent. Each seed
+  is solved once, at max(T), with every other budget read off an exact
+  checkpoint of that run (see ``uvi.solver``), so each ``T_<T>/``
+  directory is byte-identical to a separate ``uvi run`` with that T. The
+  T list may be unsorted and hold duplicates; the ``T=`` lines and
+  ``sweep_summary.json`` follow it as given.
+  Summaries are written only once every seed has been solved: after a
+  numeric abort the ``T_<T>/`` directories hold the trace CSVs of the
+  seeds solved before the failing one, and no ``summary.json`` or
+  ``sweep_summary.json`` is written.
 * ``uvi verify --suite {lemmas,invariants,all} --seed N`` - executes the
   inequality oracles and the solver/operator invariant sweeps, printing a
   pass/fail table.
@@ -205,17 +214,24 @@ def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
-def _run_seed(config: ExperimentConfig, seed: int, out: Path) -> dict:
-    """Solve one seed, write its trace CSV, and return its summary entry."""
+def _solve(config: ExperimentConfig, seed: int, checkpoints=()) -> solver.RunTrace:
+    """One seed's run of ``config.iterations`` steps, snapshotting ``checkpoints``."""
     problem = config.problem
     oracle = _oracle_for_seed(config, problem, seed)
+    # Called through the module so that wrappers installed on it see every solve.
     if config.mode == "universal":
-        trace = solver.universal_mirror_prox(problem, config.solver_config(), oracle)
-    else:
-        trace = solver.fixed_step_mirror_prox(
-            problem, config.eta, config.iterations,
-            record_every=config.record_every, oracle=oracle,
+        return solver.universal_mirror_prox(
+            problem, config.solver_config(), oracle, checkpoints=checkpoints
         )
+    return solver.fixed_step_mirror_prox(
+        problem, config.eta, config.iterations,
+        record_every=config.record_every, oracle=oracle, checkpoints=checkpoints,
+    )
+
+
+def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
+    """Write one seed's trace CSV and return its summary entry."""
+    problem = config.problem
     _write_trace_csv(out / f"trace_{seed}.csv", problem, trace, config.gap_every)
     entry = {
         "seed": seed,
@@ -234,11 +250,17 @@ def _run_seed(config: ExperimentConfig, seed: int, out: Path) -> dict:
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """Execute one run per seed; write CSV traces and summary.json."""
-    problem = config.problem
     out = _output_dir(config) if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    per_seed = [_run_seed(config, seed, out) for seed in config.seeds]
+    per_seed = [_seed_entry(config, seed, _solve(config, seed), out)
+                for seed in config.seeds]
+    summary = _write_summary(config, per_seed, out)
+    return {"summary": summary, "out_dir": out}
 
+
+def _write_summary(config: ExperimentConfig, per_seed: List[dict], out: Path) -> dict:
+    """Aggregate the per-seed entries and theorem bounds into summary.json."""
+    problem = config.problem
     mean_gap = float(np.mean([e["final_gap"] for e in per_seed]))
     g_total = problem.g_bound + (config.noise_bound or 0.0)
     sigma_sq = None
@@ -294,7 +316,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> 
         encoding="utf-8",
         newline="\n",
     )
-    return {"summary": summary, "out_dir": out}
+    return summary
 
 
 def cmd_run(config_path: str) -> int:
@@ -322,23 +344,35 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
         if len(t_list) < 1:
             raise ConfigError("sweep needs at least one T value")
         # Every budget is checked before the first solve writes anything.
-        subs = [dataclasses.replace(config, iterations=int(T)) for T in t_list]
-        for sub in subs:
+        subs = {T: dataclasses.replace(config, iterations=int(T)) for T in t_list}
+        for sub in subs.values():
             sub.validate()
     except (ConfigError, operators.UnknownProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     base_out = _output_dir(config)
-    points = []
+    outs = {T: base_out / f"T_{T}" for T in subs}
+    for out in outs.values():
+        out.mkdir(parents=True, exist_ok=True)
+    longest = subs[max(subs)]
+    per_seed = {T: [] for T in subs}
     try:
-        for T, sub in zip(t_list, subs):
-            result = run_experiment(sub, out_dir=base_out / f"T_{T}")
-            points.append((T, result["summary"]["mean_final_gap"]))
-            print(f"T={T}: mean final gap {points[-1][1]:.6g}")
+        # One solve per seed; only that seed's trace is held at a time.
+        for seed in config.seeds:
+            trace = _solve(longest, seed, checkpoints=subs)
+            for T, sub in subs.items():
+                per_seed[T].append(_seed_entry(sub, seed, trace.prefix(T), outs[T]))
+            del trace
     except solver.SolverError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+    mean_gaps = {T: _write_summary(sub, per_seed[T], outs[T])["mean_final_gap"]
+                 for T, sub in subs.items()}
+    points = [(T, mean_gaps[T]) for T in t_list]
+    for T, mean_gap in points:
+        print(f"T={T}: mean final gap {mean_gap:.6g}")
 
     sweep_summary = {"t_values": [int(t) for t, _ in points],
                      "mean_final_gaps": [g for _, g in points]}
@@ -349,7 +383,6 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     except ValueError as exc:
         sweep_summary["rate_fit"] = None
         print(f"rate fit skipped: {exc}")
-    base_out.mkdir(parents=True, exist_ok=True)
     (base_out / "sweep_summary.json").write_text(
         json.dumps(_json_safe(sweep_summary), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

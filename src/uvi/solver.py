@@ -29,14 +29,23 @@ Arguments are validated once, at the public entry points: the geometry's
 ``noisy_eval`` or ``VIProblem.operator`` and then calls the geometry's
 unchecked prox and norm kernels on raw arrays, whose outputs are feasible by
 construction; each of the three movement norms is computed once per step.
+
+No step depends on the budget T, so a run of T steps is an exact prefix of
+any longer run on the same problem, oracle seed and step rule. Both solvers
+take ``checkpoints``, budgets in ``1..iterations``: at each one the loop
+snapshots what a run with ``iterations=T`` would return (``x_avg`` from the
+same Kahan sum, ``eta_final``, ``z_sq_total``, the three maxima, and the
+records ``t % record_every == 0 or t == T``), available as
+``trace.prefix(T)`` and bitwise equal to that separate run. The returned
+trace itself is the full run; its records hold no extra checkpoint rows.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
-from typing import List, Optional
+import operator
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -117,21 +126,26 @@ class StepRecord:
 class RunTrace:
     """Recorded steps plus exact aggregates of a single run."""
 
-    problem_name: str
-    mode: str
     iterations: int
     record_every: int
-    g0: float
     g_bound: float
-    stochastic: bool
     records: List[StepRecord]
     x_avg: np.ndarray
-    duration: float
     eta_final: float
     z_sq_total: float
     max_xy_ratio: float
     max_yy_ratio: float
     max_z_sq: float
+    checkpoints: Dict[int, "RunTrace"] = field(default_factory=dict, repr=False)
+
+    def prefix(self, T: int) -> "RunTrace":
+        """The trace a run with ``iterations=T`` returns; T must be a checkpoint."""
+        if T == self.iterations:
+            return self
+        try:
+            return self.checkpoints[T]
+        except KeyError:
+            raise KeyError(f"T={T} is not a checkpoint of this run") from None
 
 
 def update_eta(z_sq_accum: float, diameter: float, g0: float) -> float:
@@ -157,9 +171,21 @@ def _direction(value: np.ndarray, dim: int) -> np.ndarray:
     return value
 
 
+def _checkpoint_set(checkpoints: Iterable[int], iterations: int) -> set:
+    budgets = {operator.index(T) for T in checkpoints}
+    bad = sorted(T for T in budgets if not 1 <= T <= iterations)
+    if bad:
+        raise ValueError(f"checkpoints must lie in 1..{iterations}, got {bad}")
+    return budgets | {iterations}  # the run is its own last checkpoint
+
+
 def _run_loop(
-    problem: VIProblem, config: SolverConfig, oracle: Optional[StochasticOracle]
+    problem: VIProblem,
+    config: SolverConfig,
+    oracle: Optional[StochasticOracle],
+    checkpoints: Iterable[int],
 ) -> RunTrace:
+    budgets = _checkpoint_set(checkpoints, config.iterations)
     geom = problem.geom
     dim = geom.dim
     prox, norm = geom._prox, geom._primal_norm
@@ -178,9 +204,8 @@ def _run_loop(
     sum_x = np.zeros(dim)
     comp = np.zeros(dim)
     records: List[StepRecord] = []
+    snapshots: Dict[int, RunTrace] = {}
     z_sq_accum = max_xy = max_yy = max_zsq = 0.0
-    eta = 0.0
-    started = time.perf_counter()
 
     for t in range(1, config.iterations + 1):
         eta = config.eta if fixed else update_eta(z_sq_accum, diameter, config.g0)
@@ -218,42 +243,50 @@ def _run_loop(
         comp = (total - sum_x) - incr
         sum_x = total
 
-        if t % config.record_every == 0 or t == config.iterations:
-            records.append(
-                StepRecord(t=t, eta=eta, z_sq=z_sq, x=x, y=y, m=m, g=g,
-                           x_prefix=sum_x.copy())
-            )
         z_sq_accum += z_sq
         y_prev = y
 
-    return RunTrace(
-        problem_name=problem.name,
-        mode=config.mode,
-        iterations=config.iterations,
-        record_every=config.record_every,
-        g0=config.g0,
-        g_bound=g_cap,
-        stochastic=oracle is not None,
-        records=records,
-        x_avg=sum_x / config.iterations,
-        duration=time.perf_counter() - started,
-        eta_final=eta,
-        z_sq_total=z_sq_accum,
-        max_xy_ratio=max_xy,
-        max_yy_ratio=max_yy,
-        max_z_sq=max_zsq,
-    )
+        on_schedule = t % config.record_every == 0
+        if on_schedule or t in budgets:
+            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, x=x, y=y, m=m, g=g,
+                             x_prefix=sum_x.copy())
+            if on_schedule:
+                records.append(rec)
+            if t in budgets:
+                # A run of t steps also records its last step off schedule;
+                # that row belongs to this snapshot only.
+                snapshots[t] = RunTrace(
+                    iterations=t,
+                    record_every=config.record_every,
+                    g_bound=g_cap,
+                    records=records + ([] if on_schedule else [rec]),
+                    x_avg=sum_x / t,
+                    eta_final=eta,
+                    z_sq_total=z_sq_accum,
+                    max_xy_ratio=max_xy,
+                    max_yy_ratio=max_yy,
+                    max_z_sq=max_zsq,
+                )
+
+    trace = snapshots.pop(config.iterations)
+    trace.checkpoints = snapshots
+    return trace
 
 
 def universal_mirror_prox(
     problem: VIProblem,
     config: SolverConfig,
     oracle: Optional[StochasticOracle] = None,
+    *,
+    checkpoints: Iterable[int] = (),
 ) -> RunTrace:
-    """Run the adaptive-step solver; pass an oracle for the stochastic setting."""
+    """Run the adaptive-step solver; pass an oracle for the stochastic setting.
+
+    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
+    """
     if config.mode != "universal":
         raise ValueError("config.mode must be 'universal'")
-    return _run_loop(problem, config, oracle)
+    return _run_loop(problem, config, oracle, checkpoints)
 
 
 def fixed_step_mirror_prox(
@@ -263,9 +296,13 @@ def fixed_step_mirror_prox(
     *,
     record_every: int = 1,
     oracle: Optional[StochasticOracle] = None,
+    checkpoints: Iterable[int] = (),
 ) -> RunTrace:
-    """Classic mirror-prox with constant step size, as a tuned baseline."""
+    """Classic mirror-prox with constant step size, as a tuned baseline.
+
+    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
+    """
     config = SolverConfig(
         iterations=iterations, mode="fixed-step", eta=eta, record_every=record_every
     )
-    return _run_loop(problem, config, oracle)
+    return _run_loop(problem, config, oracle, checkpoints)

@@ -2,7 +2,8 @@
 
 Shared fixtures run the deterministic and stochastic sweeps once and feed
 criteria 1-6 and 8; every trace produced here is also checked against the
-movement invariants (criterion 5).
+movement invariants (criterion 5). A sweep solves each problem and seed once
+at its largest T and reads the shorter budgets off exact checkpoints.
 """
 
 import json
@@ -38,7 +39,8 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def run_universal(problem, T, *, g0, seed=None, noise=0.0, record_every=None):
+def run_universal(problem, T, *, g0, seed=None, noise=0.0, record_every=None,
+                  checkpoints=()):
     oracle = None
     if noise > 0.0:
         stream = np.random.SeedSequence(seed).spawn(2)[0]
@@ -46,7 +48,7 @@ def run_universal(problem, T, *, g0, seed=None, noise=0.0, record_every=None):
     config = SolverConfig(
         iterations=T, g0=g0, record_every=record_every or T
     )
-    return universal_mirror_prox(problem, config, oracle)
+    return universal_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
 
 
 @pytest.fixture(scope="module")
@@ -70,8 +72,9 @@ def det_sweeps(game, l1, trace_registry):
     for key, problem in (("game", game), ("l1", l1)):
         started = time.perf_counter()
         points = []
+        run = run_universal(problem, max(SWEEP_T), g0=problem.g_bound, checkpoints=SWEEP_T)
         for T in SWEEP_T:
-            trace = run_universal(problem, T, g0=problem.g_bound)
+            trace = run.prefix(T)
             trace_registry.append((f"{key}-det-T{T}", trace))
             points.append((T, uvi.dual_gap(problem, trace.x_avg)))
         out[key] = {"points": points, "seconds": time.perf_counter() - started}
@@ -87,15 +90,19 @@ def stoch_sweeps(game, l1, trace_registry):
     ):
         g0 = problem.g_bound + NOISE_BOUND
         started = time.perf_counter()
-        means = {}
-        for T in t_values:
-            gaps = []
-            for seed in range(N_SEEDS):
-                trace = run_universal(problem, T, g0=g0, seed=seed, noise=NOISE_BOUND)
+        gaps = {T: [] for T in t_values}
+        kept = {T: [] for T in t_values}
+        for seed in range(N_SEEDS):
+            run = run_universal(problem, max(t_values), g0=g0, seed=seed,
+                                noise=NOISE_BOUND, checkpoints=t_values)
+            for T in t_values:
+                trace = run.prefix(T)
                 if seed < 3:
-                    trace_registry.append((f"{key}-stoch-T{T}-s{seed}", trace))
-                gaps.append(uvi.dual_gap(problem, trace.x_avg))
-            means[T] = float(np.mean(gaps))
+                    kept[T].append((f"{key}-stoch-T{T}-s{seed}", trace))
+                gaps[T].append(uvi.dual_gap(problem, trace.x_avg))
+        for T in t_values:
+            trace_registry.extend(kept[T])
+        means = {T: float(np.mean(gaps[T])) for T in t_values}
         out[key] = {"means": means, "seconds": time.perf_counter() - started}
     return out
 

@@ -207,6 +207,81 @@ class TestSweep:
         assert calls == ["rps"]
 
 
+def tree_bytes(root):
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+class TestAnytimeSweep:
+    """A sweep solves each seed once at max(T); its outputs equal separate runs."""
+
+    NOISY = {"problem": {"name": "l1-ball", "params": {}},
+             "noise": {"bound": 0.3}, "seeds": [0, 1]}
+
+    @pytest.mark.parametrize("t_list,overrides", [
+        ([30, 10, 20, 10], {**NOISY, "record_every": 1, "eval_every": 5}),
+        ([21, 50, 35], {**NOISY, "record_every": 7, "eval_every": 14}),
+        ([12, 4, 8], {"record_every": 2, "eval_every": OMIT}),
+        ([20, 40], {**NOISY, "mode": {"kind": "fixed-step", "eta": 0.25},
+                    "record_every": 5, "eval_every": 10}),
+    ], ids=["unsorted-duplicate-lemma3", "record-every-off-grid", "no-eval-every",
+            "fixed-step"])
+    def test_sweep_equals_separate_runs(self, tmp_path, capsys, t_list, overrides):
+        sweep_dir = tmp_path / "sweep"
+        path = write_config(tmp_path, output_dir=str(sweep_dir), **overrides)
+        assert cli.cmd_sweep(str(path), t_list) == 0
+        printed = capsys.readouterr().out.splitlines()
+
+        gaps = {}
+        for T in set(t_list):
+            run_dir = tmp_path / f"run_{T}"
+            run_path = write_config(tmp_path, name=f"run_{T}.json", T=T,
+                                    output_dir=str(run_dir), **overrides)
+            assert cli.cmd_run(str(run_path)) == 0
+            assert tree_bytes(sweep_dir / f"T_{T}") == tree_bytes(run_dir)
+            gaps[T] = json.loads((run_dir / "summary.json").read_text())["mean_final_gap"]
+        assert sorted(p.name for p in sweep_dir.iterdir()) == sorted(
+            [f"T_{T}" for T in set(t_list)] + ["sweep_summary.json"])
+        doc = json.loads((sweep_dir / "sweep_summary.json").read_text())
+        assert doc["t_values"] == t_list
+        assert doc["mean_final_gaps"] == [gaps[T] for T in t_list]
+        assert printed[:len(t_list)] == [
+            f"T={T}: mean final gap {gaps[T]:.6g}" for T in t_list]
+
+    def test_one_solve_per_seed(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = solver.universal_mirror_prox
+
+        def counting(problem, config, oracle=None, **kwargs):
+            calls.append(config.iterations)
+            return solve(problem, config, oracle, **kwargs)
+
+        monkeypatch.setattr(solver, "universal_mirror_prox", counting)
+        path = write_config(tmp_path, seeds=[0, 1, 2], noise={"bound": 0.1})
+        assert cli.cmd_sweep(str(path), [20, 10, 40, 20]) == 0
+        assert calls == [40, 40, 40]
+
+    def test_abort_leaves_no_summaries(self, tmp_path, monkeypatch, capsys):
+        steps = []
+
+        def grad(x):  # finite for 15 steps (two operator calls each), then NaN
+            steps.append(1)
+            return x if len(steps) <= 30 else x * np.nan
+
+        bad = convex_min_problem(f=lambda x: 0.5 * float(x @ x), grad=grad,
+                                 geom=EuclideanBall(1.0, 2), g_bound=1.0,
+                                 min_value=0.0, name="nan-late")
+        monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bad)
+        path = write_config(tmp_path, eval_every=OMIT)
+        assert cli.cmd_sweep(str(path), [10, 20]) == 3
+        captured = capsys.readouterr()
+        assert "numeric abort: aborted at step t=16" in captured.err
+        assert "T=" not in captured.out
+        out = tmp_path / "out"
+        assert not (out / "sweep_summary.json").exists()
+        assert not list(out.glob("T_*/summary.json"))
+
+
 class TestVerify:
     def test_malformed_suite_name(self):
         assert cli.cmd_verify("bogus") == 2

@@ -21,16 +21,11 @@ def synthetic_trace(geom, xs, gs, record_every=1):
                        g=np.asarray(g, float), x_prefix=prefix.copy())
         )
     return RunTrace(
-        problem_name="synthetic",
-        mode="universal",
         iterations=len(xs),
         record_every=record_every,
-        g0=1.0,
         g_bound=np.inf,
-        stochastic=False,
         records=records,
         x_avg=prefix / len(xs),
-        duration=0.0,
         eta_final=1.0,
         z_sq_total=0.0,
         max_xy_ratio=0.0,

@@ -201,6 +201,68 @@ class TestStochasticRuns:
             universal_mirror_prox(p2, SolverConfig(iterations=5), oracle)
 
 
+def assert_same_trace(got, want):
+    """Field-for-field bitwise equality of two RunTraces (checkpoints aside)."""
+    for name in ("iterations", "record_every", "g_bound", "eta_final", "z_sq_total",
+                 "max_xy_ratio", "max_yy_ratio", "max_z_sq"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.x_avg, want.x_avg)
+    assert [rec.t for rec in got.records] == [rec.t for rec in want.records]
+    for a, b in zip(got.records, want.records):
+        assert a.eta == b.eta and a.z_sq == b.z_sq
+        for name in ("x", "y", "m", "g", "x_prefix"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
+
+
+def checkpoint_solve(problem, mode, noise, T, checkpoints=(), record_every=7):
+    oracle = StochasticOracle(problem, noise, rng_seed=11) if noise else None
+    if mode == "universal":
+        config = SolverConfig(iterations=T, record_every=record_every)
+        return universal_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
+    return fixed_step_mirror_prox(problem, 0.2, T, record_every=record_every,
+                                  oracle=oracle, checkpoints=checkpoints)
+
+
+class TestCheckpoints:
+    BUDGETS = (1, 7, 20, 45, 60)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.4], ids=["det", "noisy"])
+    @pytest.mark.parametrize("mode", ["universal", "fixed-step"])
+    @pytest.mark.parametrize("name", ["asym-game", "l1-ball"])
+    def test_prefix_equals_separate_run(self, name, mode, noise):
+        problem = matrix_game(ASYM) if name == "asym-game" else make_problem("l1-ball")
+        # Unsorted, with a duplicate; 20 and 45 are off the record_every=7 grid.
+        full = checkpoint_solve(problem, mode, noise, 60, checkpoints=(45, 7, 1, 20, 7))
+        assert_same_trace(full, checkpoint_solve(problem, mode, noise, 60))
+        for T in self.BUDGETS:
+            prefix = full.prefix(T)
+            assert [rec.t for rec in prefix.records] == [
+                t for t in range(1, T + 1) if t % 7 == 0 or t == T]
+            assert_same_trace(prefix, checkpoint_solve(problem, mode, noise, T))
+
+    def test_every_step_recorded(self):
+        problem = make_problem("l1-ball")
+        full = checkpoint_solve(problem, "universal", 0.4, 30, (10, 25), record_every=1)
+        for T in (10, 25):
+            prefix = full.prefix(T)
+            assert prefix.z_sq_total == sum(rec.z_sq for rec in prefix.records)
+            assert prefix.eta_final == prefix.records[-1].eta
+            assert_same_trace(prefix,
+                              checkpoint_solve(problem, "universal", 0.4, T, record_every=1))
+
+    def test_unrequested_budget_has_no_prefix(self):
+        trace = checkpoint_solve(make_problem("l1-ball"), "universal", 0.0, 20, (5,))
+        assert trace.prefix(20) is trace
+        with pytest.raises(KeyError):
+            trace.prefix(6)
+
+    @pytest.mark.parametrize("bad", [0, -3, 21])
+    @pytest.mark.parametrize("mode", ["universal", "fixed-step"])
+    def test_out_of_range_checkpoint_rejected(self, mode, bad):
+        with pytest.raises(ValueError):
+            checkpoint_solve(make_problem("l1-ball"), mode, 0.0, 20, (5, bad))
+
+
 class TestGuards:
     def test_non_finite_operator_aborts_with_diagnostics(self):
         p = convex_min_problem(
