@@ -143,9 +143,12 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        # SolverConfig checks T, g0, the mode, eta and record_every.
+        # SolverConfig checks T, g0, the mode, eta and record_every; the
+        # oracle's rule checks the noise bound and sigma_sq.
         try:
             self.solver_config()
+            if self.stochastic:
+                operators._noise_sigma_sq(self.noise_bound, self.noise_sigma_sq)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.stochastic and not self.seeds:
@@ -156,8 +159,6 @@ class ExperimentConfig:
             raise ConfigError("eval_every must be >= 1")
         if self.gap_every % self.record_every != 0:
             raise ConfigError("eval_every must be a multiple of record_every")
-        if self.noise_bound is not None and self.noise_bound < 0:
-            raise ConfigError("noise bound must be nonnegative")
         if self.problem is None:
             # Built once per command; fails early on unknown names or bad params.
             self.problem = operators.make_problem(self.problem_name, **self.problem_params)
@@ -265,11 +266,7 @@ def _write_summary(config: ExperimentConfig, per_seed: List[dict], out: Path) ->
     g_total = problem.g_bound + (config.noise_bound or 0.0)
     sigma_sq = None
     if config.stochastic:
-        sigma_sq = (
-            config.noise_sigma_sq
-            if config.noise_sigma_sq is not None
-            else config.noise_bound**2
-        )
+        sigma_sq = operators._noise_sigma_sq(config.noise_bound, config.noise_sigma_sq)
     report = analysis.theorem_bounds(
         problem, config.solver_config(), sigma_sq=sigma_sq, g_bound=g_total
     )

@@ -13,6 +13,11 @@ the standard cases:
 The stochastic oracle adds zero-mean sign noise whose dual norm is bounded
 almost surely, so the sampled operator stays norm-bounded as required by
 the solver's movement invariants.
+
+``VIProblem.operator``/``gap`` and ``noisy_eval``/``noisy_eval_batch``
+validate their points once, at this boundary; the operator and gap
+closures behind them, and the oracle's ``_sample`` kernel, take raw
+arrays of the right dimension unchecked.
 """
 
 from __future__ import annotations
@@ -73,10 +78,11 @@ class VIProblem:
     params: dict = field(default_factory=dict)
 
     def operator(self, x) -> np.ndarray:
-        return np.asarray(self.operator_eval(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self.operator_eval(self.geom.check_point(x)), dtype=float)
 
     def gap(self, x, y) -> float:
-        return float(self.gap_eval(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+        check = self.geom.check_point
+        return float(self.gap_eval(check(x), check(y)))
 
 
 def _reference_minimum(f, geom: Geometry) -> tuple[float, float]:
@@ -193,14 +199,14 @@ def saddle_problem(
         )
 
     def operator_eval(x):
-        u, v = geom.split(x)
+        u, v = geom._split(x)
         return np.concatenate(
             [np.asarray(grad_u(u, v), float), -np.asarray(grad_v(u, v), float)]
         )
 
     def gap_eval(x, x0):
-        u, v = geom.split(x)
-        u0_, v0_ = geom.split(x0)
+        u, v = geom._split(x)
+        u0_, v0_ = geom._split(x0)
         return float(phi(u, v0_) - phi(u0_, v))
 
     return VIProblem(
@@ -256,6 +262,30 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
     )
 
 
+# Sign noise is drawn in blocks of about this many bytes of float64 rows.
+_NOISE_BLOCK_BYTES = 65536
+
+
+def _noise_sigma_sq(noise_bound: float, sigma_sq: Optional[float]) -> float:
+    """The variance bound of sign noise with dual-norm bound ``noise_bound``.
+
+    ``sigma_sq`` defaults to noise_bound^2, the exact second moment; a given
+    value must be finite and may not understate it. Raises ValueError.
+    """
+    if not (math.isfinite(noise_bound) and noise_bound >= 0):
+        raise ValueError(f"noise bound must be finite and nonnegative, got {noise_bound}")
+    if sigma_sq is None:
+        return noise_bound**2
+    if not math.isfinite(sigma_sq):
+        raise ValueError(f"noise sigma_sq must be finite, got {sigma_sq}")
+    if sigma_sq < noise_bound**2 * (1 - 1e-12):
+        raise ValueError(
+            "sigma_sq understates the noise model: sign noise with dual-norm "
+            f"bound {noise_bound} has second moment {noise_bound ** 2}"
+        )
+    return sigma_sq
+
+
 @dataclass
 class StochasticOracle:
     """Unbiased sampled operator F + zeta with bounded sign noise.
@@ -266,6 +296,16 @@ class StochasticOracle:
     the dual norm is exactly noise_bound^2. ``sigma_sq`` stores the variance
     bound for verification only; the solver never reads it. One oracle
     instance per run; the generator is PCG64 seeded from ``rng_seed``.
+
+    Signs are drawn in blocks, one ``integers`` call of (rows, d) per block,
+    and handed out one row per sample in order. PCG64's bounded integer
+    draws do not depend on how a request is chunked, so every sample is
+    bitwise the one a separate draw of d signs would give, for any mix of
+    single and batch samples. With noise_bound 0 nothing is drawn.
+
+    ``_sample`` is the unchecked kernel the solver loop calls on points the
+    prox step produced; ``noisy_eval`` and ``noisy_eval_batch`` check the
+    point first.
     """
 
     base: VIProblem
@@ -274,48 +314,62 @@ class StochasticOracle:
     rng_seed: Union[int, np.random.SeedSequence] = 0
 
     def __post_init__(self):
-        if self.noise_bound < 0:
-            raise ValueError("noise_bound must be nonnegative")
-        if self.sigma_sq is None:
-            self.sigma_sq = self.noise_bound**2
-        elif self.sigma_sq < self.noise_bound**2 * (1 - 1e-12):
-            raise ValueError(
-                "sigma_sq understates the noise model: sign noise with dual-norm "
-                f"bound {self.noise_bound} has second moment {self.noise_bound ** 2}"
-            )
+        self.sigma_sq = _noise_sigma_sq(self.noise_bound, self.sigma_sq)
         self._rng = np.random.default_rng(self.rng_seed)
-        self._unit_dual = self.base.geom.dual_norm(np.ones(self.base.geom.dim))
+        dim = self.base.geom.dim
+        self._unit_dual = self.base.geom.dual_norm(np.ones(dim))
+        self._block_rows = max(1, _NOISE_BLOCK_BYTES // (8 * dim))
+        self._block = np.empty((0, dim))
+        self._row = 0
 
     @property
     def g_bound(self) -> float:
         return self.base.g_bound + self.noise_bound
 
+    def _draw(self, rows: int) -> np.ndarray:
+        signs = self._rng.integers(0, 2, size=(rows, self.base.geom.dim))
+        return (self.noise_bound / self._unit_dual) * (signs * 2 - 1)
+
     def _noise(self, count: Optional[int] = None) -> np.ndarray:
-        d = self.base.geom.dim
-        shape = (d,) if count is None else (count, d)
-        signs = self._rng.integers(0, 2, size=shape) * 2 - 1
-        return (self.noise_bound / self._unit_dual) * signs
+        """The next noise row, or the next ``count`` rows as (count, dim)."""
+        if count is None:
+            if self._row == len(self._block):
+                self._block = self._draw(self._block_rows)
+                self._row = 0
+            self._row += 1
+            return self._block[self._row - 1]
+        rows = self._block[self._row : self._row + count]
+        self._row += len(rows)
+        if len(rows) == count:
+            return rows
+        return np.concatenate([rows, self._draw(count - len(rows))])
+
+    def _sample(self, x: np.ndarray) -> np.ndarray:
+        """F(x) + zeta at a point trusted to be feasible."""
+        f = self.base.operator(x)
+        if self.noise_bound == 0.0:
+            return f
+        return f + self._noise()
+
+
+def _feasible_point(oracle: StochasticOracle, x) -> np.ndarray:
+    geom = oracle.base.geom
+    x = geom.check_point(x)
+    if not geom._contains(x, 1e-8):
+        raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
+    return x
 
 
 def noisy_eval(oracle: StochasticOracle, x) -> np.ndarray:
     """One fresh unbiased sample of the operator at a feasible point."""
-    geom = oracle.base.geom
-    x = geom.check_point(x)
-    if not geom._contains(x, 1e-8):
-        raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
-    f = oracle.base.operator(x)
-    if oracle.noise_bound == 0.0:
-        return f
-    return f + oracle._noise()
+    return oracle._sample(_feasible_point(oracle, x))
 
 
 def noisy_eval_batch(oracle: StochasticOracle, x, count: int) -> np.ndarray:
     """``count`` independent samples at a fixed point, shape (count, dim)."""
-    geom = oracle.base.geom
-    x = geom.check_point(x)
-    if not geom._contains(x, 1e-8):
-        raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
-    f = oracle.base.operator(x)
+    if count < 0:
+        raise ValueError(f"sample count must be nonnegative, got {count}")
+    f = oracle.base.operator(_feasible_point(oracle, x))
     if oracle.noise_bound == 0.0:
         return np.tile(f, (count, 1))
     return f[None, :] + oracle._noise(count)
@@ -370,18 +424,35 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
     )
 
 
-def _l1_min_on_ball(x0: np.ndarray, radius: float) -> tuple[Optional[float], Optional[np.ndarray]]:
-    """Closed-form min of ||x - x0||_1 over the ball when available."""
+def _l1_min_on_ball(x0: np.ndarray, radius: float) -> tuple[float, np.ndarray]:
+    """Exact min of ||x - x0||_1 over the ball ||x||_2 <= r, and its minimizer.
+
+    By minimax the minimum equals the dual max_{t in [0,1]^d} a.t - r||t||_2
+    with a = |x0|, attained at s = sign(x0) * t. At the dual optimum the k
+    largest a_i saturate: t_i = min(1, a_i c) with
+    c = sqrt(k / (r^2 - sum_{i>k} a_i^2)), for a value of
+    sum_{i<=k} a_i - sqrt(k (r^2 - sum_{i>k} a_i^2)) (a sorted decreasing),
+    and the minimizer is the best response r s / ||s||. Every candidate t
+    is dual feasible, so the best candidate over k is the optimum.
+    """
     nrm = float(np.linalg.norm(x0))
     if nrm <= radius:
         return 0.0, x0.copy()
-    nonzero = np.flatnonzero(x0)
-    if nonzero.size == 1:
-        j = int(nonzero[0])
-        minimizer = np.zeros_like(x0)
-        minimizer[j] = math.copysign(radius, x0[j])
-        return abs(float(x0[j])) - radius, minimizer
-    return None, None
+    a = np.abs(x0)
+    r_sq = radius * radius
+    # tail_sq[k] = sum of the squares of all but the k largest |x0_i|.
+    tail_sq = np.append(np.cumsum(np.sort(a * a))[::-1], 0.0)
+    best, best_t = -math.inf, None
+    for k in range(1, a.size + 1):
+        slack = r_sq - float(tail_sq[k])
+        if slack <= 0:
+            continue
+        t = np.minimum(1.0, a * math.sqrt(k / slack))
+        value = float(a @ t) - radius * float(np.linalg.norm(t))
+        if value > best:
+            best, best_t = value, t
+    s = np.sign(x0) * best_t
+    return best, radius * s / float(np.linalg.norm(s))
 
 
 def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
@@ -390,6 +461,7 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
     The default target is interior, so the iterates keep straddling the
     kinks instead of settling in a smooth region. Zero coordinates of the
     residual take subgradient component 0 (deterministic, minimal norm).
+    The reference minimum is exact for every target (``gap_tolerance`` 0).
     """
     x0 = np.asarray(x0, dtype=float)
     geom = EuclideanBall(radius, x0.size)

@@ -24,11 +24,14 @@ non-finite iterate aborts the run with the step index and step size in the
 exception.
 
 Arguments are validated once, at the public entry points: the geometry's
-``prox_step``, ``noisy_eval`` (shape and feasibility of the query point) and
-``dual_gap``. The loop itself evaluates the operator through
-``noisy_eval`` or ``VIProblem.operator`` and then calls the geometry's
-unchecked prox and norm kernels on raw arrays, whose outputs are feasible by
-construction; each of the three movement norms is computed once per step.
+``prox_step``, ``VIProblem.operator`` (dimension of the query point),
+``noisy_eval`` (dimension and feasibility, the boundary for callers that
+sample the oracle themselves) and ``dual_gap``. The loop evaluates the
+operator through ``VIProblem.operator`` or, in stochastic mode, the oracle's
+unchecked ``_sample`` kernel, and calls the geometry's unchecked prox and
+norm kernels on raw arrays; prox outputs are feasible by construction, so
+the loop's query points need no feasibility check. Each of the three
+movement norms is computed once per step.
 
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. Both solvers
@@ -50,7 +53,9 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from .geometry import GeometryError
-from .operators import StochasticOracle, VIProblem, noisy_eval
+# The loop does not call noisy_eval; it stays in this namespace because
+# bench/tracing.py wraps solver.noisy_eval by that name.
+from .operators import StochasticOracle, VIProblem, noisy_eval  # noqa: F401
 
 __all__ = [
     "SolverConfig",
@@ -98,12 +103,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if not self.g0 > 0:
-            raise ValueError("g0 must be positive")
+        if not (self.g0 > 0 and math.isfinite(self.g0)):
+            raise ValueError(f"g0 must be positive and finite, got {self.g0}")
         if self.mode not in ("universal", "fixed-step"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "fixed-step" and not (self.eta is not None and self.eta > 0):
-            raise ValueError("fixed-step mode requires eta > 0")
+        if self.mode == "fixed-step" and not (
+            self.eta is not None and self.eta > 0 and math.isfinite(self.eta)
+        ):
+            raise ValueError(f"fixed-step mode requires a finite eta > 0, got {self.eta}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -195,7 +202,7 @@ def _run_loop(
         if oracle.base is not problem:
             raise ValueError("oracle was built for a different problem instance")
         g_cap = oracle.g_bound
-        evaluate = lambda p: noisy_eval(oracle, p)  # noqa: E731
+        evaluate = oracle._sample
     else:
         g_cap = problem.g_bound
         evaluate = problem.operator

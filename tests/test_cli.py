@@ -66,6 +66,25 @@ class TestRun:
         assert cli.cmd_run(str(write_config(tmp_path, eval_every=7, record_every=2))) == 2
         assert cli.cmd_run(str(write_config(tmp_path, noise={"bound": 0.1}, seeds=[]))) == 2
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"g0": float("inf")}, "g0 must be positive and finite"),
+        ({"g0": float("nan")}, "g0 must be positive and finite"),
+        ({"mode": {"kind": "fixed-step", "eta": float("inf")}}, "requires a finite eta"),
+        ({"noise": {"bound": float("nan")}}, "noise bound must be finite"),
+        ({"noise": {"bound": float("inf")}}, "noise bound must be finite"),
+        ({"noise": {"bound": 0.5, "sigma_sq": float("inf")}}, "sigma_sq must be finite"),
+        ({"noise": {"bound": 0.5, "sigma_sq": 0.01}}, "sigma_sq understates"),
+    ], ids=["g0-inf", "g0-nan", "eta-inf", "noise-nan", "noise-inf", "sigma-inf",
+            "sigma-low"])
+    def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
+                                                       overrides, message):
+        path = write_config(tmp_path, **overrides)
+        assert cli.cmd_run(str(path)) == 2
+        assert message in capsys.readouterr().err
+        assert cli.cmd_sweep(str(path), [5, 10]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
         bad = convex_min_problem(
             f=lambda x: 0.5 * float(x @ x),

@@ -16,6 +16,7 @@ from uvi.operators import (
     noisy_eval_batch,
     saddle_problem,
 )
+from uvi.operators import _l1_min_on_ball
 
 from helpers import adapter_invariants
 
@@ -155,6 +156,11 @@ class TestStochasticOracle:
         oracle = StochasticOracle(p, 0.0, rng_seed=0)
         x = p.geom.min_point()
         np.testing.assert_array_equal(noisy_eval(oracle, x), p.operator(x))
+        np.testing.assert_array_equal(noisy_eval_batch(oracle, x, 3),
+                                      np.tile(p.operator(x), (3, 1)))
+        np.testing.assert_array_equal(oracle._sample(x), p.operator(x))
+        # nothing was drawn from the noise stream
+        assert oracle._rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_consecutive_calls_differ(self):
         p = self._entropic_problem()
@@ -210,11 +216,112 @@ class TestStochasticOracle:
         oracle = StochasticOracle(p, 0.1, rng_seed=0)
         with pytest.raises(GeometryError):
             noisy_eval(oracle, np.array([0.9, 0.9, 0.9]))
+        with pytest.raises(GeometryError):
+            noisy_eval_batch(oracle, np.array([0.9, 0.9, 0.9]), 4)
 
     def test_g_bound_includes_noise(self):
         p = self._entropic_problem()
         oracle = StochasticOracle(p, 0.25, rng_seed=0)
         assert oracle.g_bound == pytest.approx(p.g_bound + 0.25)
+
+    @pytest.mark.parametrize("bound, sigma_sq", [
+        (math.nan, None), (math.inf, None), (-0.1, None), (0.5, math.inf), (0.5, math.nan),
+    ])
+    def test_non_finite_or_negative_noise_rejected(self, bound, sigma_sq):
+        with pytest.raises(ValueError):
+            StochasticOracle(self._entropic_problem(), bound, sigma_sq=sigma_sq)
+
+    @pytest.mark.parametrize("point", [[0.5, 0.5], [[1.0, 0.0, 0.0]]], ids=["short", "matrix"])
+    def test_wrong_shape_point_rejected(self, point):
+        oracle = StochasticOracle(self._entropic_problem(), 0.1, rng_seed=0)
+        with pytest.raises(GeometryError):
+            noisy_eval(oracle, np.array(point))
+        with pytest.raises(GeometryError):
+            noisy_eval_batch(oracle, np.array(point), 4)
+
+    def test_negative_batch_count_rejected(self):
+        p = self._entropic_problem()
+        with pytest.raises(ValueError):
+            noisy_eval_batch(StochasticOracle(p, 0.1, rng_seed=0), p.geom.min_point(), -1)
+
+
+def linear_ball_problem(dim):
+    c = np.linspace(-1.0, 1.0, dim)
+    return convex_min_problem(
+        f=lambda x: float(c @ x), grad=lambda x: c, geom=EuclideanBall(1.0, dim),
+        g_bound=float(np.linalg.norm(c)), min_value=-float(np.linalg.norm(c)),
+        name="linear-ball",
+    )
+
+
+class TestOracleStream:
+    """Block-drawn noise is bitwise the stream of one draw of d signs per sample."""
+
+    @pytest.mark.parametrize("problem", [
+        linear_ball_problem(3), matrix_game(RPS), linear_ball_problem(600),
+        linear_ball_problem(9000),  # above the block budget: one row per block
+    ], ids=["d3", "game-d6", "d600", "d9000"])
+    def test_matches_one_draw_per_sample(self, problem):
+        seed, bound = 21, 0.4
+        oracle = StochasticOracle(problem, bound, rng_seed=seed)
+        reference = np.random.default_rng(seed)
+        scale = bound / problem.geom.dual_norm(np.ones(problem.geom.dim))
+        x = problem.geom.min_point()
+        f = problem.operator(x)
+
+        def expected(count):
+            rows = [f + scale * (reference.integers(0, 2, size=f.size) * 2 - 1)
+                    for _ in range(count)]
+            return np.array(rows).reshape(count, f.size)
+
+        # Random single and batch draws across at least three block boundaries.
+        picks = np.random.default_rng(5)
+        block_rows = oracle._block_rows
+        budget = min(3 * block_rows + 7, 8200)
+        drawn = 0
+        while drawn < budget:
+            if picks.uniform() < 0.5:
+                got, want = noisy_eval(oracle, x)[None, :], expected(1)
+            else:
+                count = int(picks.integers(0, min(block_rows + 3, 400) + 1))
+                got, want = noisy_eval_batch(oracle, x, count), expected(count)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), drawn
+            drawn += len(want)
+
+
+class TestPointDimensionChecked:
+    """A wrong-length point raises at the problem's boundary, never broadcasts."""
+
+    @staticmethod
+    def generic_saddle():
+        return saddle_problem(
+            phi=lambda u, v: float(u @ v),
+            grad_u=lambda u, v: v,
+            grad_v=lambda u, v: u,
+            geom_u=EuclideanBall(1.0, 2),
+            geom_v=EuclideanBall(1.0, 2),
+            g_bound=2.0,
+            name="bilinear-balls",
+        )
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_problem("quadratic-ball"),
+        lambda: make_problem("l1-ball"),
+        lambda: matrix_game(RPS),
+        generic_saddle,
+    ], ids=["quadratic-ball", "l1-ball", "matrix-game", "saddle"])
+    def test_operator_and_gap_reject_wrong_length(self, build):
+        p = build()
+        good = p.geom.min_point()
+        for bad in (good[:-1], np.append(good, 0.0), np.array([0.3])):
+            with pytest.raises(GeometryError):
+                p.operator(bad)
+            with pytest.raises(GeometryError):
+                p.gap(bad, good)
+            with pytest.raises(GeometryError):
+                p.gap(good, bad)
+        assert p.operator(good).shape == good.shape
 
 
 class TestCatalog:
@@ -248,6 +355,38 @@ class TestCatalog:
         assert uvi.dual_gap(p, p.known_solution) == pytest.approx(0.0, abs=1e-12)
         # f(0) - min = 2 - 1
         assert uvi.dual_gap(p, np.zeros(2)) == pytest.approx(1.0)
+
+    def test_l1_ball_exterior_exact_minimum(self):
+        p = make_problem("l1-ball", x0=(1.5, 1.0, 0.0))
+        assert p.gap_tolerance == 0.0
+        np.testing.assert_allclose(p.known_solution, np.array([1.0, 1.0, 0.0]) / math.sqrt(2),
+                                   rtol=0, atol=1e-15)
+        # dual_gap of the minimizer is f(x*) - min, exact to rounding
+        assert uvi.dual_gap(p, p.known_solution) == pytest.approx(0.0, abs=1e-15)
+        x = np.array([0.6, 0.8, 0.0])
+        assert uvi.dual_gap(p, x) == pytest.approx(0.9 + 0.2 - (2.5 - math.sqrt(2)), abs=1e-14)
+        value, _ = _l1_min_on_ball(np.array([1.5, 1.0, 0.0]), 1.0)
+        assert value == pytest.approx(2.5 - math.sqrt(2), abs=1e-15)
+
+    def test_l1_min_random_exterior_targets(self):
+        rng = np.random.default_rng(8)
+        checked = 0
+        while checked < 200:
+            d = int(rng.integers(2, 9))
+            radius = float(rng.uniform(0.3, 2.0))
+            x0 = rng.normal(size=d) * rng.uniform(0.5, 3.0)
+            if rng.uniform() < 0.3:
+                x0[rng.integers(d)] = 0.0
+            if np.linalg.norm(x0) <= radius:
+                continue
+            checked += 1
+            value, minimizer = _l1_min_on_ball(x0, radius)
+            assert np.linalg.norm(minimizer) <= radius * (1 + 1e-12)
+            assert abs(float(np.abs(minimizer - x0).sum()) - value) <= 1e-12
+            ball = EuclideanBall(radius, d)
+            for _ in range(50):
+                y = ball.sample(rng)
+                assert float(np.abs(y - x0).sum()) >= value - 1e-12
 
     def test_l1_ball_default_interior(self):
         p = make_problem("l1-ball")

@@ -5,7 +5,15 @@ import pytest
 
 import uvi
 from uvi.geometry import EntropicSimplex, EuclideanBall, EuclideanSimplex
-from uvi.operators import StochasticOracle, convex_min_problem, make_problem, matrix_game
+import uvi.operators as operators
+import uvi.solver as solver
+from uvi.operators import (
+    StochasticOracle,
+    convex_min_problem,
+    make_problem,
+    matrix_game,
+    noisy_eval,
+)
 from uvi.solver import (
     DivergenceError,
     SolverConfig,
@@ -201,6 +209,56 @@ class TestStochasticRuns:
             universal_mirror_prox(p2, SolverConfig(iterations=5), oracle)
 
 
+class TestOracleKernelInLoop:
+    """The loop samples through the oracle kernel, on the same noise stream."""
+
+    def test_solve_does_not_call_checked_noisy_eval(self, monkeypatch):
+        def refuse(oracle, x):
+            raise AssertionError("solver loop called noisy_eval")
+
+        monkeypatch.setattr(solver, "noisy_eval", refuse)
+        monkeypatch.setattr(operators, "noisy_eval", refuse)
+        p = matrix_game(ASYM)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=50),
+                                      StochasticOracle(p, 0.3, rng_seed=4))
+        assert trace.iterations == 50
+
+    @pytest.mark.parametrize("name", ["random-game", "l1-ball"])
+    def test_loop_samples_equal_public_samples(self, name):
+        p = make_problem(name)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=300),
+                                      StochasticOracle(p, 0.5, rng_seed=9))
+        twin = StochasticOracle(p, 0.5, rng_seed=9)
+        y_prev = p.geom.min_point()
+        for rec in trace.records:
+            assert np.array_equal(noisy_eval(twin, y_prev), rec.m), rec.t
+            assert np.array_equal(noisy_eval(twin, rec.x), rec.g), rec.t
+            y_prev = rec.y
+
+    # float.hex of a 2000-step run with noise 0.5 and oracle seed 3, captured
+    # with one noise draw per sample; block draws must reproduce it bitwise.
+    GOLDEN = {
+        "random-game": (
+            ["0x1.5b2aaffc1a1bfp-1", "0x1.4926f5e4bc23dp-2", "0x1.0754461f4849dp-11",
+             "0x1.dbebc9e24fd3bp-2", "0x1.11e7ad1254a77p-1", "0x1.136fe41b75a4fp-12"],
+            "0x1.f974b0db3c19fp+6",
+        ),
+        "l1-ball": (
+            ["-0x1.45a15ed19d056p-3", "-0x1.3301df0acfe88p-1", "0x1.985b4ee46612ep-2"],
+            "0x1.eef5c89c4c584p+11",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_noisy_golden_values(self, name):
+        p = make_problem(name)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=2000, record_every=2000),
+                                      StochasticOracle(p, 0.5, rng_seed=3))
+        x_avg, z_sq_total = self.GOLDEN[name]
+        assert [float(v).hex() for v in trace.x_avg] == x_avg
+        assert trace.z_sq_total.hex() == z_sq_total
+
+
 def assert_same_trace(got, want):
     """Field-for-field bitwise equality of two RunTraces (checkpoints aside)."""
     for name in ("iterations", "record_every", "g_bound", "eta_final", "z_sq_total",
@@ -298,6 +356,13 @@ class TestGuards:
             SolverConfig(iterations=0)
         with pytest.raises(ValueError):
             SolverConfig(iterations=1, g0=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(iterations=1, g0=bad)
+            with pytest.raises(ValueError):
+                SolverConfig(iterations=1, mode="fixed-step", eta=bad)
+            with pytest.raises(ValueError):
+                fixed_step_mirror_prox(make_problem("rps"), bad, 5)
         with pytest.raises(ValueError):
             SolverConfig(iterations=1, mode="fixed-step")
         with pytest.raises(ValueError):
