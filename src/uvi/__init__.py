@@ -31,7 +31,7 @@ from .solver import (
     universal_mirror_prox,
     update_eta,
 )
-from .gap import GapError, GapSeries, dual_gap, gap_series, regret
+from .gap import GapError, GapSeries, dual_gap, gap_series
 from .analysis import (
     BoundReport,
     lemma4_check,

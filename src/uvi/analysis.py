@@ -8,7 +8,9 @@ The ``lemma*_check`` functions evaluate both sides of the scalar-sequence
 inequalities that drive the adaptive-step analysis, and ``prop1_mc`` checks
 the martingale-smoothing bound by Monte Carlo against an adversarially
 chosen feasible point. ``regret_bound_sides`` computes both sides of the
-optimistic-update regret bound along an actual run.
+optimistic-update regret bound along an actual run; its left-hand side is
+the hindsight regret. The invariant sweeps below are the one copy of every
+check that ``uvi verify`` runs and the tests assert.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import Geometry
+from . import gap, operators, solver
+from .geometry import EntropicSimplex, Geometry
 from .operators import VIProblem
 from .solver import RunTrace, SolverConfig
 
@@ -33,6 +36,11 @@ __all__ = [
     "prop1_mc",
     "rate_fit",
     "regret_bound_sides",
+    "lemma_oracle_checks",
+    "adapter_invariants",
+    "gap_sum_chain",
+    "solver_invariants",
+    "invariant_checks",
 ]
 
 _HOLD_TOL = 1e-12
@@ -278,3 +286,153 @@ def regret_bound_sides(
         rhs -= 0.5 * (xy * xy + xyp * xyp) / rec.eta
         y_prev = rec.y
     return lhs, rhs
+
+
+def lemma_oracle_checks(seed: int) -> List[Tuple[str, bool, str]]:
+    """1000 random instances of each of Lemmas 4, 5, 7 and 8, then ``prop1_mc``
+    on two entropic simplices; returns ``(name, ok, detail)`` per check."""
+    rng = np.random.default_rng(seed)
+    checks = []
+    for label, runner in (
+        ("lemma4", lemma4_check),
+        ("lemma5", lemma5_check),
+        ("lemma7", lambda a0, s, a: lemma7_check(s)),
+        ("lemma8", lambda a0, s, a: lemma8_check(s)),
+    ):
+        failure = ""
+        for i in range(1000):
+            n = int(rng.integers(1, 201))
+            a = float(rng.uniform(1e-3, 10.0))
+            a0 = float(rng.uniform(1e-3, 10.0))
+            result = runner(a0, rng.uniform(0.0, a, size=n), a)
+            if not result["holds"]:
+                failure = (f"instance {i}: n={n} a0={a0:.6g} a={a:.6g} "
+                           f"lhs={result['lhs']:.6g} rhs={result['rhs']:.6g}")
+                break
+        checks.append((f"{label}-random-1000", failure == "", failure))
+
+    for d, n in ((3, 10), (5, 50)):
+        result = prop1_mc(EntropicSimplex(d), n, 10_000, seed=seed)
+        detail = f"lhs={result['lhs_estimate']:.4f} rhs={result['rhs']:.4f}"
+        checks.append((f"prop1-simplex-d{d}-n{n}", result["holds"], detail))
+    return checks
+
+
+def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
+    """The problem's stated properties over 1000 random pairs, then its gaps.
+
+    Per pair: monotonicity of F, compatibility Delta(x, y) <= F(x).(x - y),
+    convexity of Delta in x, ||F(x)||* <= G and, when the problem states
+    one, ||F(x) - F(y)||* <= L ||x - y||. Then the exact gap must be
+    non-negative at 100 random points and zero at ``known_solution``.
+    """
+    rng = np.random.default_rng(seed)
+    geom = problem.geom
+    lips = problem.smoothness
+    for i in range(1000):
+        x, y = geom.sample(rng), geom.sample(rng)
+        fx, fy = problem.operator(x), problem.operator(y)
+        if float((x - y) @ (fx - fy)) < -1e-9:
+            return False, f"monotonicity pair {i}"
+        if problem.gap(x, y) > float(fx @ (x - y)) + 1e-9:
+            return False, f"compatibility pair {i}"
+        lam = float(rng.uniform())
+        z = geom.sample(rng)
+        mixed = problem.gap(lam * x + (1 - lam) * z, y)
+        if mixed > lam * problem.gap(x, y) + (1 - lam) * problem.gap(z, y) + 1e-9:
+            return False, f"convexity triple {i}"
+        if geom.dual_norm(fx) > problem.g_bound + 1e-9:
+            return False, f"G bound at sample {i}"
+        if lips is not None:
+            if geom.dual_norm(fx - fy) > lips * geom.primal_norm(x - y) * (1 + 1e-6) + 1e-12:
+                return False, f"L bound pair {i}"
+    for i in range(100):
+        try:
+            gap.dual_gap(problem, geom.sample(rng))
+        except gap.GapError as exc:  # raised for a gap below -1e-9
+            return False, f"gap sample {i}: {exc}"
+    if problem.known_solution is not None:
+        if gap.dual_gap(problem, problem.known_solution) > 1e-9:
+            return False, "known solution has positive gap"
+    return True, ""
+
+
+def gap_sum_chain(problem: VIProblem, trace: RunTrace, rng, probes: int) -> Tuple[bool, str]:
+    """T Delta(x_avg, x) <= sum_t Delta(x_t, x) <= sum_t g_t.(x_t - x) at random x.
+
+    The first step is convexity of Delta in its first argument, the second
+    its compatibility with the operator. Requires record_every=1.
+    """
+    if trace.record_every != 1:
+        raise ValueError("gap-sum chain needs every step recorded (record_every=1)")
+    T = trace.iterations
+    for i in range(probes):
+        x = problem.geom.sample(rng)
+        delta_avg = problem.gap(trace.x_avg, x) * T
+        delta_sum = sum(problem.gap(rec.x, x) for rec in trace.records)
+        linear_sum = sum(float(rec.g @ (rec.x - x)) for rec in trace.records)
+        if not (delta_avg <= delta_sum + 1e-6 and delta_sum <= linear_sum + 1e-6):
+            return False, f"gap-sum chain violated at probe {i}"
+    return True, ""
+
+
+def solver_invariants(
+    problem: VIProblem, seed: int, noise_bound: float = 0.0
+) -> Tuple[bool, str]:
+    """Invariants of one universal run of 300 steps with every step recorded.
+
+    The run must not abort, eta_t must not increase, the movement ratios
+    stay within G and Z_t^2 within G^2, and the iterates and the average are
+    feasible. A deterministic run must also satisfy the regret bound and the
+    gap-sum chain; a stochastic one must rerun bitwise from the same seed.
+    """
+    config = SolverConfig(iterations=300, g0=1.0, record_every=1)
+    oracle = None
+    if noise_bound > 0:
+        oracle = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
+    try:
+        trace = solver.universal_mirror_prox(problem, config, oracle)
+    except solver.SolverError as exc:
+        return False, f"solver aborted: {exc}"
+    g_cap = trace.g_bound
+
+    etas = [rec.eta for rec in trace.records]
+    if any(b > a + 1e-15 for a, b in zip(etas, etas[1:])):
+        return False, "eta not non-increasing"
+    ratio = max(trace.max_xy_ratio, trace.max_yy_ratio)
+    if ratio > g_cap + 1e-9:
+        return False, f"movement ratio {ratio:.6g} > G"
+    if trace.max_z_sq > g_cap**2 + 1e-9:
+        return False, f"Z^2 {trace.max_z_sq:.6g} > G^2"
+    geom = problem.geom
+    if not geom.contains(trace.x_avg, tol=1e-10):
+        return False, "averaged output infeasible"
+    for rec in trace.records[::6]:
+        if not (geom.contains(rec.x, tol=1e-10) and geom.contains(rec.y, tol=1e-10)):
+            return False, f"iterate infeasible at t={rec.t}"
+
+    if oracle is None:
+        lhs, rhs = regret_bound_sides(problem, trace)
+        if lhs > rhs + 1e-6:
+            return False, f"regret bound violated: lhs={lhs:.6g} rhs={rhs:.6g}"
+        return gap_sum_chain(problem, trace, np.random.default_rng(seed + 1), probes=20)
+    oracle2 = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
+    trace2 = solver.universal_mirror_prox(problem, config, oracle2)
+    if not np.array_equal(trace.x_avg, trace2.x_avg):
+        return False, "stochastic rerun with same seed differs"
+    return True, ""
+
+
+def invariant_checks(seed: int) -> List[Tuple[str, bool, str]]:
+    """``adapter_invariants`` on every catalog problem and ``solver_invariants``
+    on three of them, deterministic and with noise; ``(name, ok, detail)`` each."""
+    checks = []
+    for name in sorted(operators.builtin_problems()):
+        ok, detail = adapter_invariants(operators.make_problem(name), seed)
+        checks.append((f"adapter-{name}", ok, detail))
+    for name in ("rps", "quadratic-ball", "l1-ball"):
+        ok, detail = solver_invariants(operators.make_problem(name), seed)
+        checks.append((f"solver-{name}", ok, detail))
+    ok, detail = solver_invariants(operators.make_problem("rps"), seed, noise_bound=0.25)
+    checks.append(("solver-rps-stochastic", ok, detail))
+    return checks

@@ -15,9 +15,9 @@ Subcommands:
   numeric abort the ``T_<T>/`` directories hold the trace CSVs of the
   seeds solved before the failing one, and no ``summary.json`` or
   ``sweep_summary.json`` is written.
-* ``uvi verify --suite {lemmas,invariants,all} --seed N`` - executes the
-  inequality oracles and the solver/operator invariant sweeps, printing a
-  pass/fail table.
+* ``uvi verify --suite {lemmas,invariants,all} --seed N`` - prints the
+  pass/fail table of the inequality oracles and the invariant sweeps, as
+  ``uvi.analysis`` computes them for the tests too.
 
 Config schema (JSON):
 
@@ -25,12 +25,12 @@ Config schema (JSON):
       "problem":      {"name": "rps", "params": {}},
       "mode":         {"kind": "universal"}            // or
                       {"kind": "fixed-step", "eta": 0.5},
-      "T":            1000,
+      "T":            1000,         // integer; 1e3 passes, 2.7 and true do not
       "g0":           1.0,
       "noise":        {"bound": 0.5, "sigma_sq": null},  // optional
-      "seeds":        [0, 1],
-      "eval_every":   100,          // optional, default: T (final only)
-      "record_every": 1,            // optional
+      "seeds":        [0, 1],       // distinct integers
+      "eval_every":   100,          // optional integer, default: T (final only)
+      "record_every": 1,            // optional integer
       "output_dir":   "out"         // UVI_OUTPUT_DIR overrides
     }
 
@@ -57,7 +57,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import analysis, gap, operators, solver
-from .geometry import EntropicSimplex
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -112,18 +111,20 @@ class ExperimentConfig:
             mode_doc = doc.get("mode", {"kind": "universal"})
             kind = mode_doc.get("kind", "universal")
             eta = mode_doc.get("eta")
-            iterations = int(doc["T"])
+            iterations = _integer("T", doc["T"])
             g0 = float(doc.get("g0", 1.0))
             noise = doc.get("noise")
             noise_bound = None if noise is None else float(noise["bound"])
             noise_sigma = None if noise is None else noise.get("sigma_sq")
-            seeds = [int(s) for s in doc.get("seeds", [0])]
+            seeds = [_integer("seeds", s) for s in doc.get("seeds", [0])]
             eval_every = doc.get("eval_every")
-            eval_every = None if eval_every is None else int(eval_every)
-            record_every = int(doc.get("record_every", 1))
+            eval_every = None if eval_every is None else _integer("eval_every", eval_every)
+            record_every = _integer("record_every", doc.get("record_every", 1))
             output_dir = str(doc.get("output_dir", "uvi-out"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        if not isinstance(params, dict):
+            raise ConfigError(f"problem {name!r}: params must be an object, got {params!r}")
 
         cfg = cls(
             problem_name=name,
@@ -155,6 +156,8 @@ class ExperimentConfig:
             raise ConfigError("stochastic mode requires a non-empty seed list")
         if not self.seeds:
             self.seeds = [0]
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if self.gap_every < 1:
             raise ConfigError("eval_every must be >= 1")
         if self.gap_every % self.record_every != 0:
@@ -173,6 +176,13 @@ class ExperimentConfig:
         )
 
 
+def _integer(key: str, value) -> int:
+    """An integer config value; integral floats such as 1e3 pass, bools do not."""
+    if not (type(value) is int or (type(value) is float and value.is_integer())):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _oracle_for_seed(config, problem, seed: int) -> Optional[operators.StochasticOracle]:
     if not config.stochastic:
         return None
@@ -189,12 +199,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _write_trace_csv(path: Path, problem, trace, eval_every: int):
-    last_t = trace.records[-1].t
+def _write_trace_csv(path: Path, trace, series: gap.GapSeries):
+    gaps = dict(zip(series.steps, series.gaps))
     lines = ["t,eta,z_sq,gap_of_running_avg"]
     for rec in trace.records:
-        scheduled = rec.t % eval_every == 0 or rec.t == last_t
-        gap_str = _fmt(gap.dual_gap(problem, rec.x_prefix / rec.t)) if scheduled else ""
+        gap_str = _fmt(gaps[rec.t]) if rec.t in gaps else ""
         lines.append(f"{rec.t},{_fmt(rec.eta)},{_fmt(rec.z_sq)},{gap_str}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -233,10 +242,12 @@ def _solve(config: ExperimentConfig, seed: int, checkpoints=()) -> solver.RunTra
 def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
     """Write one seed's trace CSV and return its summary entry."""
     problem = config.problem
-    _write_trace_csv(out / f"trace_{seed}.csv", problem, trace, config.gap_every)
+    # The last entry is the gap at x_prefix_T / T, bitwise the gap of x_avg.
+    series = gap.gap_series(problem, trace, config.gap_every)
+    _write_trace_csv(out / f"trace_{seed}.csv", trace, series)
     entry = {
         "seed": seed,
-        "final_gap": gap.dual_gap(problem, trace.x_avg),
+        "final_gap": series.final_gap,
         "eta_final": trace.eta_final,
         "max_xy_ratio": trace.max_xy_ratio,
         "max_yy_ratio": trace.max_yy_ratio,
@@ -388,141 +399,15 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-
-def _check_lemma_oracles(seed: int):
-    rng = np.random.default_rng(seed)
-    checks = []
-    for label, runner in (
-        ("lemma4", lambda a0, s, a: analysis.lemma4_check(a0, s, a)),
-        ("lemma5", lambda a0, s, a: analysis.lemma5_check(a0, s, a)),
-        ("lemma7", lambda a0, s, a: analysis.lemma7_check(s)),
-        ("lemma8", lambda a0, s, a: analysis.lemma8_check(s)),
-    ):
-        failure = ""
-        for i in range(1000):
-            n = int(rng.integers(1, 201))
-            a = float(rng.uniform(1e-3, 10.0))
-            a0 = float(rng.uniform(1e-3, 10.0))
-            seq = rng.uniform(0.0, a, size=n)
-            result = runner(a0, seq, a)
-            if not result["holds"]:
-                failure = (f"instance {i}: n={n} a0={a0:.6g} a={a:.6g} "
-                           f"lhs={result['lhs']:.6g} rhs={result['rhs']:.6g}")
-                break
-        checks.append((f"{label}-random-1000", failure == "", failure))
-
-    for d, n in ((3, 10), (5, 50)):
-        result = analysis.prop1_mc(EntropicSimplex(d), n, 10_000, seed=seed)
-        detail = f"lhs={result['lhs_estimate']:.4f} rhs={result['rhs']:.4f}"
-        checks.append((f"prop1-simplex-d{d}-n{n}", result["holds"], detail))
-    return checks
-
-
-def _check_problem_invariants(problem, seed: int, pairs: int = 1000):
-    rng = np.random.default_rng(seed)
-    geom = problem.geom
-    monotone = compatible = convex = bounded = smooth = True
-    detail = ""
-    lips = problem.smoothness
-    for i in range(pairs):
-        x, y = geom.sample(rng), geom.sample(rng)
-        fx, fy = problem.operator(x), problem.operator(y)
-        if float((x - y) @ (fx - fy)) < -1e-9:
-            monotone, detail = False, f"monotonicity pair {i}"
-            break
-        if problem.gap(x, y) > float(fx @ (x - y)) + 1e-9:
-            compatible, detail = False, f"compatibility pair {i}"
-            break
-        lam = float(rng.uniform())
-        z = geom.sample(rng)
-        mixed = problem.gap(lam * x + (1 - lam) * z, y)
-        if mixed > lam * problem.gap(x, y) + (1 - lam) * problem.gap(z, y) + 1e-9:
-            convex, detail = False, f"convexity triple {i}"
-            break
-        if geom.dual_norm(fx) > problem.g_bound + 1e-9:
-            bounded, detail = False, f"G bound at sample {i}"
-            break
-        if lips is not None:
-            if geom.dual_norm(fx - fy) > lips * geom.primal_norm(x - y) * (1 + 1e-6) + 1e-12:
-                smooth, detail = False, f"L bound pair {i}"
-                break
-    gaps_ok = True
-    for i in range(100):
-        if gap.dual_gap(problem, geom.sample(rng)) < -1e-9:
-            gaps_ok, detail = False, f"negative gap sample {i}"
-            break
-    if gaps_ok and problem.known_solution is not None:
-        if gap.dual_gap(problem, problem.known_solution) > 1e-9:
-            gaps_ok, detail = False, "known solution has positive gap"
-    ok = monotone and compatible and convex and bounded and smooth and gaps_ok
-    return ok, detail
-
-
-def _check_solver_invariants(problem, seed: int, noise_bound: float = 0.0, T: int = 300):
-    config = solver.SolverConfig(iterations=T, g0=1.0, record_every=1)
-    oracle = None
-    if noise_bound > 0:
-        oracle = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
-    trace = solver.universal_mirror_prox(problem, config, oracle)
-    g_cap = trace.g_bound
-
-    etas = [rec.eta for rec in trace.records]
-    if any(b > a + 1e-15 for a, b in zip(etas, etas[1:])):
-        return False, "eta not non-increasing"
-    if trace.max_xy_ratio > g_cap + 1e-9 or trace.max_yy_ratio > g_cap + 1e-9:
-        return False, f"movement ratio {max(trace.max_xy_ratio, trace.max_yy_ratio):.6g} > G"
-    if trace.max_z_sq > g_cap**2 + 1e-9:
-        return False, f"Z^2 {trace.max_z_sq:.6g} > G^2"
-    geom = problem.geom
-    if not geom.contains(trace.x_avg, tol=1e-10):
-        return False, "averaged output infeasible"
-    for rec in trace.records[:: max(1, T // 50)]:
-        if not (geom.contains(rec.x, tol=1e-10) and geom.contains(rec.y, tol=1e-10)):
-            return False, f"iterate infeasible at t={rec.t}"
-
-    if oracle is None:
-        lhs, rhs = analysis.regret_bound_sides(problem, trace)
-        if lhs > rhs + 1e-6:
-            return False, f"regret bound violated: lhs={lhs:.6g} rhs={rhs:.6g}"
-        rng = np.random.default_rng(seed + 1)
-        for i in range(20):
-            x = geom.sample(rng)
-            delta_avg = problem.gap(trace.x_avg, x) * T
-            delta_sum = sum(problem.gap(rec.x, x) for rec in trace.records)
-            linear_sum = sum(float(rec.g @ (rec.x - x)) for rec in trace.records)
-            if not (delta_avg <= delta_sum + 1e-6 and delta_sum <= linear_sum + 1e-6):
-                return False, f"gap-sum chain violated at probe {i}"
-    else:
-        oracle2 = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
-        trace2 = solver.universal_mirror_prox(problem, config, oracle2)
-        if not np.array_equal(trace.x_avg, trace2.x_avg):
-            return False, "stochastic rerun with same seed differs"
-    return True, ""
-
-
 def cmd_verify(suite: str, seed: int = 42) -> int:
     if suite not in ("lemmas", "invariants", "all"):
         print(f"error: unknown suite {suite!r}", file=sys.stderr)
         return EXIT_CONFIG
     checks = []
     if suite in ("lemmas", "all"):
-        checks.extend(_check_lemma_oracles(seed))
+        checks.extend(analysis.lemma_oracle_checks(seed))
     if suite in ("invariants", "all"):
-        for name in sorted(operators.builtin_problems()):
-            problem = operators.make_problem(name)
-            ok, detail = _check_problem_invariants(problem, seed)
-            checks.append((f"adapter-{name}", ok, detail))
-        for name in ("rps", "quadratic-ball", "l1-ball"):
-            problem = operators.make_problem(name)
-            ok, detail = _check_solver_invariants(problem, seed)
-            checks.append((f"solver-{name}", ok, detail))
-        rps = operators.make_problem("rps")
-        ok, detail = _check_solver_invariants(rps, seed, noise_bound=0.25)
-        checks.append(("solver-rps-stochastic", ok, detail))
+        checks.extend(analysis.invariant_checks(seed))
 
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:

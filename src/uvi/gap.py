@@ -1,16 +1,14 @@
-"""Duality-gap and regret evaluation over run traces."""
+"""Duality-gap evaluation at points and along run traces."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from .operators import VIProblem
 from .solver import RunTrace
 
-__all__ = ["GapError", "GapSeries", "dual_gap", "gap_series", "regret"]
+__all__ = ["GapError", "GapSeries", "dual_gap", "gap_series"]
 
 
 class GapError(ValueError):
@@ -59,22 +57,3 @@ def gap_series(problem: VIProblem, trace: RunTrace, eval_every: int) -> GapSerie
             steps.append(rec.t)
             gaps.append(dual_gap(problem, rec.x_prefix / rec.t))
     return GapSeries(steps=steps, gaps=gaps, final_gap=gaps[-1])
-
-
-def regret(trace: RunTrace, problem: VIProblem) -> float:
-    """sum_t g_t.x_t minus the best fixed feasible point in hindsight.
-
-    The hindsight minimizer uses the geometry's exact linear minimization
-    (vertex for simplices, closed form for balls and boxes), so the trace
-    must hold every step.
-    """
-    if trace.record_every != 1:
-        raise ValueError("regret needs every step recorded; rerun with record_every=1")
-    geom = problem.geom
-    total_g = np.zeros(geom.dim)
-    played = 0.0
-    for rec in trace.records:
-        total_g += rec.g
-        played += float(rec.g @ rec.x)
-    _, best = geom.linear_minimize(total_g)
-    return played - best

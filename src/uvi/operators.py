@@ -22,6 +22,7 @@ arrays of the right dimension unchecked.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -544,4 +545,9 @@ def make_problem(name: str, **params) -> VIProblem:
     if name not in catalog:
         known = ", ".join(sorted(catalog))
         raise UnknownProblemError(f"unknown problem {name!r}; known problems: {known}")
+    accepted = inspect.signature(catalog[name]).parameters
+    for param in params:
+        if param not in accepted:
+            raise ValueError(f"problem {name!r} has no param {param!r}; "
+                             f"known params: {', '.join(accepted) or 'none'}")
     return catalog[name](**params)

@@ -97,34 +97,3 @@ def reference_game_run(A, T, g0):
         u, v = yu, yv
     ubar, vbar = sum_u / T, sum_v / T
     return float(np.max(A.T @ ubar) - np.min(A @ vbar))
-
-
-def adapter_invariants(problem, rng, pairs=1000, tol=1e-9):
-    """Monotonicity, gap compatibility, convexity in the first argument, the
-    operator norm bound, and the stored Lipschitz constant, over random pairs.
-    Returns a list of (label, ok) tuples.
-    """
-    geom = problem.geom
-    monotone = compatible = convex = bounded = smooth = True
-    for _ in range(pairs):
-        x, y = geom.sample(rng), geom.sample(rng)
-        fx, fy = problem.operator(x), problem.operator(y)
-        monotone &= float((x - y) @ (fx - fy)) >= -tol
-        compatible &= problem.gap(x, y) <= float(fx @ (x - y)) + tol
-        lam = float(rng.uniform())
-        z = geom.sample(rng)
-        convex &= problem.gap(lam * x + (1 - lam) * z, y) <= (
-            lam * problem.gap(x, y) + (1 - lam) * problem.gap(z, y) + tol
-        )
-        bounded &= geom.dual_norm(fx) <= problem.g_bound + tol
-        if problem.smoothness is not None:
-            smooth &= geom.dual_norm(fx - fy) <= (
-                problem.smoothness * geom.primal_norm(x - y) * (1 + 1e-6) + 1e-12
-            )
-    return [
-        ("monotonicity", monotone),
-        ("compatibility", compatible),
-        ("convexity", convex),
-        ("g-bound", bounded),
-        ("smoothness", smooth),
-    ]

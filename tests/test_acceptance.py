@@ -15,15 +15,11 @@ import pytest
 import uvi
 import uvi.cli as cli
 from uvi.analysis import (
-    lemma4_check,
-    lemma5_check,
-    lemma7_check,
-    lemma8_check,
-    prop1_mc,
+    adapter_invariants,
+    lemma_oracle_checks,
     rate_fit,
     regret_bound_sides,
 )
-from uvi.geometry import EntropicSimplex
 from uvi.operators import StochasticOracle, make_problem, matrix_game
 from uvi.solver import SolverConfig, fixed_step_mirror_prox, universal_mirror_prox
 
@@ -201,27 +197,9 @@ def test_criterion_06_regret_bound_prefixes(full_runs):
 
 
 def test_criterion_07_inequality_oracles():
-    rng = np.random.default_rng(42)
-    ok = True
-    detail = ""
-    for label, check in (
-        ("lemma4", lambda a0, s, a: lemma4_check(a0, s, a)),
-        ("lemma5", lambda a0, s, a: lemma5_check(a0, s, a)),
-        ("lemma7", lambda a0, s, a: lemma7_check(s)),
-        ("lemma8", lambda a0, s, a: lemma8_check(s)),
-    ):
-        for i in range(1000):
-            n = int(rng.integers(1, 201))
-            a = float(rng.uniform(1e-3, 10.0))
-            a0 = float(rng.uniform(1e-3, 10.0))
-            if not check(a0, rng.uniform(0.0, a, size=n), a)["holds"]:
-                ok, detail = False, f"{label} instance {i}"
-                break
-    for d, n in ((3, 10), (5, 50)):
-        result = prop1_mc(EntropicSimplex(d), n, 10_000, seed=42)
-        if not result["holds"]:
-            ok, detail = False, f"prop1 d={d} n={n}"
-    report(7, "appendix inequality oracles", ok, detail or "4x1000 instances + prop1")
+    failed = [f"{name}: {detail}" for name, ok, detail in lemma_oracle_checks(42) if not ok]
+    report(7, "appendix inequality oracles", not failed,
+           "; ".join(failed) or "4x1000 instances + prop1")
 
 
 def test_criterion_08_universal_vs_tuned_baseline(game, det_sweeps):
@@ -240,18 +218,11 @@ def test_criterion_08_universal_vs_tuned_baseline(game, det_sweeps):
 
 
 def test_criterion_09_adapter_correctness():
-    from helpers import adapter_invariants
-
-    ok = True
-    detail = ""
-    for name in sorted(uvi.builtin_problems()):
-        problem = make_problem(name)
-        rng = np.random.default_rng(17)
-        for label, passed in adapter_invariants(problem, rng, pairs=1000):
-            if not passed:
-                ok, detail = False, f"{name}: {label}"
-                break
-    report(9, "adapter invariants on the catalog (1000 pairs each)", ok, detail)
+    results = {name: adapter_invariants(make_problem(name), 17)
+               for name in sorted(uvi.builtin_problems())}
+    failed = [f"{name}: {detail}" for name, (ok, detail) in results.items() if not ok]
+    report(9, "adapter invariants on the catalog (1000 pairs each)", not failed,
+           "; ".join(failed))
 
 
 def test_criterion_10_cli_determinism(tmp_path):
@@ -268,15 +239,12 @@ def test_criterion_10_cli_determinism(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
+
+    def outputs():
+        return {f.name: f.read_bytes() for f in sorted((tmp_path / "runA").iterdir())}
+
     assert cli.cmd_run(str(path)) == 0
-    first = {
-        f.name: f.read_bytes()
-        for f in sorted((tmp_path / "runA").glob("trace_*.csv"))
-    }
+    first = outputs()
     assert cli.cmd_run(str(path)) == 0
-    second = {
-        f.name: f.read_bytes()
-        for f in sorted((tmp_path / "runA").glob("trace_*.csv"))
-    }
-    ok = first == second and len(first) == 2
-    report(10, "byte-identical CSVs across reruns", ok)
+    ok = outputs() == first and sorted(first) == ["summary.json", "trace_0.csv", "trace_1.csv"]
+    report(10, "byte-identical CSVs and summary across reruns", ok)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,8 +75,17 @@ class TestRun:
         ({"noise": {"bound": float("inf")}}, "noise bound must be finite"),
         ({"noise": {"bound": 0.5, "sigma_sq": float("inf")}}, "sigma_sq must be finite"),
         ({"noise": {"bound": 0.5, "sigma_sq": 0.01}}, "sigma_sq understates"),
+        ({"T": 2.7}, "T must be an integer, got 2.7"),
+        ({"T": True}, "T must be an integer, got True"),
+        ({"seeds": [0.9]}, "seeds must be an integer, got 0.9"),
+        ({"record_every": 1.5}, "record_every must be an integer"),
+        ({"eval_every": True}, "eval_every must be an integer"),
+        ({"seeds": [1, 1]}, "seeds must be distinct"),
+        ({"problem": {"name": "rps", "params": {"foo": 1}}}, "'rps' has no param 'foo'"),
+        ({"problem": {"name": "rps", "params": [1]}}, "'rps': params must be an object"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "noise-nan", "noise-inf", "sigma-inf",
-            "sigma-low"])
+            "sigma-low", "T-fraction", "T-bool", "seed-fraction", "record-every-fraction",
+            "eval-every-bool", "seeds-duplicate", "param-unknown", "params-not-object"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
                                                        overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -84,6 +94,15 @@ class TestRun:
         assert cli.cmd_sweep(str(path), [5, 10]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        ints = write_config(tmp_path, name="ints.json", T=20, seeds=[3],
+                            output_dir=str(tmp_path / "ints"))
+        floats = write_config(tmp_path, name="floats.json", T=2e1, eval_every=1e1, seeds=[3.0],
+                              record_every=1.0, output_dir=str(tmp_path / "floats"))
+        assert cli.cmd_run(str(ints)) == 0
+        assert cli.cmd_run(str(floats)) == 0
+        assert tree_bytes(tmp_path / "ints") == tree_bytes(tmp_path / "floats")
 
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
         bad = convex_min_problem(
@@ -315,6 +334,20 @@ class TestVerify:
         assert cli.cmd_verify("invariants", seed=42) == 0
         out = capsys.readouterr().out
         assert "adapter-rps" in out and "solver-l1-ball" in out
+
+    def test_broken_catalog_problem_fails(self, monkeypatch, capsys):
+        catalog = operators.builtin_problems()
+        ball = catalog["quadratic-ball"]
+        catalog["quadratic-ball"] = lambda: dataclasses.replace(ball(), g_bound=0.5)
+        monkeypatch.setattr(operators, "builtin_problems", lambda: catalog)
+        assert cli.cmd_verify("invariants", seed=42) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "FAIL" in line] == [
+            "adapter-quadratic-ball  FAIL  G bound at sample 0",
+            "solver-quadratic-ball   FAIL  solver aborted: aborted at step t=1, eta=0.707107: "
+            "movement/eta ratio 1.41421 exceeds operator bound 0.5",
+            "VERIFY FAIL (2/9 checks failed)",
+        ]
 
 
 class TestMain:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import uvi
-from uvi.gap import GapError, dual_gap, gap_series, regret
+from uvi.analysis import gap_sum_chain, regret_bound_sides
+from uvi.gap import GapError, dual_gap, gap_series
 from uvi.operators import convex_min_problem, make_problem, matrix_game, saddle_problem
 from uvi.geometry import EntropicSimplex, EuclideanBall
 from uvi.solver import RunTrace, SolverConfig, StepRecord, universal_mirror_prox
@@ -131,18 +132,18 @@ class TestRegret:
     def test_single_step_vertex_minimization(self):
         p = self._simplex_problem()
         trace = synthetic_trace(p.geom, [[0.5, 0.5]], [[1.0, 0.0]])
-        assert regret(trace, p) == pytest.approx(0.5)
+        assert regret_bound_sides(p, trace)[0] == pytest.approx(0.5)
 
     def test_zero_losses(self):
         p = self._simplex_problem()
         trace = synthetic_trace(p.geom, [[0.5, 0.5]] * 3, [[0.0, 0.0]] * 3)
-        assert regret(trace, p) == 0.0
+        assert regret_bound_sides(p, trace)[0] == 0.0
 
     def test_thinned_trace_rejected(self):
         p = self._simplex_problem()
         trace = synthetic_trace(p.geom, [[0.5, 0.5]], [[1.0, 0.0]], record_every=2)
         with pytest.raises(ValueError, match="record_every=1"):
-            regret(trace, p)
+            regret_bound_sides(p, trace)
 
     def test_ball_closed_form_minimization(self):
         geom = EuclideanBall(2.0, 2)
@@ -154,18 +155,9 @@ class TestRegret:
         xs = [[0.1, 0.0], [0.0, 0.2]]
         trace = synthetic_trace(geom, xs, gs)
         # played = 0.1 + 0.2; best = -2*||(1,1)|| = -2*sqrt(2)
-        assert regret(trace, p) == pytest.approx(0.3 + 2.0 * np.sqrt(2.0))
+        assert regret_bound_sides(p, trace)[0] == pytest.approx(0.3 + 2.0 * np.sqrt(2.0))
 
     def test_gap_sum_chain_along_run(self):
-        # T * Delta(avg, x) <= sum_t Delta(x_t, x) <= sum_t g_t.(x_t - x)
         p = matrix_game(ASYM)
-        T = 300
-        trace = universal_mirror_prox(p, SolverConfig(iterations=T))
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            x = p.geom.sample(rng)
-            delta_avg = T * p.gap(trace.x_avg, x)
-            delta_sum = sum(p.gap(rec.x, x) for rec in trace.records)
-            linear = sum(float(rec.g @ (rec.x - x)) for rec in trace.records)
-            assert delta_avg <= delta_sum + 1e-6
-            assert delta_sum <= linear + 1e-6
+        trace = universal_mirror_prox(p, SolverConfig(iterations=300))
+        assert gap_sum_chain(p, trace, np.random.default_rng(3), probes=100) == (True, "")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,9 +17,8 @@ from uvi.operators import (
     noisy_eval_batch,
     saddle_problem,
 )
+from uvi.analysis import adapter_invariants
 from uvi.operators import _l1_min_on_ball
-
-from helpers import adapter_invariants
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
@@ -412,7 +412,16 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name", sorted(builtin_problems()))
     def test_adapter_invariants_on_catalog(self, name):
-        problem = make_problem(name)
-        rng = np.random.default_rng(17)
-        for label, ok in adapter_invariants(problem, rng, pairs=1000):
-            assert ok, f"{name}: {label} failed"
+        assert adapter_invariants(make_problem(name), 17) == (True, "")
+
+    @pytest.mark.parametrize("fields, label", [
+        ({"operator_eval": lambda x: -x}, "monotonicity pair 0"),
+        ({"g_bound": 0.1}, "G bound at sample"),
+        ({"smoothness": 0.5}, "L bound pair 0"),
+        ({"dual_gap_eval": lambda x: -1.0}, "gap sample 0: duality gap -1.0 is negative"),
+        ({"known_solution": np.array([0.5, 0.0])}, "known solution has positive gap"),
+    ])
+    def test_adapter_invariants_flag_broken_problem(self, fields, label):
+        assert adapter_invariants(quadratic_on_ball(), 0) == (True, "")
+        ok, detail = adapter_invariants(dataclasses.replace(quadratic_on_ball(), **fields), 0)
+        assert not ok and detail.startswith(label), detail
