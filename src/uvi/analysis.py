@@ -251,22 +251,19 @@ def rate_fit(points: Sequence[Tuple[float, float]]) -> dict:
     return {"exponent": float(slope), "r2": r2}
 
 
-def regret_bound_sides(
-    problem: VIProblem, trace: RunTrace, upto: Optional[int] = None
-) -> Tuple[float, float]:
-    """Both sides of the optimistic-update regret bound over a run prefix.
+def regret_bound_sides(problem: VIProblem, trace: RunTrace) -> Tuple[float, float]:
+    """Both sides of the optimistic-update regret bound over a run.
 
     LHS: sum_t g_t.(x_t - x*) with x* the exact linear minimizer of
     sum_t g_t over K. RHS: D^2/eta_1 + D^2/eta_t
     + sum_t ||g_t - M_t||* ||x_t - y_t||
-    - (1/2) sum_t (1/eta_t)(||x_t - y_t||^2 + ||x_t - y_{t-1}||^2).
-    Requires record_every=1 so every step is available.
+    - (1/2) sum_t (1/eta_t)(||x_t - y_t||^2 + ||x_t - y_{t-1}||^2),
+    with the norms the solver loop recorded. Requires record_every=1 so
+    every step is available; for a shorter budget pass ``trace.prefix(T)``.
     """
     if trace.record_every != 1:
         raise ValueError("regret bound needs every step recorded (record_every=1)")
-    records: List = trace.records if upto is None else trace.records[:upto]
-    if not records:
-        raise ValueError("empty trace prefix")
+    records = trace.records
     geom = problem.geom
     d_sq = geom.diameter_sq
 
@@ -277,14 +274,11 @@ def regret_bound_sides(
 
     lhs = 0.0
     rhs = d_sq / records[0].eta + d_sq / records[-1].eta
-    y_prev = geom.min_point()
     for rec in records:
         lhs += float(rec.g @ (rec.x - x_star))
-        xy = geom.primal_norm(rec.x - rec.y)
-        xyp = geom.primal_norm(rec.x - y_prev)
-        rhs += geom.dual_norm(rec.g - rec.m) * xy
+        xy, xyp = rec.xy_norm, rec.xy_prev_norm
+        rhs += rec.gm_dual_norm * xy
         rhs -= 0.5 * (xy * xy + xyp * xyp) / rec.eta
-        y_prev = rec.y
     return lhs, rhs
 
 
@@ -407,8 +401,11 @@ def solver_invariants(
     geom = problem.geom
     if not geom.contains(trace.x_avg, tol=1e-10):
         return False, "averaged output infeasible"
-    for rec in trace.records[::6]:
-        if not (geom.contains(rec.x, tol=1e-10) and geom.contains(rec.y, tol=1e-10)):
+    y = geom.min_point()
+    for rec in trace.records:
+        y = geom.prox_step(y, rec.g, rec.eta)  # the loop's y_t, replayed bitwise
+        if rec.t % 6 == 1 and not (geom.contains(rec.x, tol=1e-10)
+                                   and geom.contains(y, tol=1e-10)):
             return False, f"iterate infeasible at t={rec.t}"
 
     if oracle is None:

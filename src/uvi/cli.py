@@ -28,7 +28,7 @@ Config schema (JSON):
       "T":            1000,         // integer; 1e3 passes, 2.7 and true do not
       "g0":           1.0,
       "noise":        {"bound": 0.5, "sigma_sq": null},  // optional
-      "seeds":        [0, 1],       // distinct integers
+      "seeds":        [0, 1],       // distinct nonnegative integers
       "eval_every":   100,          // optional integer, default: T (final only)
       "record_every": 1,            // optional integer
       "output_dir":   "out"         // UVI_OUTPUT_DIR overrides
@@ -158,6 +158,8 @@ class ExperimentConfig:
             self.seeds = [0]
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
         if self.gap_every < 1:
             raise ConfigError("eval_every must be >= 1")
         if self.gap_every % self.record_every != 0:

@@ -33,6 +33,12 @@ norm kernels on raw arrays; prox outputs are feasible by construction, so
 the loop's query points need no feasibility check. Each of the three
 movement norms is computed once per step.
 
+A recorded step (``StepRecord``) keeps x_t, g_t, the exact prefix sum of
+the x's, and the scalars the step rule and the Lemma 3 regret bound are
+built from: ||x_t - y_t||, ||x_t - y_{t-1}|| and ||g_t - M_t||*. It keeps
+neither the anchor y_t nor the hint M_t; with every step recorded, y_t is
+replayed bitwise as ``prox_step(y_{t-1}, g_t, eta_t)`` from ``min_point()``.
+
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. Both solvers
 take ``checkpoints``, budgets in ``1..iterations``: at each one the loop
@@ -117,16 +123,26 @@ class SolverConfig:
 
 @dataclass
 class StepRecord:
-    """One recorded step; x_prefix is the exact running sum of x_1..x_t."""
+    """One recorded step: its iterate, loss and exact prefix sum, plus the
+    three norms the step rule and the regret bound are built from.
+
+    x_prefix is the exact running sum of x_1..x_t. xy_norm = ||x_t - y_t||
+    and xy_prev_norm = ||x_t - y_{t-1}|| are the movement norms Z_t^2 was
+    computed from; gm_dual_norm = ||g_t - M_t||* is the distance between
+    the step's loss and its hint. The anchor y_t and the hint M_t are not
+    kept; in a trace with every step recorded, y_t is replayed bitwise as
+    prox_step(y_{t-1}, g_t, eta_t) from y_0 = ``min_point()``.
+    """
 
     t: int
     eta: float
     z_sq: float
     x: np.ndarray
-    y: np.ndarray
-    m: np.ndarray
     g: np.ndarray
     x_prefix: np.ndarray
+    xy_norm: float
+    xy_prev_norm: float
+    gm_dual_norm: float
 
 
 @dataclass
@@ -226,9 +242,10 @@ def _run_loop(
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise DivergenceError(t, eta, "non-finite iterate")
 
-        xy_prev = norm(x - y_prev)
-        z_sq = compute_z_sq(norm(x - y), xy_prev, eta)
-        ratio_x = xy_prev / eta
+        xy_norm = norm(x - y)
+        xy_prev_norm = norm(x - y_prev)
+        z_sq = compute_z_sq(xy_norm, xy_prev_norm, eta)
+        ratio_x = xy_prev_norm / eta
         ratio_y = norm(y - y_prev) / eta
         if math.isfinite(g_cap):
             if ratio_x > g_cap + _MOVEMENT_TOL or ratio_y > g_cap + _MOVEMENT_TOL:
@@ -255,8 +272,9 @@ def _run_loop(
 
         on_schedule = t % config.record_every == 0
         if on_schedule or t in budgets:
-            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, x=x, y=y, m=m, g=g,
-                             x_prefix=sum_x.copy())
+            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, x=x, g=g, x_prefix=sum_x.copy(),
+                             xy_norm=xy_norm, xy_prev_norm=xy_prev_norm,
+                             gm_dual_norm=geom._dual_norm(g - m))
             if on_schedule:
                 records.append(rec)
             if t in budgets:

@@ -15,7 +15,6 @@ import pytest
 import uvi
 import uvi.cli as cli
 from uvi.analysis import (
-    adapter_invariants,
     lemma_oracle_checks,
     rate_fit,
     regret_bound_sides,
@@ -107,7 +106,8 @@ def stoch_sweeps(game, l1, trace_registry):
 def full_runs(game, l1, trace_registry):
     out = {}
     for key, problem in (("game", game), ("l1", l1)):
-        trace = run_universal(problem, 500, g0=problem.g_bound, record_every=1)
+        trace = run_universal(problem, 500, g0=problem.g_bound, record_every=1,
+                              checkpoints=(100, 250))
         trace_registry.append((f"{key}-full-T500", trace))
         out[key] = (problem, trace)
     return out
@@ -189,9 +189,9 @@ def test_criterion_06_regret_bound_prefixes(full_runs):
     ok = True
     details = []
     for key, (problem, trace) in full_runs.items():
-        for upto in (100, 250, 500):
-            lhs, rhs = regret_bound_sides(problem, trace, upto=upto)
-            details.append(f"{key}@{upto}: {lhs:.3f}<={rhs:.3f}")
+        for T in (100, 250, 500):
+            lhs, rhs = regret_bound_sides(problem, trace.prefix(T))
+            details.append(f"{key}@{T}: {lhs:.3f}<={rhs:.3f}")
             ok &= lhs <= rhs + 1e-6
     report(6, "regret bound along runs", ok, "; ".join(details))
 
@@ -217,10 +217,9 @@ def test_criterion_08_universal_vs_tuned_baseline(game, det_sweeps):
     )
 
 
-def test_criterion_09_adapter_correctness():
-    results = {name: adapter_invariants(make_problem(name), 17)
-               for name in sorted(uvi.builtin_problems())}
-    failed = [f"{name}: {detail}" for name, (ok, detail) in results.items() if not ok]
+def test_criterion_09_adapter_correctness(catalog_adapter_invariants):
+    failed = [f"{name}: {detail}"
+              for name, (ok, detail) in catalog_adapter_invariants.items() if not ok]
     report(9, "adapter invariants on the catalog (1000 pairs each)", not failed,
            "; ".join(failed))
 

@@ -208,6 +208,19 @@ class TestRateFit:
 
 
 class TestRegretBound:
+    # float.hex of (lhs, rhs) at T = 100, 250, 500, captured when the sides
+    # were recomputed from stored y_t and M_t vectors; the norms the loop
+    # records must reproduce them bitwise.
+    GOLDEN = {
+        "asym-2x2": [("0x1.3964c3de8cfb8p+0", "0x1.886f7bdebcbe8p+1"),
+                     ("0x1.3964c3dfd6d42p+0", "0x1.886f7bdebcbe8p+1"),
+                     ("0x1.3964c3e1fc928p+0", "0x1.886f7bdebcbe8p+1")],
+        "l1-ball": [("0x1.025dc1287810cp+4", "0x1.81eeb34f91182p+4"),
+                    ("0x1.9e94c6438fc21p+4", "0x1.357fbc716d491p+5"),
+                    ("0x1.225d2f55c0c80p+5", "0x1.ba4cd576b3536p+5")],
+        "quadratic-ball": [("0x1.1f887f57e9587p+0", "0x1.8097d6c318cbep+1")] * 3,
+    }
+
     @pytest.mark.parametrize("factory", [
         lambda: matrix_game(ASYM, name="asym-2x2"),
         lambda: make_problem("l1-ball"),
@@ -216,10 +229,13 @@ class TestRegretBound:
     def test_sides_hold_on_prefixes(self, factory):
         problem = factory()
         cfg = SolverConfig(iterations=500, g0=problem.g_bound, record_every=1)
-        trace = universal_mirror_prox(problem, cfg)
-        for upto in (100, 250, 500):
-            lhs, rhs = regret_bound_sides(problem, trace, upto=upto)
+        trace = universal_mirror_prox(problem, cfg, checkpoints=(100, 250))
+        got = []
+        for T in (100, 250, 500):
+            lhs, rhs = regret_bound_sides(problem, trace.prefix(T))
             assert lhs <= rhs + 1e-6
+            got.append((lhs.hex(), rhs.hex()))
+        assert got == self.GOLDEN[problem.name]
 
     def test_requires_full_trace(self):
         p = make_problem("rps")

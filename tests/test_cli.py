@@ -81,11 +81,15 @@ class TestRun:
         ({"record_every": 1.5}, "record_every must be an integer"),
         ({"eval_every": True}, "eval_every must be an integer"),
         ({"seeds": [1, 1]}, "seeds must be distinct"),
+        ({"seeds": [0, -1]}, "seeds must be nonnegative, got [0, -1]"),
+        ({"problem": {"name": "l1-ball"}, "T": 10, "noise": {"bound": 0.1}, "seeds": [-1]},
+         "seeds must be nonnegative, got [-1]"),
         ({"problem": {"name": "rps", "params": {"foo": 1}}}, "'rps' has no param 'foo'"),
         ({"problem": {"name": "rps", "params": [1]}}, "'rps': params must be an object"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "noise-nan", "noise-inf", "sigma-inf",
             "sigma-low", "T-fraction", "T-bool", "seed-fraction", "record-every-fraction",
-            "eval-every-bool", "seeds-duplicate", "param-unknown", "params-not-object"])
+            "eval-every-bool", "seeds-duplicate", "seed-negative", "seed-negative-noisy",
+            "param-unknown", "params-not-object"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
                                                        overrides, message):
         path = write_config(tmp_path, **overrides)

@@ -12,14 +12,16 @@ ASYM = [[0.0, -1.0], [1.0, 0.0]]
 
 
 def synthetic_trace(geom, xs, gs, record_every=1):
+    """A trace of the given iterates and losses; its movement norms are 0."""
     records = []
     prefix = np.zeros(geom.dim)
     for t, (x, g) in enumerate(zip(xs, gs), start=1):
         x = np.asarray(x, float)
         prefix = prefix + x
         records.append(
-            StepRecord(t=t, eta=1.0, z_sq=0.0, x=x, y=x, m=np.asarray(g, float),
-                       g=np.asarray(g, float), x_prefix=prefix.copy())
+            StepRecord(t=t, eta=1.0, z_sq=0.0, x=x, g=np.asarray(g, float),
+                       x_prefix=prefix.copy(), xy_norm=0.0, xy_prev_norm=0.0,
+                       gm_dual_norm=0.0)
         )
     return RunTrace(
         iterations=len(xs),
@@ -156,6 +158,17 @@ class TestRegret:
         trace = synthetic_trace(geom, xs, gs)
         # played = 0.1 + 0.2; best = -2*||(1,1)|| = -2*sqrt(2)
         assert regret_bound_sides(p, trace)[0] == pytest.approx(0.3 + 2.0 * np.sqrt(2.0))
+
+    def test_gap_sum_chain_flags_losses_that_miss_the_gap(self):
+        # f(x) = c.x on the 2-simplex, but the recorded loss is g_1 = 0, so
+        # sum Delta(x_t, x) = 1 - x[0] exceeds sum g_t.(x_t - x) = 0.
+        c = np.array([1.0, 0.0])
+        p = convex_min_problem(f=lambda x: float(c @ x), grad=lambda x: c,
+                               geom=EntropicSimplex(2), g_bound=1.0, min_value=0.0,
+                               name="linear")
+        trace = synthetic_trace(p.geom, [[1.0, 0.0]], [[0.0, 0.0]])
+        assert gap_sum_chain(p, trace, np.random.default_rng(0), probes=5) == (
+            False, "gap-sum chain violated at probe 0")
 
     def test_gap_sum_chain_along_run(self):
         p = matrix_game(ASYM)

@@ -411,8 +411,8 @@ class TestCatalog:
         )
 
     @pytest.mark.parametrize("name", sorted(builtin_problems()))
-    def test_adapter_invariants_on_catalog(self, name):
-        assert adapter_invariants(make_problem(name), 17) == (True, "")
+    def test_adapter_invariants_on_catalog(self, name, catalog_adapter_invariants):
+        assert catalog_adapter_invariants[name] == (True, "")
 
     @pytest.mark.parametrize("fields, label", [
         ({"operator_eval": lambda x: -x}, "monotonicity pair 0"),

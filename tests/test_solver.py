@@ -66,6 +66,16 @@ class TestComputeZSq:
             z_sq_of(geom, np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
 
 
+def replayed_anchors(geom, records):
+    """(rec, y_{t-1}, y_t) per record of an every-step trace, y_t replayed
+    from the recorded loss exactly as the loop computes it."""
+    y_prev = geom.min_point()
+    for rec in records:
+        y = geom.prox_step(y_prev, rec.g, rec.eta)
+        yield rec, y_prev, y
+        y_prev = y
+
+
 def two_prox(geom, y_prev, hint, loss, eta):
     """One round's two prox steps from y_{t-1}: hint gives x_t, loss gives y_t."""
     return geom.prox_step(y_prev, hint, eta), geom.prox_step(y_prev, loss, eta)
@@ -127,9 +137,10 @@ class TestUniversalRuns:
     def test_iterates_feasible_and_average_exact(self):
         p = matrix_game(ASYM)
         trace = universal_mirror_prox(p, SolverConfig(iterations=300))
-        for rec in trace.records[::23]:
-            assert p.geom.contains(rec.x, tol=1e-10)
-            assert p.geom.contains(rec.y, tol=1e-10)
+        for rec, _, y in replayed_anchors(p.geom, trace.records):
+            if rec.t % 23 == 1:
+                assert p.geom.contains(rec.x, tol=1e-10)
+                assert p.geom.contains(y, tol=1e-10)
         assert p.geom.contains(trace.x_avg, tol=1e-10)
         stacked = np.mean([rec.x for rec in trace.records], axis=0)
         np.testing.assert_allclose(trace.x_avg, stacked, rtol=1e-12)
@@ -229,11 +240,14 @@ class TestOracleKernelInLoop:
         trace = universal_mirror_prox(p, SolverConfig(iterations=300),
                                       StochasticOracle(p, 0.5, rng_seed=9))
         twin = StochasticOracle(p, 0.5, rng_seed=9)
-        y_prev = p.geom.min_point()
-        for rec in trace.records:
-            assert np.array_equal(noisy_eval(twin, y_prev), rec.m), rec.t
+        geom = p.geom
+        for rec, y_prev, y in replayed_anchors(geom, trace.records):
+            m = noisy_eval(twin, y_prev)
+            assert np.array_equal(geom.prox_step(y_prev, m, rec.eta), rec.x), rec.t
             assert np.array_equal(noisy_eval(twin, rec.x), rec.g), rec.t
-            y_prev = rec.y
+            assert rec.xy_norm == geom.primal_norm(rec.x - y), rec.t
+            assert rec.xy_prev_norm == geom.primal_norm(rec.x - y_prev), rec.t
+            assert rec.gm_dual_norm == geom.dual_norm(rec.g - m), rec.t
 
     # float.hex of a 2000-step run with noise 0.5 and oracle seed 3, captured
     # with one noise draw per sample; block draws must reproduce it bitwise.
@@ -267,8 +281,9 @@ def assert_same_trace(got, want):
     assert np.array_equal(got.x_avg, want.x_avg)
     assert [rec.t for rec in got.records] == [rec.t for rec in want.records]
     for a, b in zip(got.records, want.records):
-        assert a.eta == b.eta and a.z_sq == b.z_sq
-        for name in ("x", "y", "m", "g", "x_prefix"):
+        for name in ("eta", "z_sq", "xy_norm", "xy_prev_norm", "gm_dual_norm"):
+            assert getattr(a, name) == getattr(b, name), (a.t, name)
+        for name in ("x", "g", "x_prefix"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
 
 
