@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``uvi run <config.json>`` - one solver run per seed, writing
-  ``trace_<seed>.csv`` and ``summary.json`` into the output directory.
+  ``trace_<seed>.csv`` and ``summary.json`` into the output directory. A
+  deterministic config (no ``noise``) gives every seed the same run, so it
+  is solved once and that run is written for each seed.
 * ``uvi sweep <config.json> --T 500,1000,2000,4000`` - repeats the run
   across iteration budgets and fits the log-log rate exponent. Each seed
   is solved once, at max(T), with every other budget read off an exact
@@ -201,13 +203,13 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _write_trace_csv(path: Path, trace, series: gap.GapSeries):
+def _trace_csv(trace, series: gap.GapSeries) -> str:
     gaps = dict(zip(series.steps, series.gaps))
     lines = ["t,eta,z_sq,gap_of_running_avg"]
     for rec in trace.records:
         gap_str = _fmt(gaps[rec.t]) if rec.t in gaps else ""
         lines.append(f"{rec.t},{_fmt(rec.eta)},{_fmt(rec.z_sq)},{gap_str}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return "\n".join(lines) + "\n"
 
 
 def _json_safe(value):
@@ -226,7 +228,7 @@ def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
-def _solve(config: ExperimentConfig, seed: int, checkpoints=()) -> solver.RunTrace:
+def _solve(config: ExperimentConfig, seed: int, checkpoints) -> solver.RunTrace:
     """One seed's run of ``config.iterations`` steps, snapshotting ``checkpoints``."""
     problem = config.problem
     oracle = _oracle_for_seed(config, problem, seed)
@@ -241,14 +243,12 @@ def _solve(config: ExperimentConfig, seed: int, checkpoints=()) -> solver.RunTra
     )
 
 
-def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
-    """Write one seed's trace CSV and return its summary entry."""
+def _outcome(config: ExperimentConfig, trace) -> tuple:
+    """One solve's trace CSV text and summary entry (without the seed)."""
     problem = config.problem
     # The last entry is the gap at x_prefix_T / T, bitwise the gap of x_avg.
     series = gap.gap_series(problem, trace, config.gap_every)
-    _write_trace_csv(out / f"trace_{seed}.csv", trace, series)
     entry = {
-        "seed": seed,
         "final_gap": series.final_gap,
         "eta_final": trace.eta_final,
         "max_xy_ratio": trace.max_xy_ratio,
@@ -259,15 +259,38 @@ def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
         lhs, rhs = analysis.regret_bound_sides(problem, trace)
         entry["lemma3_lhs"] = lhs
         entry["lemma3_rhs"] = rhs
-    return entry
+    return _trace_csv(trace, series), entry
+
+
+def _solve_seeds(subs: dict, outs: dict) -> dict:
+    """Write every seed's trace CSV for each budget; the summary entries, by T.
+
+    ``subs`` maps each budget T to its config and ``outs`` to its output
+    directory. A stochastic config is solved once per seed, and only that
+    seed's trace is held at a time. A deterministic config has no per-seed
+    randomness, so every seed's run is the same: it is solved, and its gaps
+    and regret sides computed, once per command.
+    """
+    config = next(iter(subs.values()))
+    per_seed = {T: [] for T in subs}
+    outcomes = None
+    for seed in config.seeds:
+        if outcomes is None or config.stochastic:
+            trace = _solve(subs[max(subs)], seed, checkpoints=subs)
+            outcomes = {T: _outcome(sub, trace.prefix(T)) for T, sub in subs.items()}
+            del trace
+        for T, (csv, entry) in outcomes.items():
+            (outs[T] / f"trace_{seed}.csv").write_text(csv, encoding="utf-8", newline="\n")
+            per_seed[T].append({"seed": seed, **entry})
+    return per_seed
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
-    """Execute one run per seed; write CSV traces and summary.json."""
+    """Solve every seed (a deterministic config once); write CSV traces and summary.json."""
     out = _output_dir(config) if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    per_seed = [_seed_entry(config, seed, _solve(config, seed), out)
-                for seed in config.seeds]
+    T = config.iterations
+    per_seed = _solve_seeds({T: config}, {T: out})[T]
     summary = _write_summary(config, per_seed, out)
     return {"summary": summary, "out_dir": out}
 
@@ -365,15 +388,8 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     outs = {T: base_out / f"T_{T}" for T in subs}
     for out in outs.values():
         out.mkdir(parents=True, exist_ok=True)
-    longest = subs[max(subs)]
-    per_seed = {T: [] for T in subs}
     try:
-        # One solve per seed; only that seed's trace is held at a time.
-        for seed in config.seeds:
-            trace = _solve(longest, seed, checkpoints=subs)
-            for T, sub in subs.items():
-                per_seed[T].append(_seed_entry(sub, seed, trace.prefix(T), outs[T]))
-            del trace
+        per_seed = _solve_seeds(subs, outs)
     except solver.SolverError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

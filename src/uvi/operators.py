@@ -64,7 +64,9 @@ class VIProblem:
     sample); ``smoothness`` is the dual-norm Lipschitz constant of F when it
     exists; ``dual_gap_eval`` evaluates the exact duality gap when one is
     registered; ``gap_tolerance`` records the accuracy of the reference
-    minimum used by that evaluator (0 for closed forms).
+    minimum used by that evaluator (0 for closed forms). ``params`` holds
+    the catalog arguments the problem was built from and, for matrix games,
+    the payoff array itself under ``"matrix"``.
     """
 
     name: str
@@ -231,6 +233,10 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
     constants L12 = L21 = max_ij |A_ij| (the l1->linf operator norm of A):
     L = 2 max|A| sqrt(log d1 * log d2). The duality gap is exact by vertex
     enumeration: max_j (A'u)_j - min_i (Av)_i.
+
+    ``params["matrix"]`` is the float64 array the operator and gap use, the
+    only copy of the payoff matrix; a float64 input array is used as given,
+    not copied.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -259,7 +265,7 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
         smoothness=smoothness,
         name=name,
         dual_gap_eval=dual_gap_eval,
-        params={"matrix": A.tolist()},
+        params={"matrix": A},
     )
 
 

@@ -21,7 +21,8 @@ Every step enforces the movement invariants ||x_t - y_{t-1}|| <= eta_t G and
 ||y_t - y_{t-1}|| <= eta_t G (hence Z_t <= G), where G bounds the dual norm
 of the sampled operator; a violation, a non-finite operator value or a
 non-finite iterate aborts the run with the step index and step size in the
-exception.
+exception, and so does a step size that leaves the floating-point range
+(eta_t = 0 or inf, or eta_t^2 = 0) at extreme payoff scales or G0.
 
 Arguments are validated once, at the public entry points: the geometry's
 ``prox_step``, ``VIProblem.operator`` (dimension of the query point),
@@ -172,10 +173,15 @@ class RunTrace:
 
 
 def update_eta(z_sq_accum: float, diameter: float, g0: float) -> float:
-    """Adaptive step size D / sqrt(G0^2 + accumulated Z^2); D/G0 at t=1."""
+    """Adaptive step size D / sqrt(G0^2 + accumulated Z^2); D/G0 at t=1.
+
+    Where G0^2 + sum Z^2 overflows the result is 0, and where it underflows
+    to 0 the result is inf; the solver loop aborts on either.
+    """
     if diameter <= 0 or g0 <= 0:
         raise ValueError("diameter and g0 must be positive")
-    return diameter / math.sqrt(g0 * g0 + z_sq_accum)
+    root = math.sqrt(g0 * g0 + z_sq_accum)
+    return diameter / root if root > 0 else math.inf
 
 
 def compute_z_sq(xy_norm: float, xy_prev_norm: float, eta_t: float) -> float:
@@ -232,6 +238,12 @@ def _run_loop(
 
     for t in range(1, config.iterations + 1):
         eta = config.eta if fixed else update_eta(z_sq_accum, diameter, config.g0)
+        # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
+        if not (eta * eta > 0.0 and eta < math.inf):
+            raise DivergenceError(
+                t, eta, "step size out of floating-point range: eta_t must be "
+                "positive and finite, with a nonzero square"
+            )
         try:
             m = _direction(evaluate(y_prev), dim)
             x = prox(y_prev, m, eta)

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uvi.analysis as analysis
 import uvi.cli as cli
+import uvi.gap as gap
 import uvi.operators as operators
 import uvi.solver as solver
 from uvi.geometry import EuclideanBall
@@ -121,6 +124,15 @@ class TestRun:
         path = write_config(tmp_path)
         assert cli.cmd_run(str(path)) == 3
         assert "aborted at step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g0, eta", [(1e155, "0"), (1e-300, "inf")])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_step_size_out_of_range_exits_3(self, tmp_path, capsys, command, g0, eta):
+        path = write_config(tmp_path, T=20, g0=g0, eval_every=OMIT)
+        code = cli.main([command, str(path)] + (["--T", "10,20"] if command == "sweep" else []))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric abort: aborted at step t=1, eta={eta}: step size"), err
 
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         override = tmp_path / "elsewhere"
@@ -322,6 +334,60 @@ class TestAnytimeSweep:
         out = tmp_path / "out"
         assert not (out / "sweep_summary.json").exists()
         assert not list(out.glob("T_*/summary.json"))
+
+
+class TestDeterministicSolvedOnce:
+    """Every seed of a deterministic config gives the same run, so a command
+    solves it, and evaluates its gaps and regret sides, once."""
+
+    CONFIG = {"problem": {"name": "random-game", "params": {"d1": 3, "d2": 4, "seed": 5}},
+              "T": 12, "seeds": [2, 0, 5], "eval_every": 3, "record_every": 1}
+    T_LIST = [12, 6, 9]
+    # Output trees of these two commands from the per-seed path, which solved
+    # every seed separately: {"run": {path: text}, "sweep": {path: text}}.
+    EXPECTED = json.loads(
+        (Path(__file__).parent / "fixtures" / "deterministic_seeds.json").read_text())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_one_solve_and_same_bytes(self, tmp_path, monkeypatch, capsys, command):
+        calls = {"solve": 0, "gaps": 0, "regret": 0}
+
+        def counting(key, fn):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(solver, "universal_mirror_prox",
+                            counting("solve", solver.universal_mirror_prox))
+        monkeypatch.setattr(gap, "gap_series", counting("gaps", gap.gap_series))
+        monkeypatch.setattr(analysis, "regret_bound_sides",
+                            counting("regret", analysis.regret_bound_sides))
+        path = write_config(tmp_path, **self.CONFIG)
+        if command == "run":
+            assert cli.cmd_run(str(path)) == 0
+        else:
+            assert cli.cmd_sweep(str(path), self.T_LIST) == 0
+        budgets = 1 if command == "run" else len(self.T_LIST)
+        assert calls == {"solve": 1, "gaps": budgets, "regret": budgets}
+        out = tmp_path / "out"
+        assert {name: data.decode("utf-8") for name, data in tree_bytes(out).items()} \
+            == self.EXPECTED[command]
+
+    def test_stochastic_solves_each_seed(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = solver.universal_mirror_prox
+
+        def counting(problem, config, oracle=None, **kwargs):
+            calls.append(oracle is not None)
+            return solve(problem, config, oracle, **kwargs)
+
+        monkeypatch.setattr(solver, "universal_mirror_prox", counting)
+        path = write_config(tmp_path, **{**self.CONFIG, "noise": {"bound": 0.1}})
+        assert cli.cmd_run(str(path)) == 0
+        assert calls == [True, True, True]
+        traces = [(tmp_path / "out" / f"trace_{s}.csv").read_bytes() for s in (2, 0, 5)]
+        assert len(set(traces)) == 3
 
 
 class TestVerify:

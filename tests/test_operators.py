@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,27 @@ class TestMatrixGame:
             matrix_game(np.zeros((0, 3)))
         with pytest.raises(ValueError):
             matrix_game([[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_large_game_holds_one_matrix(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = make_problem("random-game", d1=1000, d2=1000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.25 * 1000 * 1000 * 8, held  # 1.25 x the float64 matrix
+        matrix = p.params["matrix"]
+        assert isinstance(matrix, np.ndarray) and matrix.dtype == np.float64
+        assert matrix.shape == (1000, 1000)
+
+    def test_float64_matrix_used_as_given(self):
+        A = np.random.default_rng(3).uniform(-1.0, 1.0, size=(4, 3))
+        p = matrix_game(A)
+        assert np.shares_memory(p.params["matrix"], A)
+        assert p.params["matrix"].shape == (4, 3)
+        np.testing.assert_array_equal(p.operator(p.geom.min_point())[:4],
+                                      A @ np.full(3, 1.0 / 3.0))
 
 
 class TestStochasticOracle:

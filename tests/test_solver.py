@@ -366,6 +366,24 @@ class TestGuards:
             universal_mirror_prox(p, SolverConfig(iterations=5))
         assert err.value.t == 1
 
+    @pytest.mark.parametrize("scale, g0, eta", [
+        (1.0, 1e155, 0.0),  # g0^2 overflows, so eta_1 = 0
+        (1.0, 1e-300, math.inf),  # g0^2 underflows to 0, so eta_1 = inf
+        (2.0**515, 2.0**515, 0.0),
+        (2.0**-1000, 2.0**-1000, math.inf),
+    ], ids=["g0-1e155", "g0-1e-300", "payoff-2^515", "payoff-2^-1000"])
+    def test_step_size_out_of_range_aborts(self, scale, g0, eta):
+        p = matrix_game(make_problem("rps").params["matrix"] * scale)
+        with pytest.raises(DivergenceError) as err:
+            universal_mirror_prox(p, SolverConfig(iterations=20, g0=g0))
+        assert err.value.t == 1
+        assert err.value.eta == eta
+
+    def test_fixed_step_whose_square_underflows_aborts(self):
+        with pytest.raises(DivergenceError) as err:
+            fixed_step_mirror_prox(make_problem("rps"), 1e-200, 5)
+        assert (err.value.t, err.value.eta) == (1, 1e-200)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(iterations=0)
