@@ -3,9 +3,7 @@
 Subcommands:
 
 * ``uvi run <config.json>`` - one solver run per seed, writing
-  ``trace_<seed>.csv`` and ``summary.json`` into the output directory. A
-  deterministic config (no ``noise``) gives every seed the same run, so it
-  is solved once and that run is written for each seed.
+  ``trace_<seed>.csv`` and ``summary.json`` into the output directory.
 * ``uvi sweep <config.json> --T 500,1000,2000,4000`` - repeats the run
   across iteration budgets and fits the log-log rate exponent. Each seed
   is solved once, at max(T), with every other budget read off an exact
@@ -203,13 +201,13 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _trace_csv(trace, series: gap.GapSeries) -> str:
+def _write_trace_csv(path: Path, trace, series: gap.GapSeries):
     gaps = dict(zip(series.steps, series.gaps))
     lines = ["t,eta,z_sq,gap_of_running_avg"]
     for rec in trace.records:
         gap_str = _fmt(gaps[rec.t]) if rec.t in gaps else ""
         lines.append(f"{rec.t},{_fmt(rec.eta)},{_fmt(rec.z_sq)},{gap_str}")
-    return "\n".join(lines) + "\n"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _json_safe(value):
@@ -243,12 +241,14 @@ def _solve(config: ExperimentConfig, seed: int, checkpoints) -> solver.RunTrace:
     )
 
 
-def _outcome(config: ExperimentConfig, trace) -> tuple:
-    """One solve's trace CSV text and summary entry (without the seed)."""
+def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
+    """Write one seed's trace CSV and return its summary entry."""
     problem = config.problem
     # The last entry is the gap at x_prefix_T / T, bitwise the gap of x_avg.
     series = gap.gap_series(problem, trace, config.gap_every)
+    _write_trace_csv(out / f"trace_{seed}.csv", trace, series)
     entry = {
+        "seed": seed,
         "final_gap": series.final_gap,
         "eta_final": trace.eta_final,
         "max_xy_ratio": trace.max_xy_ratio,
@@ -259,34 +259,28 @@ def _outcome(config: ExperimentConfig, trace) -> tuple:
         lhs, rhs = analysis.regret_bound_sides(problem, trace)
         entry["lemma3_lhs"] = lhs
         entry["lemma3_rhs"] = rhs
-    return _trace_csv(trace, series), entry
+    return entry
 
 
 def _solve_seeds(subs: dict, outs: dict) -> dict:
     """Write every seed's trace CSV for each budget; the summary entries, by T.
 
     ``subs`` maps each budget T to its config and ``outs`` to its output
-    directory. A stochastic config is solved once per seed, and only that
-    seed's trace is held at a time. A deterministic config has no per-seed
-    randomness, so every seed's run is the same: it is solved, and its gaps
-    and regret sides computed, once per command.
+    directory. Each seed is solved once, at max(T), and only that seed's
+    trace is held at a time.
     """
-    config = next(iter(subs.values()))
+    longest = subs[max(subs)]
     per_seed = {T: [] for T in subs}
-    outcomes = None
-    for seed in config.seeds:
-        if outcomes is None or config.stochastic:
-            trace = _solve(subs[max(subs)], seed, checkpoints=subs)
-            outcomes = {T: _outcome(sub, trace.prefix(T)) for T, sub in subs.items()}
-            del trace
-        for T, (csv, entry) in outcomes.items():
-            (outs[T] / f"trace_{seed}.csv").write_text(csv, encoding="utf-8", newline="\n")
-            per_seed[T].append({"seed": seed, **entry})
+    for seed in longest.seeds:
+        trace = _solve(longest, seed, checkpoints=subs)
+        for T, sub in subs.items():
+            per_seed[T].append(_seed_entry(sub, seed, trace.prefix(T), outs[T]))
+        del trace
     return per_seed
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
-    """Solve every seed (a deterministic config once); write CSV traces and summary.json."""
+    """Execute one run per seed; write CSV traces and summary.json."""
     out = _output_dir(config) if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     T = config.iterations

@@ -21,8 +21,9 @@ Every step enforces the movement invariants ||x_t - y_{t-1}|| <= eta_t G and
 ||y_t - y_{t-1}|| <= eta_t G (hence Z_t <= G), where G bounds the dual norm
 of the sampled operator; a violation, a non-finite operator value or a
 non-finite iterate aborts the run with the step index and step size in the
-exception, and so does a step size that leaves the floating-point range
-(eta_t = 0 or inf, or eta_t^2 = 0) at extreme payoff scales or G0.
+exception, and so does an adaptive step size that leaves the floating-point
+range (eta_t = 0 or inf, or eta_t^2 = 0) at extreme payoff scales or G0.
+``SolverConfig`` rejects a fixed step whose square underflows.
 
 Arguments are validated once, at the public entry points: the geometry's
 ``prox_step``, ``VIProblem.operator`` (dimension of the query point),
@@ -114,10 +115,15 @@ class SolverConfig:
             raise ValueError(f"g0 must be positive and finite, got {self.g0}")
         if self.mode not in ("universal", "fixed-step"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        # Z_t^2 divides by eta^2, so the square must not underflow to 0.
         if self.mode == "fixed-step" and not (
-            self.eta is not None and self.eta > 0 and math.isfinite(self.eta)
+            self.eta is not None and self.eta > 0 and self.eta * self.eta > 0
+            and math.isfinite(self.eta)
         ):
-            raise ValueError(f"fixed-step mode requires a finite eta > 0, got {self.eta}")
+            raise ValueError(
+                f"fixed-step mode requires a finite eta > 0 whose square is "
+                f"nonzero, got {self.eta}"
+            )
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -237,13 +243,16 @@ def _run_loop(
     z_sq_accum = max_xy = max_yy = max_zsq = 0.0
 
     for t in range(1, config.iterations + 1):
-        eta = config.eta if fixed else update_eta(z_sq_accum, diameter, config.g0)
-        # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
-        if not (eta * eta > 0.0 and eta < math.inf):
-            raise DivergenceError(
-                t, eta, "step size out of floating-point range: eta_t must be "
-                "positive and finite, with a nonzero square"
-            )
+        if fixed:
+            eta = config.eta  # range-checked by SolverConfig
+        else:
+            eta = update_eta(z_sq_accum, diameter, config.g0)
+            # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
+            if not (eta * eta > 0.0 and eta < math.inf):
+                raise DivergenceError(
+                    t, eta, "step size out of floating-point range: eta_t must be "
+                    "positive and finite, with a nonzero square"
+                )
         try:
             m = _direction(evaluate(y_prev), dim)
             x = prox(y_prev, m, eta)

@@ -5,9 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import uvi.analysis as analysis
 import uvi.cli as cli
-import uvi.gap as gap
 import uvi.operators as operators
 import uvi.solver as solver
 from uvi.geometry import EuclideanBall
@@ -74,6 +72,7 @@ class TestRun:
         ({"g0": float("inf")}, "g0 must be positive and finite"),
         ({"g0": float("nan")}, "g0 must be positive and finite"),
         ({"mode": {"kind": "fixed-step", "eta": float("inf")}}, "requires a finite eta"),
+        ({"mode": {"kind": "fixed-step", "eta": 1e-200}}, "whose square is nonzero"),
         ({"noise": {"bound": float("nan")}}, "noise bound must be finite"),
         ({"noise": {"bound": float("inf")}}, "noise bound must be finite"),
         ({"noise": {"bound": 0.5, "sigma_sq": float("inf")}}, "sigma_sq must be finite"),
@@ -89,10 +88,10 @@ class TestRun:
          "seeds must be nonnegative, got [-1]"),
         ({"problem": {"name": "rps", "params": {"foo": 1}}}, "'rps' has no param 'foo'"),
         ({"problem": {"name": "rps", "params": [1]}}, "'rps': params must be an object"),
-    ], ids=["g0-inf", "g0-nan", "eta-inf", "noise-nan", "noise-inf", "sigma-inf",
-            "sigma-low", "T-fraction", "T-bool", "seed-fraction", "record-every-fraction",
-            "eval-every-bool", "seeds-duplicate", "seed-negative", "seed-negative-noisy",
-            "param-unknown", "params-not-object"])
+    ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
+            "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
+            "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
+            "seed-negative-noisy", "param-unknown", "params-not-object"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
                                                        overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -336,58 +335,28 @@ class TestAnytimeSweep:
         assert not list(out.glob("T_*/summary.json"))
 
 
-class TestDeterministicSolvedOnce:
-    """Every seed of a deterministic config gives the same run, so a command
-    solves it, and evaluates its gaps and regret sides, once."""
+class TestSeedLoop:
+    """run and sweep share one seed loop; a multi-seed deterministic config
+    keeps the output bytes of the separate loops each command had before."""
 
     CONFIG = {"problem": {"name": "random-game", "params": {"d1": 3, "d2": 4, "seed": 5}},
               "T": 12, "seeds": [2, 0, 5], "eval_every": 3, "record_every": 1}
     T_LIST = [12, 6, 9]
-    # Output trees of these two commands from the per-seed path, which solved
-    # every seed separately: {"run": {path: text}, "sweep": {path: text}}.
+    # {"run": {path: text}, "sweep": {path: text}}, written before the loops
+    # were shared.
     EXPECTED = json.loads(
         (Path(__file__).parent / "fixtures" / "deterministic_seeds.json").read_text())
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_one_solve_and_same_bytes(self, tmp_path, monkeypatch, capsys, command):
-        calls = {"solve": 0, "gaps": 0, "regret": 0}
-
-        def counting(key, fn):
-            def call(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(solver, "universal_mirror_prox",
-                            counting("solve", solver.universal_mirror_prox))
-        monkeypatch.setattr(gap, "gap_series", counting("gaps", gap.gap_series))
-        monkeypatch.setattr(analysis, "regret_bound_sides",
-                            counting("regret", analysis.regret_bound_sides))
+    def test_deterministic_output_unchanged(self, tmp_path, capsys, command):
         path = write_config(tmp_path, **self.CONFIG)
         if command == "run":
             assert cli.cmd_run(str(path)) == 0
         else:
             assert cli.cmd_sweep(str(path), self.T_LIST) == 0
-        budgets = 1 if command == "run" else len(self.T_LIST)
-        assert calls == {"solve": 1, "gaps": budgets, "regret": budgets}
         out = tmp_path / "out"
         assert {name: data.decode("utf-8") for name, data in tree_bytes(out).items()} \
             == self.EXPECTED[command]
-
-    def test_stochastic_solves_each_seed(self, tmp_path, monkeypatch, capsys):
-        calls = []
-        solve = solver.universal_mirror_prox
-
-        def counting(problem, config, oracle=None, **kwargs):
-            calls.append(oracle is not None)
-            return solve(problem, config, oracle, **kwargs)
-
-        monkeypatch.setattr(solver, "universal_mirror_prox", counting)
-        path = write_config(tmp_path, **{**self.CONFIG, "noise": {"bound": 0.1}})
-        assert cli.cmd_run(str(path)) == 0
-        assert calls == [True, True, True]
-        traces = [(tmp_path / "out" / f"trace_{s}.csv").read_bytes() for s in (2, 0, 5)]
-        assert len(set(traces)) == 3
 
 
 class TestVerify:
