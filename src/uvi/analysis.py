@@ -8,23 +8,25 @@ The ``lemma*_check`` functions evaluate both sides of the scalar-sequence
 inequalities that drive the adaptive-step analysis, and ``prop1_mc`` checks
 the martingale-smoothing bound by Monte Carlo against an adversarially
 chosen feasible point. ``regret_bound_sides`` computes both sides of the
-optimistic-update regret bound along an actual run; its left-hand side is
-the hindsight regret. The invariant sweeps below are the one copy of every
-check that ``uvi verify`` runs and the tests assert.
+optimistic-update regret bound along an actual run from the sums and norms
+the solver loop streams; its left-hand side is the hindsight regret.
+``replay_steps`` recomputes the vectors of each step of an every-step run
+for the checks that need them. The invariant sweeps below are the one copy
+of every check that ``uvi verify`` runs and the tests assert.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gap, operators, solver
 from .geometry import EntropicSimplex, Geometry
 from .operators import VIProblem
-from .solver import RunTrace, SolverConfig
+from .solver import RunTrace, SolverConfig, StepRecord
 
 __all__ = [
     "BoundReport",
@@ -36,6 +38,8 @@ __all__ = [
     "prop1_mc",
     "rate_fit",
     "regret_bound_sides",
+    "ReplayedStep",
+    "replay_steps",
     "lemma_oracle_checks",
     "adapter_invariants",
     "gap_sum_chain",
@@ -255,8 +259,9 @@ def regret_bound_sides(problem: VIProblem, trace: RunTrace) -> Tuple[float, floa
     """Both sides of the optimistic-update regret bound over a run.
 
     LHS: sum_t g_t.(x_t - x*) with x* the exact linear minimizer of
-    sum_t g_t over K. RHS: D^2/eta_1 + D^2/eta_t
-    + sum_t ||g_t - M_t||* ||x_t - y_t||
+    sum_t g_t over K, taken as sum_t g_t.x_t - min_K (sum_t g_t).x from the
+    two sums the loop streams (``trace.gx_sum``, ``trace.g_sum``). RHS:
+    D^2/eta_1 + D^2/eta_t + sum_t ||g_t - M_t||* ||x_t - y_t||
     - (1/2) sum_t (1/eta_t)(||x_t - y_t||^2 + ||x_t - y_{t-1}||^2),
     with the norms the solver loop recorded. Requires record_every=1 so
     every step is available; for a shorter budget pass ``trace.prefix(T)``.
@@ -267,19 +272,59 @@ def regret_bound_sides(problem: VIProblem, trace: RunTrace) -> Tuple[float, floa
     geom = problem.geom
     d_sq = geom.diameter_sq
 
-    total_g = np.zeros(geom.dim)
-    for rec in records:
-        total_g += rec.g
-    x_star, _ = geom.linear_minimize(total_g)
-
-    lhs = 0.0
+    lhs = trace.gx_sum - geom.linear_minimize(trace.g_sum)[1]
     rhs = d_sq / records[0].eta + d_sq / records[-1].eta
     for rec in records:
-        lhs += float(rec.g @ (rec.x - x_star))
         xy, xyp = rec.xy_norm, rec.xy_prev_norm
         rhs += rec.gm_dual_norm * xy
         rhs -= 0.5 * (xy * xy + xyp * xyp) / rec.eta
     return lhs, rhs
+
+
+class ReplayedStep(NamedTuple):
+    """One step of a run as ``replay_steps`` recomputes it: the record, the
+    anchor y_{t-1}, the hint M_t, the iterate x_t, the loss g_t and y_t."""
+
+    record: StepRecord
+    y_prev: np.ndarray
+    m: np.ndarray
+    x: np.ndarray
+    g: np.ndarray
+    y: np.ndarray
+
+
+def replay_steps(
+    problem: VIProblem,
+    trace: RunTrace,
+    oracle: Optional[operators.StochasticOracle] = None,
+) -> Iterator[ReplayedStep]:
+    """Re-run each step of an every-step trace through the public checked methods.
+
+    From y_0 = ``min_point()``, step t evaluates M_t = F(y_{t-1}) and
+    g_t = F(x_t) with ``problem.operator`` or, for a stochastic run,
+    ``noisy_eval`` on ``oracle``, a fresh twin of the run's oracle (same
+    problem, noise and seed), and takes both prox steps with the recorded
+    eta_t. The solver loop makes the same calls through unchecked kernels,
+    so each step is bitwise the run's own. Requires record_every=1.
+    """
+    if trace.record_every != 1:
+        raise ValueError("replay needs every step recorded (record_every=1)")
+    if oracle is None:
+        evaluate = problem.operator
+    elif oracle.base is not problem:
+        raise ValueError("oracle was built for a different problem instance")
+    else:
+        def evaluate(point):
+            return operators.noisy_eval(oracle, point)
+    geom = problem.geom
+    y_prev = geom.min_point()
+    for rec in trace.records:
+        m = evaluate(y_prev)
+        x = geom.prox_step(y_prev, m, rec.eta)
+        g = evaluate(x)
+        y = geom.prox_step(y_prev, g, rec.eta)
+        yield ReplayedStep(rec, y_prev, m, x, g, y)
+        y_prev = y
 
 
 def lemma_oracle_checks(seed: int) -> List[Tuple[str, bool, str]]:
@@ -351,20 +396,24 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
     return True, ""
 
 
-def gap_sum_chain(problem: VIProblem, trace: RunTrace, rng, probes: int) -> Tuple[bool, str]:
+def gap_sum_chain(
+    problem: VIProblem, steps: Iterable[Tuple[np.ndarray, np.ndarray]], rng, probes: int
+) -> Tuple[bool, str]:
     """T Delta(x_avg, x) <= sum_t Delta(x_t, x) <= sum_t g_t.(x_t - x) at random x.
 
+    ``steps`` are the (x_t, g_t) pairs of a run, t = 1..T (``replay_steps``
+    gives them for an every-step trace), and x_avg is the mean of the x_t.
     The first step is convexity of Delta in its first argument, the second
-    its compatibility with the operator. Requires record_every=1.
+    its compatibility with the operator.
     """
-    if trace.record_every != 1:
-        raise ValueError("gap-sum chain needs every step recorded (record_every=1)")
-    T = trace.iterations
+    steps = list(steps)
+    T = len(steps)
+    x_avg = np.mean([x_t for x_t, _ in steps], axis=0)
     for i in range(probes):
         x = problem.geom.sample(rng)
-        delta_avg = problem.gap(trace.x_avg, x) * T
-        delta_sum = sum(problem.gap(rec.x, x) for rec in trace.records)
-        linear_sum = sum(float(rec.g @ (rec.x - x)) for rec in trace.records)
+        delta_avg = problem.gap(x_avg, x) * T
+        delta_sum = sum(problem.gap(x_t, x) for x_t, _ in steps)
+        linear_sum = sum(float(g_t @ (x_t - x)) for x_t, g_t in steps)
         if not (delta_avg <= delta_sum + 1e-6 and delta_sum <= linear_sum + 1e-6):
             return False, f"gap-sum chain violated at probe {i}"
     return True, ""
@@ -401,18 +450,22 @@ def solver_invariants(
     geom = problem.geom
     if not geom.contains(trace.x_avg, tol=1e-10):
         return False, "averaged output infeasible"
-    y = geom.min_point()
-    for rec in trace.records:
-        y = geom.prox_step(y, rec.g, rec.eta)  # the loop's y_t, replayed bitwise
-        if rec.t % 6 == 1 and not (geom.contains(rec.x, tol=1e-10)
-                                   and geom.contains(y, tol=1e-10)):
-            return False, f"iterate infeasible at t={rec.t}"
+    twin = None
+    if oracle is not None:
+        twin = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
+    steps = []
+    for step in replay_steps(problem, trace, twin):  # the loop's x_t and y_t, bitwise
+        t = step.record.t
+        if t % 6 == 1 and not (geom.contains(step.x, tol=1e-10)
+                               and geom.contains(step.y, tol=1e-10)):
+            return False, f"iterate infeasible at t={t}"
+        steps.append((step.x, step.g))
 
     if oracle is None:
         lhs, rhs = regret_bound_sides(problem, trace)
         if lhs > rhs + 1e-6:
             return False, f"regret bound violated: lhs={lhs:.6g} rhs={rhs:.6g}"
-        return gap_sum_chain(problem, trace, np.random.default_rng(seed + 1), probes=20)
+        return gap_sum_chain(problem, steps, np.random.default_rng(seed + 1), probes=20)
     oracle2 = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
     trace2 = solver.universal_mirror_prox(problem, config, oracle2)
     if not np.array_equal(trace.x_avg, trace2.x_avg):

@@ -139,6 +139,14 @@ class Geometry:
         raise NotImplementedError
 
 
+def _require_diameter(geom: Geometry, what: str) -> None:
+    """The step rule divides by D, so D^2 must not underflow to 0."""
+    if not geom.diameter_sq > 0:
+        raise GeometryError(
+            f"{geom.kind}: {what} too small, squared diameter underflows to 0"
+        )
+
+
 class _EuclideanGeometry(Geometry):
     """Shared closed forms for R(x) = ||x - center||^2 / 2 geometries."""
 
@@ -172,6 +180,7 @@ class EuclideanBall(_EuclideanGeometry):
         if not radius > 0:
             raise GeometryError("ball radius must be positive")
         super().__init__(dim, 0.5 * radius * radius)
+        _require_diameter(self, f"ball radius {radius!r}")
         self.radius = float(radius)
 
     def project(self, z):
@@ -213,6 +222,7 @@ class EuclideanBox(_EuclideanGeometry):
             raise GeometryError("box requires lower < upper in every coordinate")
         half = 0.5 * (upper - lower)
         super().__init__(lower.size, 0.5 * float(half @ half))
+        _require_diameter(self, "box widths")
         self.lower = lower
         self.upper = upper
         self.center = 0.5 * (lower + upper)

@@ -35,18 +35,21 @@ norm kernels on raw arrays; prox outputs are feasible by construction, so
 the loop's query points need no feasibility check. Each of the three
 movement norms is computed once per step.
 
-A recorded step (``StepRecord``) keeps x_t, g_t, the exact prefix sum of
-the x's, and the scalars the step rule and the Lemma 3 regret bound are
-built from: ||x_t - y_t||, ||x_t - y_{t-1}|| and ||g_t - M_t||*. It keeps
-neither the anchor y_t nor the hint M_t; with every step recorded, y_t is
-replayed bitwise as ``prox_step(y_{t-1}, g_t, eta_t)`` from ``min_point()``.
+A recorded step (``StepRecord``) keeps the exact prefix sum of the x's and
+the scalars the step rule and the Lemma 3 regret bound are built from:
+||x_t - y_t||, ||x_t - y_{t-1}|| and ||g_t - M_t||*. It keeps no other
+d-vector: not x_t, g_t, the anchor y_t or the hint M_t. With every step
+recorded, the loop also streams the two sums the hindsight regret needs,
+sum_t g_t and sum_t g_t.x_t, into the trace (``g_sum``, ``gx_sum``), and
+``uvi.analysis.replay_steps`` re-runs the steps through the public checked
+methods wherever a check needs the vectors themselves.
 
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. Both solvers
 take ``checkpoints``, budgets in ``1..iterations``: at each one the loop
 snapshots what a run with ``iterations=T`` would return (``x_avg`` from the
-same Kahan sum, ``eta_final``, ``z_sq_total``, the three maxima, and the
-records ``t % record_every == 0 or t == T``), available as
+same Kahan sum, ``eta_final``, ``z_sq_total``, the three maxima, the two
+regret sums, and the records ``t % record_every == 0 or t == T``), available as
 ``trace.prefix(T)`` and bitwise equal to that separate run. The returned
 trace itself is the full run; its records hold no extra checkpoint rows.
 """
@@ -130,22 +133,21 @@ class SolverConfig:
 
 @dataclass
 class StepRecord:
-    """One recorded step: its iterate, loss and exact prefix sum, plus the
-    three norms the step rule and the regret bound are built from.
+    """One recorded step: its exact prefix sum plus the three norms the step
+    rule and the regret bound are built from.
 
     x_prefix is the exact running sum of x_1..x_t. xy_norm = ||x_t - y_t||
     and xy_prev_norm = ||x_t - y_{t-1}|| are the movement norms Z_t^2 was
     computed from; gm_dual_norm = ||g_t - M_t||* is the distance between
-    the step's loss and its hint. The anchor y_t and the hint M_t are not
-    kept; in a trace with every step recorded, y_t is replayed bitwise as
-    prox_step(y_{t-1}, g_t, eta_t) from y_0 = ``min_point()``.
+    the step's loss and its hint. The iterate x_t, the loss g_t, the anchor
+    y_t and the hint M_t are not kept; in a trace with every step recorded,
+    ``uvi.analysis.replay_steps`` recomputes them bitwise from y_0 =
+    ``min_point()`` and the recorded eta_t.
     """
 
     t: int
     eta: float
     z_sq: float
-    x: np.ndarray
-    g: np.ndarray
     x_prefix: np.ndarray
     xy_norm: float
     xy_prev_norm: float
@@ -154,7 +156,13 @@ class StepRecord:
 
 @dataclass
 class RunTrace:
-    """Recorded steps plus exact aggregates of a single run."""
+    """Recorded steps plus exact aggregates of a single run.
+
+    With every step recorded (record_every=1), g_sum = sum_t g_t, summed in
+    step order, and gx_sum = sum_t g_t.x_t are the streamed sums the
+    hindsight regret of ``uvi.analysis.regret_bound_sides`` is built from;
+    both are None for a thinned trace.
+    """
 
     iterations: int
     record_every: int
@@ -166,6 +174,8 @@ class RunTrace:
     max_xy_ratio: float
     max_yy_ratio: float
     max_z_sq: float
+    g_sum: Optional[np.ndarray] = None
+    gx_sum: Optional[float] = None
     checkpoints: Dict[int, "RunTrace"] = field(default_factory=dict, repr=False)
 
     def prefix(self, T: int) -> "RunTrace":
@@ -241,6 +251,10 @@ def _run_loop(
     records: List[StepRecord] = []
     snapshots: Dict[int, RunTrace] = {}
     z_sq_accum = max_xy = max_yy = max_zsq = 0.0
+    # The regret sums are streamed only where every step is recorded.
+    streamed = config.record_every == 1
+    g_sum = np.zeros(dim) if streamed else None
+    gx_sum = 0.0 if streamed else None
 
     for t in range(1, config.iterations + 1):
         if fixed:
@@ -293,7 +307,10 @@ def _run_loop(
 
         on_schedule = t % config.record_every == 0
         if on_schedule or t in budgets:
-            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, x=x, g=g, x_prefix=sum_x.copy(),
+            if streamed:
+                g_sum += g
+                gx_sum += float(g @ x)
+            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, x_prefix=sum_x.copy(),
                              xy_norm=xy_norm, xy_prev_norm=xy_prev_norm,
                              gm_dual_norm=geom._dual_norm(g - m))
             if on_schedule:
@@ -312,6 +329,8 @@ def _run_loop(
                     max_xy_ratio=max_xy,
                     max_yy_ratio=max_yy,
                     max_z_sq=max_zsq,
+                    g_sum=None if g_sum is None else g_sum.copy(),
+                    gx_sum=gx_sum,
                 )
 
     trace = snapshots.pop(config.iterations)

@@ -11,6 +11,7 @@ from uvi.analysis import (
     prop1_mc,
     rate_fit,
     regret_bound_sides,
+    replay_steps,
     theorem_bounds,
 )
 from uvi.geometry import EntropicSimplex, EuclideanBall
@@ -207,25 +208,31 @@ class TestRateFit:
             rate_fit([(100, 1.0), (200, 0.0), (400, -1.0)])
 
 
+FACTORIES = [
+    lambda: matrix_game(ASYM, name="asym-2x2"),
+    lambda: make_problem("l1-ball"),
+    lambda: make_problem("quadratic-ball"),
+]
+
+
 class TestRegretBound:
-    # float.hex of (lhs, rhs) at T = 100, 250, 500, captured when the sides
-    # were recomputed from stored y_t and M_t vectors; the norms the loop
-    # records must reproduce them bitwise.
+    # float.hex of (lhs, rhs) at T = 100, 250, 500. The rhs halves were
+    # captured when the sides were recomputed from stored y_t and M_t
+    # vectors; the norms the loop records must reproduce them bitwise. The
+    # lhs halves come from the streamed sums, sum g_t.x_t - min_K (sum g_t).x.
     GOLDEN = {
         "asym-2x2": [("0x1.3964c3de8cfb8p+0", "0x1.886f7bdebcbe8p+1"),
                      ("0x1.3964c3dfd6d42p+0", "0x1.886f7bdebcbe8p+1"),
                      ("0x1.3964c3e1fc928p+0", "0x1.886f7bdebcbe8p+1")],
-        "l1-ball": [("0x1.025dc1287810cp+4", "0x1.81eeb34f91182p+4"),
-                    ("0x1.9e94c6438fc21p+4", "0x1.357fbc716d491p+5"),
-                    ("0x1.225d2f55c0c80p+5", "0x1.ba4cd576b3536p+5")],
-        "quadratic-ball": [("0x1.1f887f57e9587p+0", "0x1.8097d6c318cbep+1")] * 3,
+        "l1-ball": [("0x1.025dc1287810dp+4", "0x1.81eeb34f91182p+4"),
+                    ("0x1.9e94c6438fc28p+4", "0x1.357fbc716d491p+5"),
+                    ("0x1.225d2f55c0c81p+5", "0x1.ba4cd576b3536p+5")],
+        "quadratic-ball": [("0x1.1f887f57e95a0p+0", "0x1.8097d6c318cbep+1"),
+                           ("0x1.1f887f57e95c0p+0", "0x1.8097d6c318cbep+1"),
+                           ("0x1.1f887f57e9580p+0", "0x1.8097d6c318cbep+1")],
     }
 
-    @pytest.mark.parametrize("factory", [
-        lambda: matrix_game(ASYM, name="asym-2x2"),
-        lambda: make_problem("l1-ball"),
-        lambda: make_problem("quadratic-ball"),
-    ])
+    @pytest.mark.parametrize("factory", FACTORIES)
     def test_sides_hold_on_prefixes(self, factory):
         problem = factory()
         cfg = SolverConfig(iterations=500, g0=problem.g_bound, record_every=1)
@@ -236,6 +243,17 @@ class TestRegretBound:
             assert lhs <= rhs + 1e-6
             got.append((lhs.hex(), rhs.hex()))
         assert got == self.GOLDEN[problem.name]
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_streamed_lhs_equals_replayed_regret(self, factory):
+        problem = factory()
+        cfg = SolverConfig(iterations=500, g0=problem.g_bound, record_every=1)
+        trace = universal_mirror_prox(problem, cfg)
+        steps = list(replay_steps(problem, trace))
+        x_star, _ = problem.geom.linear_minimize(sum(step.g for step in steps))
+        regret = sum(float(step.g @ (step.x - x_star)) for step in steps)
+        lhs, _ = regret_bound_sides(problem, trace)
+        assert lhs == pytest.approx(regret, rel=1e-12, abs=0.0)
 
     def test_requires_full_trace(self):
         p = make_problem("rps")

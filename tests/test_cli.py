@@ -88,10 +88,13 @@ class TestRun:
          "seeds must be nonnegative, got [-1]"),
         ({"problem": {"name": "rps", "params": {"foo": 1}}}, "'rps' has no param 'foo'"),
         ({"problem": {"name": "rps", "params": [1]}}, "'rps': params must be an object"),
+        ({"problem": {"name": "l1-ball", "params": {"radius": 1e-170}}, "T": 5},
+         "squared diameter underflows to 0"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
-            "seed-negative-noisy", "param-unknown", "params-not-object"])
+            "seed-negative-noisy", "param-unknown", "params-not-object",
+            "l1-radius-diameter-underflows"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
                                                        overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -100,6 +103,13 @@ class TestRun:
         assert cli.cmd_sweep(str(path), [5, 10]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_tiny_l1_radius_with_subnormal_diameter_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, problem={"name": "l1-ball", "params": {"radius": 1e-160}},
+                            T=5, eval_every=OMIT)
+        assert cli.cmd_run(str(path)) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["mean_final_gap"] >= 0.0
 
     def test_integral_floats_are_integers(self, tmp_path):
         ints = write_config(tmp_path, name="ints.json", T=20, seeds=[3],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import uvi
-from uvi.analysis import gap_sum_chain, regret_bound_sides
+from uvi.analysis import gap_sum_chain, regret_bound_sides, replay_steps
 from uvi.gap import GapError, dual_gap, gap_series
 from uvi.operators import convex_min_problem, make_problem, matrix_game, saddle_problem
 from uvi.geometry import EntropicSimplex, EuclideanBall
@@ -15,13 +15,15 @@ def synthetic_trace(geom, xs, gs, record_every=1):
     """A trace of the given iterates and losses; its movement norms are 0."""
     records = []
     prefix = np.zeros(geom.dim)
+    g_sum, gx_sum = np.zeros(geom.dim), 0.0
     for t, (x, g) in enumerate(zip(xs, gs), start=1):
-        x = np.asarray(x, float)
+        x, g = np.asarray(x, float), np.asarray(g, float)
         prefix = prefix + x
+        g_sum += g
+        gx_sum += float(g @ x)
         records.append(
-            StepRecord(t=t, eta=1.0, z_sq=0.0, x=x, g=np.asarray(g, float),
-                       x_prefix=prefix.copy(), xy_norm=0.0, xy_prev_norm=0.0,
-                       gm_dual_norm=0.0)
+            StepRecord(t=t, eta=1.0, z_sq=0.0, x_prefix=prefix.copy(), xy_norm=0.0,
+                       xy_prev_norm=0.0, gm_dual_norm=0.0)
         )
     return RunTrace(
         iterations=len(xs),
@@ -34,6 +36,8 @@ def synthetic_trace(geom, xs, gs, record_every=1):
         max_xy_ratio=0.0,
         max_yy_ratio=0.0,
         max_z_sq=0.0,
+        g_sum=g_sum,
+        gx_sum=gx_sum,
     )
 
 
@@ -166,11 +170,12 @@ class TestRegret:
         p = convex_min_problem(f=lambda x: float(c @ x), grad=lambda x: c,
                                geom=EntropicSimplex(2), g_bound=1.0, min_value=0.0,
                                name="linear")
-        trace = synthetic_trace(p.geom, [[1.0, 0.0]], [[0.0, 0.0]])
-        assert gap_sum_chain(p, trace, np.random.default_rng(0), probes=5) == (
+        steps = [(np.array([1.0, 0.0]), np.zeros(2))]
+        assert gap_sum_chain(p, steps, np.random.default_rng(0), probes=5) == (
             False, "gap-sum chain violated at probe 0")
 
     def test_gap_sum_chain_along_run(self):
         p = matrix_game(ASYM)
         trace = universal_mirror_prox(p, SolverConfig(iterations=300))
-        assert gap_sum_chain(p, trace, np.random.default_rng(3), probes=100) == (True, "")
+        steps = ((step.x, step.g) for step in replay_steps(p, trace))
+        assert gap_sum_chain(p, steps, np.random.default_rng(3), probes=100) == (True, "")

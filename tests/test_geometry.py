@@ -255,6 +255,16 @@ class TestConstructionErrors:
         with pytest.raises(GeometryError):
             EuclideanSimplex(1)
 
+    def test_squared_diameter_underflow_rejected(self):
+        # The step rule divides by D: a set so small that D^2 underflows to 0
+        # is refused, while a subnormal D^2 still builds.
+        with pytest.raises(GeometryError, match="squared diameter underflows to 0"):
+            EuclideanBall(1e-170, 3)
+        with pytest.raises(GeometryError, match="squared diameter underflows to 0"):
+            EuclideanBox(np.zeros(2), np.full(2, 1e-170))
+        assert EuclideanBall(1e-160, 3).diameter_sq > 0
+        assert EuclideanBox(np.zeros(2), np.full(2, 1e-160)).diameter_sq > 0
+
     def test_project_simplex_matches_bruteforce(self):
         rng = np.random.default_rng(41)
         grid = None

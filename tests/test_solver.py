@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import uvi
+from uvi.analysis import replay_steps
 from uvi.geometry import EntropicSimplex, EuclideanBall, EuclideanSimplex
 import uvi.operators as operators
 import uvi.solver as solver
@@ -12,7 +14,6 @@ from uvi.operators import (
     convex_min_problem,
     make_problem,
     matrix_game,
-    noisy_eval,
 )
 from uvi.solver import (
     DivergenceError,
@@ -64,16 +65,6 @@ class TestComputeZSq:
         geom = EuclideanBall(1.0, 2)
         with pytest.raises(ValueError):
             z_sq_of(geom, np.zeros(2), np.zeros(2), np.zeros(2), 0.0)
-
-
-def replayed_anchors(geom, records):
-    """(rec, y_{t-1}, y_t) per record of an every-step trace, y_t replayed
-    from the recorded loss exactly as the loop computes it."""
-    y_prev = geom.min_point()
-    for rec in records:
-        y = geom.prox_step(y_prev, rec.g, rec.eta)
-        yield rec, y_prev, y
-        y_prev = y
 
 
 def two_prox(geom, y_prev, hint, loss, eta):
@@ -137,20 +128,34 @@ class TestUniversalRuns:
     def test_iterates_feasible_and_average_exact(self):
         p = matrix_game(ASYM)
         trace = universal_mirror_prox(p, SolverConfig(iterations=300))
-        for rec, _, y in replayed_anchors(p.geom, trace.records):
-            if rec.t % 23 == 1:
-                assert p.geom.contains(rec.x, tol=1e-10)
-                assert p.geom.contains(y, tol=1e-10)
+        steps = list(replay_steps(p, trace))
+        for step in steps:
+            if step.record.t % 23 == 1:
+                assert p.geom.contains(step.x, tol=1e-10)
+                assert p.geom.contains(step.y, tol=1e-10)
         assert p.geom.contains(trace.x_avg, tol=1e-10)
-        stacked = np.mean([rec.x for rec in trace.records], axis=0)
+        stacked = np.mean([step.x for step in steps], axis=0)
         np.testing.assert_allclose(trace.x_avg, stacked, rtol=1e-12)
 
     def test_prefix_sums_are_exact(self):
         p = make_problem("quadratic-ball")
         trace = universal_mirror_prox(p, SolverConfig(iterations=100))
-        direct = np.cumsum([rec.x for rec in trace.records], axis=0)
+        direct = np.cumsum([step.x for step in replay_steps(p, trace)], axis=0)
         for rec, expected in zip(trace.records, direct):
             np.testing.assert_allclose(rec.x_prefix, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.4], ids=["det", "noisy"])
+    def test_regret_sums_are_streamed_in_step_order(self, noise):
+        p = make_problem("l1-ball")
+        oracle = StochasticOracle(p, noise, rng_seed=8) if noise else None
+        trace = universal_mirror_prox(p, SolverConfig(iterations=200), oracle)
+        twin = StochasticOracle(p, noise, rng_seed=8) if noise else None
+        g_sum, gx_sum = np.zeros(p.geom.dim), 0.0
+        for step in replay_steps(p, trace, twin):
+            g_sum += step.g
+            gx_sum += float(step.g @ step.x)
+        assert np.array_equal(trace.g_sum, g_sum)
+        assert trace.gx_sum == gx_sum
 
     def test_trace_thinning_keeps_aggregates(self):
         p = matrix_game(ASYM)
@@ -160,6 +165,7 @@ class TestUniversalRuns:
         np.testing.assert_array_equal(full.x_avg, thin.x_avg)
         assert full.z_sq_total == thin.z_sq_total
         assert full.max_z_sq == thin.max_z_sq
+        assert thin.g_sum is None and thin.gx_sum is None  # streamed at record_every=1 only
 
 
 class TestFixedStep:
@@ -195,7 +201,7 @@ class TestStochasticRuns:
         np.testing.assert_array_equal(t1.x_avg, t2.x_avg)
         for r1, r2 in zip(t1.records, t2.records):
             assert r1.eta == r2.eta and r1.z_sq == r2.z_sq
-            np.testing.assert_array_equal(r1.x, r2.x)
+            np.testing.assert_array_equal(r1.x_prefix, r2.x_prefix)
 
     def test_different_seeds_differ(self):
         p = matrix_game(ASYM)
@@ -236,18 +242,33 @@ class TestOracleKernelInLoop:
 
     @pytest.mark.parametrize("name", ["random-game", "l1-ball"])
     def test_loop_samples_equal_public_samples(self, name):
+        # The replay samples through the checked noisy_eval and prox_step; its
+        # Kahan prefix and norms must be the records' at every step.
         p = make_problem(name)
         trace = universal_mirror_prox(p, SolverConfig(iterations=300),
                                       StochasticOracle(p, 0.5, rng_seed=9))
         twin = StochasticOracle(p, 0.5, rng_seed=9)
         geom = p.geom
-        for rec, y_prev, y in replayed_anchors(geom, trace.records):
-            m = noisy_eval(twin, y_prev)
-            assert np.array_equal(geom.prox_step(y_prev, m, rec.eta), rec.x), rec.t
-            assert np.array_equal(noisy_eval(twin, rec.x), rec.g), rec.t
-            assert rec.xy_norm == geom.primal_norm(rec.x - y), rec.t
-            assert rec.xy_prev_norm == geom.primal_norm(rec.x - y_prev), rec.t
-            assert rec.gm_dual_norm == geom.dual_norm(rec.g - m), rec.t
+        sum_x, comp = np.zeros(geom.dim), np.zeros(geom.dim)
+        for rec, y_prev, m, x, g, y in replay_steps(p, trace, twin):
+            incr = x - comp
+            total = sum_x + incr
+            comp = (total - sum_x) - incr
+            sum_x = total
+            assert np.array_equal(rec.x_prefix, sum_x), rec.t
+            assert rec.xy_norm == geom.primal_norm(x - y), rec.t
+            assert rec.xy_prev_norm == geom.primal_norm(x - y_prev), rec.t
+            assert rec.gm_dual_norm == geom.dual_norm(g - m), rec.t
+        assert rec.t == 300
+
+    def test_replay_rejects_thinned_trace_and_foreign_oracle(self):
+        p = matrix_game(ASYM)
+        thin = universal_mirror_prox(p, SolverConfig(iterations=10, record_every=5))
+        with pytest.raises(ValueError, match="record_every=1"):
+            next(replay_steps(p, thin))
+        full = universal_mirror_prox(p, SolverConfig(iterations=10))
+        with pytest.raises(ValueError, match="different problem"):
+            next(replay_steps(p, full, StochasticOracle(matrix_game(ASYM), 0.1, rng_seed=0)))
 
     # float.hex of a 2000-step run with noise 0.5 and oracle seed 3, captured
     # with one noise draw per sample; block draws must reproduce it bitwise.
@@ -276,15 +297,18 @@ class TestOracleKernelInLoop:
 def assert_same_trace(got, want):
     """Field-for-field bitwise equality of two RunTraces (checkpoints aside)."""
     for name in ("iterations", "record_every", "g_bound", "eta_final", "z_sq_total",
-                 "max_xy_ratio", "max_yy_ratio", "max_z_sq"):
+                 "max_xy_ratio", "max_yy_ratio", "max_z_sq", "gx_sum"):
         assert getattr(got, name) == getattr(want, name), name
     assert np.array_equal(got.x_avg, want.x_avg)
+    if want.g_sum is None:
+        assert got.g_sum is None
+    else:
+        assert np.array_equal(got.g_sum, want.g_sum)
     assert [rec.t for rec in got.records] == [rec.t for rec in want.records]
     for a, b in zip(got.records, want.records):
         for name in ("eta", "z_sq", "xy_norm", "xy_prev_norm", "gm_dual_norm"):
             assert getattr(a, name) == getattr(b, name), (a.t, name)
-        for name in ("x", "g", "x_prefix"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.t, name)
+        assert np.array_equal(a.x_prefix, b.x_prefix), a.t
 
 
 def checkpoint_solve(problem, mode, noise, T, checkpoints=(), record_every=7):
@@ -402,3 +426,19 @@ class TestGuards:
             universal_mirror_prox(
                 make_problem("rps"), SolverConfig(iterations=1, mode="fixed-step", eta=0.1)
             )
+
+
+class TestTraceMemory:
+    def test_every_step_trace_holds_one_vector_per_step(self):
+        # A record keeps one d-vector, the prefix sum; x_t and g_t are not kept.
+        p = make_problem("random-game", d1=300, d2=300)
+        oracle = StochasticOracle(p, 0.5, rng_seed=1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = universal_mirror_prox(p, SolverConfig(iterations=2000), oracle)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 2000
+        assert held <= 1.25 * 2000 * 600 * 8, held  # 1.25 x one (T, d) float64 array
