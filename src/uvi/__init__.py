@@ -23,6 +23,7 @@ from .operators import (
 from .solver import (
     DivergenceError,
     InvariantError,
+    RunBatch,
     RunTrace,
     SolverConfig,
     SolverError,

@@ -11,13 +11,17 @@ Subcommands:
   directory is byte-identical to a separate ``uvi run`` with that T. The
   T list may be unsorted and hold duplicates; the ``T=`` lines and
   ``sweep_summary.json`` follow it as given.
-  Summaries are written only once every seed has been solved: after a
-  numeric abort the ``T_<T>/`` directories hold the trace CSVs of the
-  seeds solved before the failing one, and no ``summary.json`` or
-  ``sweep_summary.json`` is written.
 * ``uvi verify --suite {lemmas,invariants,all} --seed N`` - prints the
   pass/fail table of the inequality oracles and the invariant sweeps, as
   ``uvi.analysis`` computes them for the tests too.
+
+A config's seeds are solved together, in one batch (``oracles=`` in
+``uvi.solver``), except where every step is recorded (``record_every``
+1): such a trace is O(T d), so those seeds are solved one at a time.
+Summaries are written only once every seed has been solved. A numeric
+abort writes no trace CSV for any seed of the failing batch, and no
+``summary.json`` or ``sweep_summary.json``; with every step recorded, the
+CSVs of the seeds solved before the failing one stay.
 
 Config schema (JSON):
 
@@ -226,18 +230,19 @@ def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
-def _solve(config: ExperimentConfig, seed: int, checkpoints) -> solver.RunTrace:
-    """One seed's run of ``config.iterations`` steps, snapshotting ``checkpoints``."""
+def _solve(config: ExperimentConfig, seeds: List[int], checkpoints) -> solver.RunBatch:
+    """One batched run of ``config.iterations`` steps for ``seeds``,
+    snapshotting ``checkpoints``."""
     problem = config.problem
-    oracle = _oracle_for_seed(config, problem, seed)
+    oracles = {seed: _oracle_for_seed(config, problem, seed) for seed in seeds}
     # Called through the module so that wrappers installed on it see every solve.
     if config.mode == "universal":
         return solver.universal_mirror_prox(
-            problem, config.solver_config(), oracle, checkpoints=checkpoints
+            problem, config.solver_config(), oracles=oracles, checkpoints=checkpoints
         )
     return solver.fixed_step_mirror_prox(
         problem, config.eta, config.iterations,
-        record_every=config.record_every, oracle=oracle, checkpoints=checkpoints,
+        record_every=config.record_every, oracles=oracles, checkpoints=checkpoints,
     )
 
 
@@ -266,16 +271,20 @@ def _solve_seeds(subs: dict, outs: dict) -> dict:
     """Write every seed's trace CSV for each budget; the summary entries, by T.
 
     ``subs`` maps each budget T to its config and ``outs`` to its output
-    directory. Each seed is solved once, at max(T), and only that seed's
-    trace is held at a time.
+    directory. Each seed is solved once, at max(T): all seeds in one batch,
+    or one at a time where every step is recorded, so that only one
+    O(T d) trace is held at a time.
     """
     longest = subs[max(subs)]
+    seeds = longest.seeds
+    batches = [[seed] for seed in seeds] if longest.record_every == 1 else [seeds]
     per_seed = {T: [] for T in subs}
-    for seed in longest.seeds:
-        trace = _solve(longest, seed, checkpoints=subs)
-        for T, sub in subs.items():
-            per_seed[T].append(_seed_entry(sub, seed, trace.prefix(T), outs[T]))
-        del trace
+    for batch in batches:
+        traces = _solve(longest, batch, checkpoints=subs).traces
+        for seed in batch:
+            for T, sub in subs.items():
+                per_seed[T].append(_seed_entry(sub, seed, traces[seed].prefix(T), outs[T]))
+        del traces
     return per_seed
 
 

@@ -11,6 +11,13 @@ l2/l2 norm pair), the probability simplex under either the squared-distance
 map or the negative-entropy map (l1/linf norms, multiplicative prox), and
 two-block products with the 1/D^2 block scaling that keeps the product map
 1-strongly convex w.r.t. the blended norm.
+
+The prox and norm kernels take a leading batch axis: points of shape
+(..., dim), a step size that is a float or an array of shape (..., 1), and
+norms of shape (...). Every reduction in them runs along the last axis
+(row-wise sums, maxima, ``np.vecdot``), so each row of a batched call is
+bitwise the call on that row alone; the solver loop runs a batch of seeds
+through the same code a single point takes.
 """
 
 from __future__ import annotations
@@ -31,22 +38,28 @@ __all__ = [
 ]
 
 
+_row_sum = np.add.reduce
+_row_max = np.maximum.reduce
+
+
 class GeometryError(ValueError):
     """Dimension mismatch, infeasible input, or invalid geometry parameter."""
 
 
 def project_simplex(z: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the standard simplex (sort-and-threshold).
+    """Euclidean projection onto the standard simplex (sort-and-threshold),
+    row by row along the last axis.
 
     Deterministic: ties in the sort resolve by numpy's stable ordering, and
     the optimum is unique anyway (strictly convex objective).
     """
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, z.size + 1)
+    u = np.sort(z, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    ks = np.arange(1, z.shape[-1] + 1)
     feasible = u + (1.0 - css) / ks > 0
-    k = ks[feasible][-1]
-    tau = (css[k - 1] - 1.0) / k
+    # k is the last feasible index of each row.
+    k = z.shape[-1] - np.argmax(feasible[..., ::-1], axis=-1)
+    tau = (np.take_along_axis(css, (k - 1)[..., None], axis=-1) - 1.0) / k[..., None]
     return np.maximum(z - tau, 0.0)
 
 
@@ -54,6 +67,10 @@ class Geometry:
     """Base class; concrete geometries supply the closed forms as unchecked
     kernels (``_prox``, ``_primal_norm``, ...) on raw float arrays. Each
     public method validates its arguments once, then calls its kernel.
+
+    A prox step is ``_prox_from(_prox_base(anchor), direction, eta)``: the
+    two prox steps of one solver round share their anchor, so they share
+    its ``_prox_base`` too (the logarithm, for the entropic map).
     """
 
     kind = "abstract"
@@ -91,10 +108,10 @@ class Geometry:
         return self._prox(anchor, direction, float(eta))
 
     def primal_norm(self, v) -> float:
-        return self._primal_norm(self.check_point(v))
+        return float(self._primal_norm(self.check_point(v)))
 
     def dual_norm(self, v) -> float:
-        return self._dual_norm(self.check_point(v))
+        return float(self._dual_norm(self.check_point(v)))
 
     def mirror_value(self, x) -> float:
         """R(x), shifted so that min over K is exactly 0."""
@@ -121,12 +138,19 @@ class Geometry:
         raise NotImplementedError
 
     def _prox(self, anchor, direction, eta) -> np.ndarray:
+        return self._prox_from(self._prox_base(anchor), direction, eta)
+
+    def _prox_base(self, anchor):
+        """What the prox step needs of its anchor; the anchor itself by default."""
+        return anchor
+
+    def _prox_from(self, base, direction, eta) -> np.ndarray:
         raise NotImplementedError
 
-    def _primal_norm(self, v) -> float:
+    def _primal_norm(self, v):
         raise NotImplementedError
 
-    def _dual_norm(self, v) -> float:
+    def _dual_norm(self, v):
         raise NotImplementedError
 
     def _mirror_value(self, x) -> float:
@@ -154,13 +178,13 @@ class _EuclideanGeometry(Geometry):
         d = x - y
         return 0.5 * float(d @ d)
 
-    def _prox(self, anchor, direction, eta) -> np.ndarray:
+    def _prox_from(self, anchor, direction, eta) -> np.ndarray:
         return self.project(anchor - eta * direction)
 
-    def _primal_norm(self, v) -> float:
-        return float(np.linalg.norm(v))
+    def _primal_norm(self, v):
+        return np.sqrt(np.vecdot(v, v))
 
-    def _dual_norm(self, v) -> float:
+    def _dual_norm(self, v):
         return self._primal_norm(v)
 
     def _mirror_value(self, x) -> float:
@@ -184,10 +208,9 @@ class EuclideanBall(_EuclideanGeometry):
         self.radius = float(radius)
 
     def project(self, z):
-        nrm = np.linalg.norm(z)
-        if nrm <= self.radius:
-            return z
-        return z * (self.radius / nrm)
+        # Rows inside the ball are scaled by radius / radius = 1.0 exactly.
+        nrm = np.sqrt(np.vecdot(z, z))
+        return z * (self.radius / np.maximum(nrm, self.radius))[..., None]
 
     def min_point(self):
         return np.zeros(self.dim)
@@ -311,19 +334,23 @@ class EntropicSimplex(_SimplexSet):
         if float(np.min(anchor)) <= 0.0:
             raise GeometryError("prox anchor must be interior (all coordinates > 0)")
 
-    def _prox(self, anchor, direction, eta) -> np.ndarray:
-        logw = np.log(anchor) - eta * direction
-        logw -= logw.max()
+    def _prox_base(self, anchor):
+        return np.log(anchor)
+
+    def _prox_from(self, log_anchor, direction, eta) -> np.ndarray:
+        # The ufunc reductions are ndarray.max/sum without their Python wrappers.
+        logw = log_anchor - eta * direction
+        logw -= _row_max(logw, axis=-1, keepdims=True)
         w = np.exp(logw)
-        w /= w.sum()
+        w /= _row_sum(w, axis=-1, keepdims=True)
         w = np.maximum(w, self.clamp_eps)
-        return w / w.sum()
+        return w / _row_sum(w, axis=-1, keepdims=True)
 
-    def _primal_norm(self, v) -> float:
-        return float(np.abs(v).sum())
+    def _primal_norm(self, v):
+        return _row_sum(np.abs(v), axis=-1)
 
-    def _dual_norm(self, v) -> float:
-        return float(np.abs(v).max())
+    def _dual_norm(self, v):
+        return _row_max(np.abs(v), axis=-1)
 
     def _mirror_value(self, x) -> float:
         xp = np.maximum(x, 0.0)
@@ -352,7 +379,7 @@ class ProductGeometry(Geometry):
         return self._split(self.check_point(x))
 
     def _split(self, x):
-        return x[: self.u.dim], x[self.u.dim :]
+        return x[..., : self.u.dim], x[..., self.u.dim :]
 
     def _bregman(self, x, y) -> float:
         xu, xv = self._split(x)
@@ -367,24 +394,28 @@ class ProductGeometry(Geometry):
         self.u._check_anchor(au)
         self.v._check_anchor(av)
 
-    def _prox(self, anchor, direction, eta) -> np.ndarray:
+    def _prox_base(self, anchor):
         au, av = self._split(anchor)
-        du, dv = self._split(direction)
-        pu = self.u._prox(au, du, eta * self.u.diameter_sq)
-        pv = self.v._prox(av, dv, eta * self.v.diameter_sq)
-        return np.concatenate([pu, pv])
+        return self.u._prox_base(au), self.v._prox_base(av)
 
-    def _primal_norm(self, v) -> float:
+    def _prox_from(self, base, direction, eta) -> np.ndarray:
+        bu, bv = base
+        du, dv = self._split(direction)
+        pu = self.u._prox_from(bu, du, eta * self.u.diameter_sq)
+        pv = self.v._prox_from(bv, dv, eta * self.v.diameter_sq)
+        return np.concatenate([pu, pv], axis=-1)
+
+    def _primal_norm(self, v):
         vu, vv = self._split(v)
         nu = self.u._primal_norm(vu)
         nv = self.v._primal_norm(vv)
-        return math.sqrt(nu * nu / self.u.diameter_sq + nv * nv / self.v.diameter_sq)
+        return np.sqrt(nu * nu / self.u.diameter_sq + nv * nv / self.v.diameter_sq)
 
-    def _dual_norm(self, v) -> float:
+    def _dual_norm(self, v):
         vu, vv = self._split(v)
         su = self.u._dual_norm(vu)
         sv = self.v._dual_norm(vv)
-        return math.sqrt(self.u.diameter_sq * su * su + self.v.diameter_sq * sv * sv)
+        return np.sqrt(self.u.diameter_sq * su * su + self.v.diameter_sq * sv * sv)
 
     def min_point(self):
         return np.concatenate([self.u.min_point(), self.v.min_point()])

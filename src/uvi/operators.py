@@ -17,7 +17,9 @@ the solver's movement invariants.
 ``VIProblem.operator``/``gap`` and ``noisy_eval``/``noisy_eval_batch``
 validate their points once, at this boundary; the operator and gap
 closures behind them, and the oracle's ``_sample`` kernel, take raw
-arrays of the right dimension unchecked.
+arrays of the right dimension unchecked. The catalog operators also take
+a stack of points, one per row (``VIProblem.batched``), so the solver
+loop evaluates a batch of seeds in one call.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ class VIProblem:
     registered; ``gap_tolerance`` records the accuracy of the reference
     minimum used by that evaluator (0 for closed forms). ``params`` holds
     the catalog arguments the problem was built from and, for matrix games,
-    the payoff array itself under ``"matrix"``.
+    the payoff array itself under ``"matrix"``. With ``batched`` set,
+    ``operator_eval`` also maps an (S, d) stack of points to a new (S, d)
+    array whose row s is bitwise its value at row s alone; the solver loop
+    evaluates a user operator without it one row at a time.
     """
 
     name: str
@@ -79,6 +84,7 @@ class VIProblem:
     known_solution: Optional[np.ndarray] = None
     gap_tolerance: float = 0.0
     params: dict = field(default_factory=dict)
+    batched: bool = False
 
     def operator(self, x) -> np.ndarray:
         return np.asarray(self.operator_eval(self.geom.check_point(x)), dtype=float)
@@ -139,12 +145,15 @@ def convex_min_problem(
     min_value: Optional[float] = None,
     minimizer=None,
     params: Optional[dict] = None,
+    batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex objective to the gap-function interface.
 
     Delta(x, y) = f(x) - f(y) and F = grad; the duality gap is
     f(x) - min_K f, with the minimum taken from ``min_value`` when the
-    closed form is known and from a cached inner solve otherwise.
+    closed form is known and from a cached inner solve otherwise. Set
+    ``batched`` when ``grad`` also takes a stack of points, one per row
+    (see ``VIProblem``).
     """
     if min_value is None:
         min_value, gap_tol = _reference_minimum(f, geom)
@@ -168,6 +177,7 @@ def convex_min_problem(
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
         gap_tolerance=gap_tol,
         params=dict(params or {}),
+        batched=batched,
     )
 
 
@@ -184,12 +194,14 @@ def saddle_problem(
     dual_gap_eval=None,
     known_solution=None,
     params: Optional[dict] = None,
+    batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex-concave function phi(u, v) to the gap-function interface.
 
     F(u, v) = (grad_u phi, -grad_v phi) and
     Delta((u, v), (u0, v0)) = phi(u, v0) - phi(u0, v), both over the scaled
-    product geometry of the two blocks.
+    product geometry of the two blocks. Set ``batched`` when ``grad_u`` and
+    ``grad_v`` also take stacks of blocks, one point per row.
     """
     geom = ProductGeometry(geom_u, geom_v)
     u0, v0 = geom_u.min_point(), geom_v.min_point()
@@ -204,7 +216,7 @@ def saddle_problem(
     def operator_eval(x):
         u, v = geom._split(x)
         return np.concatenate(
-            [np.asarray(grad_u(u, v), float), -np.asarray(grad_v(u, v), float)]
+            [np.asarray(grad_u(u, v), float), -np.asarray(grad_v(u, v), float)], axis=-1
         )
 
     def gap_eval(x, x0):
@@ -222,6 +234,7 @@ def saddle_problem(
         dual_gap_eval=dual_gap_eval,
         known_solution=known_solution,
         params=dict(params or {}),
+        batched=batched,
     )
 
 
@@ -236,17 +249,19 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
 
     ``params["matrix"]`` is the float64 array the operator and gap use, the
     only copy of the payoff matrix; a float64 input array is used as given,
-    not copied.
+    not copied, and building the problem makes no temporary copy of it.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("payoff matrix must be a non-empty 2-D array")
-    if not np.all(np.isfinite(A)):
+    # NaN and +-inf all show in the maximum or the minimum.
+    hi, lo = float(A.max()), float(A.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("payoff matrix must have finite entries")
     d1, d2 = A.shape
     geom_u = EntropicSimplex(d1, clamp_eps)
     geom_v = EntropicSimplex(d2, clamp_eps)
-    amax = float(np.abs(A).max())
+    amax = max(abs(hi), abs(lo))  # +0.0, not -0.0, for an all-(-0.0) matrix
     du2, dv2 = geom_u.diameter_sq, geom_v.diameter_sq
     g_bound = amax * math.sqrt(du2 + dv2)
     smoothness = 2.0 * amax * math.sqrt(du2 * dv2)
@@ -257,8 +272,9 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
 
     return saddle_problem(
         phi=lambda u, v: float(u @ A @ v),
-        grad_u=lambda u, v: A @ v,
-        grad_v=lambda u, v: A.T @ u,
+        # Row by row, bitwise A @ v and A.T @ u.
+        grad_u=lambda u, v: np.matvec(A, v),
+        grad_v=lambda u, v: np.vecmat(u, A),
         geom_u=geom_u,
         geom_v=geom_v,
         g_bound=g_bound,
@@ -266,6 +282,7 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
         name=name,
         dual_gap_eval=dual_gap_eval,
         params={"matrix": A},
+        batched=True,
     )
 
 
@@ -310,9 +327,9 @@ class StochasticOracle:
     bitwise the one a separate draw of d signs would give, for any mix of
     single and batch samples. With noise_bound 0 nothing is drawn.
 
-    ``_sample`` is the unchecked kernel the solver loop calls on points the
-    prox step produced; ``noisy_eval`` and ``noisy_eval_batch`` check the
-    point first.
+    ``_sample`` is the unchecked kernel behind ``noisy_eval`` and
+    ``noisy_eval_batch``, which check the point first. The solver loop
+    evaluates the operator itself and adds the rows of ``_noise``.
     """
 
     base: VIProblem
@@ -428,6 +445,7 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
         min_value=min_value,
         minimizer=minimizer,
         params={"radius": float(radius), "x0": x0.tolist()},
+        batched=True,
     )
 
 
@@ -482,6 +500,7 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
         min_value=min_value,
         minimizer=minimizer,
         params={"radius": float(radius), "x0": x0.tolist()},
+        batched=True,
     )
 
 
@@ -501,7 +520,7 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
         return float(np.max(a @ x + b))
 
     def grad(x):
-        return a[int(np.argmax(a @ x + b))]
+        return a[np.argmax(np.matvec(a, x) + b, axis=-1)]
 
     # Exact epigraph LP: min s  s.t.  a_i.x + b_i <= s,  x in the box.
     from scipy.optimize import linprog
@@ -532,6 +551,7 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
             "lower": float(lower),
             "upper": float(upper),
         },
+        batched=True,
     )
 
 

@@ -28,12 +28,22 @@ range (eta_t = 0 or inf, or eta_t^2 = 0) at extreme payoff scales or G0.
 Arguments are validated once, at the public entry points: the geometry's
 ``prox_step``, ``VIProblem.operator`` (dimension of the query point),
 ``noisy_eval`` (dimension and feasibility, the boundary for callers that
-sample the oracle themselves) and ``dual_gap``. The loop evaluates the
-operator through ``VIProblem.operator`` or, in stochastic mode, the oracle's
-unchecked ``_sample`` kernel, and calls the geometry's unchecked prox and
-norm kernels on raw arrays; prox outputs are feasible by construction, so
-the loop's query points need no feasibility check. Each of the three
-movement norms is computed once per step.
+sample the oracle themselves) and ``dual_gap``. The loop calls the
+unchecked ``operator_eval`` and the geometry's unchecked prox and norm
+kernels on raw arrays, and adds each oracle's noise rows itself; prox
+outputs are feasible by construction, so the loop's query points need no
+feasibility check. Each of the three movement norms is computed once per
+step, and both prox steps share one ``_prox_base`` of their anchor.
+
+One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
+its oracle) as (S, d) arrays, one seed per row; a single solve is the
+S = 1 batch, run on d-vectors through the same kernels. The kernels reduce row by row (see ``uvi.geometry``), catalog
+operators take the whole stack (``VIProblem.batched``) and a user
+operator is called row by row, so every seed's trace is bitwise the trace
+of its own solve. Each seed keeps its own oracle and generator, and its
+step size, Z^2 sum, maxima and every guard stay per-seed Python floats;
+an abort names the seed. A batch returns a ``RunBatch``: one trace per
+seed, with ``iterations`` and ``records`` over all seeds.
 
 A recorded step (``StepRecord``) keeps the exact prefix sum of the x's and
 the scalars the step rule and the Lemma 3 regret bound are built from:
@@ -59,7 +69,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
 import numpy as np
 
@@ -72,6 +82,7 @@ __all__ = [
     "SolverConfig",
     "StepRecord",
     "RunTrace",
+    "RunBatch",
     "SolverError",
     "DivergenceError",
     "InvariantError",
@@ -85,12 +96,15 @@ _MOVEMENT_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
-    """Run aborted; carries the step index and step size of the failure."""
+    """Run aborted; carries the step index and step size of the failure, and
+    in a batched solve the seed that failed."""
 
-    def __init__(self, t: int, eta: float, message: str):
-        super().__init__(f"aborted at step t={t}, eta={eta:.6g}: {message}")
+    def __init__(self, t: int, eta: float, message: str, seed=None):
+        where = "" if seed is None else f" (seed {seed})"
+        super().__init__(f"aborted at step t={t}, eta={eta:.6g}: {message}{where}")
         self.t = t
         self.eta = eta
+        self.seed = seed
 
 
 class DivergenceError(SolverError):
@@ -188,6 +202,23 @@ class RunTrace:
             raise KeyError(f"T={T} is not a checkpoint of this run") from None
 
 
+@dataclass
+class RunBatch:
+    """The traces of one batched solve, by seed, in the order the seeds were given."""
+
+    traces: Dict[Hashable, RunTrace]
+
+    @property
+    def iterations(self) -> int:
+        """Seed-steps run: every seed's iterations, summed."""
+        return sum(trace.iterations for trace in self.traces.values())
+
+    @property
+    def records(self) -> List[StepRecord]:
+        """Every seed's records, seed after seed."""
+        return [rec for trace in self.traces.values() for rec in trace.records]
+
+
 def update_eta(z_sq_accum: float, diameter: float, g0: float) -> float:
     """Adaptive step size D / sqrt(G0^2 + accumulated Z^2); D/G0 at t=1.
 
@@ -207,15 +238,6 @@ def compute_z_sq(xy_norm: float, xy_prev_norm: float, eta_t: float) -> float:
     return (xy_norm * xy_norm + xy_prev_norm * xy_prev_norm) / (5.0 * eta_t * eta_t)
 
 
-def _direction(value: np.ndarray, dim: int) -> np.ndarray:
-    """An operator value the prox kernels can take, or GeometryError."""
-    if value.shape != (dim,) or not np.isfinite(value).all():
-        raise GeometryError(
-            f"operator value must be a finite vector of dimension {dim}"
-        )
-    return value
-
-
 def _checkpoint_set(checkpoints: Iterable[int], iterations: int) -> set:
     budgets = {operator.index(T) for T in checkpoints}
     bad = sorted(T for T in budgets if not 1 <= T <= iterations)
@@ -224,118 +246,222 @@ def _checkpoint_set(checkpoints: Iterable[int], iterations: int) -> set:
     return budgets | {iterations}  # the run is its own last checkpoint
 
 
+class _BadValue(Exception):
+    """An operator value the prox kernels cannot take, for seed index ``row``."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _seed_rows(a: np.ndarray, n: int) -> list:
+    """The n per-seed vectors of a loop array: itself when n == 1, else its rows."""
+    return [a] if n == 1 else list(a)
+
+
+def _seed_floats(a, n: int) -> list:
+    """The n per-seed values of a kernel's output as Python floats."""
+    return [float(a)] if n == 1 else a.tolist()
+
+
+def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]]):
+    """F, plus each seed's noise row, at the loop's points (see ``_run_loop``).
+
+    The returned function raises ``_BadValue`` naming the first seed whose
+    value is not a finite vector of dimension d.
+    """
+    n, dim = len(oracles), problem.geom.dim
+    bad_value = f"operator value must be a finite vector of dimension {dim}"
+    noisy = [s for s, o in enumerate(oracles) if o is not None and o.noise_bound != 0.0]
+    draws = [oracles[s]._noise for s in noisy]
+    every_row = len(noisy) == n
+
+    def by_row(points):
+        values = []
+        for s, point in enumerate(_seed_rows(points, n)):
+            try:
+                value = np.asarray(problem.operator_eval(point), dtype=float)
+            except GeometryError as exc:
+                raise _BadValue(s, str(exc)) from exc
+            if value.shape != (dim,):
+                raise _BadValue(s, bad_value)
+            values.append(value)
+        return values[0] if n == 1 else np.stack(values)
+
+    def sample(points):
+        if problem.batched:
+            values = np.asarray(problem.operator_eval(points), dtype=float)
+            if values.shape != points.shape:
+                raise _BadValue(0, bad_value)
+        else:
+            values = by_row(points)
+        if every_row:
+            noise = draws[0]() if n == 1 else np.array([draw() for draw in draws])
+            values = values + noise
+        elif draws:
+            values = values.copy()
+            values[noisy] += np.array([draw() for draw in draws])
+        if not np.isfinite(values).all():
+            finite = np.isfinite(values).reshape(n, dim).all(axis=1)
+            raise _BadValue(int(np.argmin(finite)), bad_value)
+        return values
+
+    return sample
+
+
 def _run_loop(
     problem: VIProblem,
     config: SolverConfig,
-    oracle: Optional[StochasticOracle],
+    oracles: List[Optional[StochasticOracle]],
+    seeds: list,
     checkpoints: Iterable[int],
-) -> RunTrace:
+) -> List[RunTrace]:
+    """One trace per seed, seed s solved with ``oracles[s]``.
+
+    The iterates of the n seeds are one (n, d) array, row s for seed s; a
+    single seed's are a d-vector, which the same kernels take at the cost of
+    a 1-D numpy call.
+    """
     budgets = _checkpoint_set(checkpoints, config.iterations)
     geom = problem.geom
-    dim = geom.dim
-    prox, norm = geom._prox, geom._primal_norm
+    n, dim = len(oracles), geom.dim
+    shape = (dim,) if n == 1 else (n, dim)
     diameter = geom.diameter()
     fixed = config.mode == "fixed-step"
-    if oracle is not None:
-        if oracle.base is not problem:
+    for oracle in oracles:
+        if oracle is not None and oracle.base is not problem:
             raise ValueError("oracle was built for a different problem instance")
-        g_cap = oracle.g_bound
-        evaluate = oracle._sample
-    else:
-        g_cap = problem.g_bound
-        evaluate = problem.operator
+    g_caps = [problem.g_bound if o is None else o.g_bound for o in oracles]
+    sample = _sampler(problem, oracles)
 
-    y_prev = geom.min_point()
-    sum_x = np.zeros(dim)
-    comp = np.zeros(dim)
-    records: List[StepRecord] = []
-    snapshots: Dict[int, RunTrace] = {}
-    z_sq_accum = max_xy = max_yy = max_zsq = 0.0
+    y_prev = np.tile(geom.min_point(), shape[:-1] + (1,))
+    sum_x = np.zeros(shape)
+    comp = np.zeros(shape)
+    records: List[List[StepRecord]] = [[] for _ in range(n)]
+    snapshots: List[Dict[int, RunTrace]] = [{} for _ in range(n)]
+    # Each seed's step size, Z^2 sum and maxima stay Python floats.
+    z_sq_accum = [0.0] * n
+    max_xy = [0.0] * n
+    max_yy = [0.0] * n
+    max_zsq = [0.0] * n
+    z_sqs = [0.0] * n
     # The regret sums are streamed only where every step is recorded.
     streamed = config.record_every == 1
-    g_sum = np.zeros(dim) if streamed else None
-    gx_sum = 0.0 if streamed else None
+    g_sum = np.zeros(shape) if streamed else None
+    gx_sum = [0.0] * n if streamed else None
 
     for t in range(1, config.iterations + 1):
         if fixed:
-            eta = config.eta  # range-checked by SolverConfig
+            etas = [config.eta] * n  # range-checked by SolverConfig
         else:
-            eta = update_eta(z_sq_accum, diameter, config.g0)
-            # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
-            if not (eta * eta > 0.0 and eta < math.inf):
-                raise DivergenceError(
-                    t, eta, "step size out of floating-point range: eta_t must be "
-                    "positive and finite, with a nonzero square"
-                )
+            etas = [update_eta(z, diameter, config.g0) for z in z_sq_accum]
+            for s, eta in enumerate(etas):
+                # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
+                if not (eta * eta > 0.0 and eta < math.inf):
+                    raise DivergenceError(
+                        t, eta, "step size out of floating-point range: eta_t must be "
+                        "positive and finite, with a nonzero square", seeds[s]
+                    )
+        step = etas[0] if n == 1 else np.array(etas)[:, None]
+        base = geom._prox_base(y_prev)  # shared by both prox steps from y_{t-1}
         try:
-            m = _direction(evaluate(y_prev), dim)
-            x = prox(y_prev, m, eta)
-            g = _direction(evaluate(x), dim)
-            y = prox(y_prev, g, eta)
-        except GeometryError as exc:
-            raise DivergenceError(t, eta, str(exc)) from exc
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise DivergenceError(t, eta, "non-finite iterate")
+            m = sample(y_prev)
+            x = geom._prox_from(base, m, step)
+            g = sample(x)
+        except _BadValue as exc:
+            raise DivergenceError(t, etas[exc.row], str(exc), seeds[exc.row]) from exc
+        y = geom._prox_from(base, g, step)
 
-        xy_norm = norm(x - y)
-        xy_prev_norm = norm(x - y_prev)
-        z_sq = compute_z_sq(xy_norm, xy_prev_norm, eta)
-        ratio_x = xy_prev_norm / eta
-        ratio_y = norm(y - y_prev) / eta
-        if math.isfinite(g_cap):
-            if ratio_x > g_cap + _MOVEMENT_TOL or ratio_y > g_cap + _MOVEMENT_TOL:
-                raise InvariantError(
-                    t, eta, f"movement/eta ratio {max(ratio_x, ratio_y):.6g} "
-                    f"exceeds operator bound {g_cap:.6g}"
-                )
-            if z_sq > g_cap * g_cap + _MOVEMENT_TOL:
-                raise InvariantError(
-                    t, eta, f"Z^2 = {z_sq:.6g} exceeds G^2 = {g_cap * g_cap:.6g}"
-                )
-        max_xy = max(max_xy, ratio_x)
-        max_yy = max(max_yy, ratio_y)
-        max_zsq = max(max_zsq, z_sq)
+        # The three movement norms of every seed, in one kernel call. y_{t-1}
+        # is finite, so a non-finite x_t or y_t gives a non-finite norm.
+        moves = np.concatenate([x - y, x - y_prev, y - y_prev]).reshape(3 * n, dim)
+        norms = geom._primal_norm(moves).tolist()
+        if not math.isfinite(sum(norms)):
+            finite = np.isfinite(np.stack([x, y])).reshape(2, n, dim).all(axis=(0, 2))
+            if not finite.all():
+                s = int(np.argmin(finite))
+                raise DivergenceError(t, etas[s], "non-finite iterate", seeds[s])
+        for s in range(n):
+            eta, g_cap = etas[s], g_caps[s]
+            xy_norm, xy_prev_norm = norms[s], norms[n + s]
+            z_sq = compute_z_sq(xy_norm, xy_prev_norm, eta)
+            ratio_x = xy_prev_norm / eta
+            ratio_y = norms[2 * n + s] / eta
+            if math.isfinite(g_cap):
+                if ratio_x > g_cap + _MOVEMENT_TOL or ratio_y > g_cap + _MOVEMENT_TOL:
+                    raise InvariantError(
+                        t, eta, f"movement/eta ratio {max(ratio_x, ratio_y):.6g} "
+                        f"exceeds operator bound {g_cap:.6g}", seeds[s]
+                    )
+                if z_sq > g_cap * g_cap + _MOVEMENT_TOL:
+                    raise InvariantError(
+                        t, eta, f"Z^2 = {z_sq:.6g} exceeds G^2 = {g_cap * g_cap:.6g}",
+                        seeds[s]
+                    )
+            max_xy[s] = max(max_xy[s], ratio_x)
+            max_yy[s] = max(max_yy[s], ratio_y)
+            max_zsq[s] = max(max_zsq[s], z_sq)
+            z_sq_accum[s] += z_sq
+            z_sqs[s] = z_sq
 
         # Kahan-compensated running sum keeps the average exact to ~1e-16.
         incr = x - comp
         total = sum_x + incr
         comp = (total - sum_x) - incr
         sum_x = total
-
-        z_sq_accum += z_sq
         y_prev = y
 
         on_schedule = t % config.record_every == 0
         if on_schedule or t in budgets:
             if streamed:
                 g_sum += g
-                gx_sum += float(g @ x)
-            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, x_prefix=sum_x.copy(),
-                             xy_norm=xy_norm, xy_prev_norm=xy_prev_norm,
-                             gm_dual_norm=geom._dual_norm(g - m))
-            if on_schedule:
-                records.append(rec)
-            if t in budgets:
-                # A run of t steps also records its last step off schedule;
-                # that row belongs to this snapshot only.
-                snapshots[t] = RunTrace(
-                    iterations=t,
-                    record_every=config.record_every,
-                    g_bound=g_cap,
-                    records=records + ([] if on_schedule else [rec]),
-                    x_avg=sum_x / t,
-                    eta_final=eta,
-                    z_sq_total=z_sq_accum,
-                    max_xy_ratio=max_xy,
-                    max_yy_ratio=max_yy,
-                    max_z_sq=max_zsq,
-                    g_sum=None if g_sum is None else g_sum.copy(),
-                    gx_sum=gx_sum,
-                )
+                gx = _seed_floats(np.vecdot(g, x), n)
+            gm_norms = _seed_floats(geom._dual_norm(g - m), n)
+            prefixes = _seed_rows(sum_x, n)
+            for s in range(n):
+                if streamed:
+                    gx_sum[s] += gx[s]
+                rec = StepRecord(t=t, eta=etas[s], z_sq=z_sqs[s], x_prefix=prefixes[s].copy(),
+                                 xy_norm=norms[s], xy_prev_norm=norms[n + s],
+                                 gm_dual_norm=gm_norms[s])
+                if on_schedule:
+                    records[s].append(rec)
+                if t in budgets:
+                    # A run of t steps also records its last step off schedule;
+                    # that row belongs to this snapshot only.
+                    snapshots[s][t] = RunTrace(
+                        iterations=t,
+                        record_every=config.record_every,
+                        g_bound=g_caps[s],
+                        records=records[s] + ([] if on_schedule else [rec]),
+                        x_avg=prefixes[s] / t,
+                        eta_final=etas[s],
+                        z_sq_total=z_sq_accum[s],
+                        max_xy_ratio=max_xy[s],
+                        max_yy_ratio=max_yy[s],
+                        max_z_sq=max_zsq[s],
+                        g_sum=None if g_sum is None else _seed_rows(g_sum, n)[s].copy(),
+                        gx_sum=None if gx_sum is None else gx_sum[s],
+                    )
 
-    trace = snapshots.pop(config.iterations)
-    trace.checkpoints = snapshots
-    return trace
+    traces = []
+    for seed_snapshots in snapshots:
+        trace = seed_snapshots.pop(config.iterations)
+        trace.checkpoints = seed_snapshots
+        traces.append(trace)
+    return traces
+
+
+def _solve(problem, config, oracle, oracles, checkpoints):
+    """A RunTrace for one ``oracle``, or a RunBatch for a mapping of ``oracles``."""
+    if oracles is None:
+        return _run_loop(problem, config, [oracle], [None], checkpoints)[0]
+    if oracle is not None:
+        raise ValueError("pass either oracle or oracles, not both")
+    if not oracles:
+        raise ValueError("oracles must hold at least one seed")
+    traces = _run_loop(problem, config, list(oracles.values()), list(oracles), checkpoints)
+    return RunBatch(dict(zip(oracles, traces)))
 
 
 def universal_mirror_prox(
@@ -344,14 +470,18 @@ def universal_mirror_prox(
     oracle: Optional[StochasticOracle] = None,
     *,
     checkpoints: Iterable[int] = (),
-) -> RunTrace:
+    oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
+):
     """Run the adaptive-step solver; pass an oracle for the stochastic setting.
 
     Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
+    Returns a RunTrace; with ``oracles``, a mapping from each seed to its
+    oracle (None for a deterministic seed), solves every seed in one batch
+    and returns a RunBatch whose trace for each seed is bitwise its own run.
     """
     if config.mode != "universal":
         raise ValueError("config.mode must be 'universal'")
-    return _run_loop(problem, config, oracle, checkpoints)
+    return _solve(problem, config, oracle, oracles, checkpoints)
 
 
 def fixed_step_mirror_prox(
@@ -362,12 +492,14 @@ def fixed_step_mirror_prox(
     record_every: int = 1,
     oracle: Optional[StochasticOracle] = None,
     checkpoints: Iterable[int] = (),
-) -> RunTrace:
+    oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
+):
     """Classic mirror-prox with constant step size, as a tuned baseline.
 
-    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
+    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``;
+    ``oracles`` solves a batch of seeds, as in ``universal_mirror_prox``.
     """
     config = SolverConfig(
         iterations=iterations, mode="fixed-step", eta=eta, record_every=record_every
     )
-    return _run_loop(problem, config, oracle, checkpoints)
+    return _solve(problem, config, oracle, oracles, checkpoints)

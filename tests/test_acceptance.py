@@ -3,7 +3,8 @@
 Shared fixtures run the deterministic and stochastic sweeps once and feed
 criteria 1-6 and 8; every trace produced here is also checked against the
 movement invariants (criterion 5). A sweep solves each problem and seed once
-at its largest T and reads the shorter budgets off exact checkpoints.
+at its largest T and reads the shorter budgets off exact checkpoints; the
+stochastic sweeps solve their seeds together, in one batch per problem.
 """
 
 import json
@@ -34,16 +35,18 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def run_universal(problem, T, *, g0, seed=None, noise=0.0, record_every=None,
-                  checkpoints=()):
-    oracle = None
-    if noise > 0.0:
-        stream = np.random.SeedSequence(seed).spawn(2)[0]
-        oracle = StochasticOracle(problem, noise, rng_seed=stream)
+def seed_oracle(problem, seed, noise):
+    """The oracle of ``seed``, on the noise stream the CLI gives that seed."""
+    stream = np.random.SeedSequence(seed).spawn(2)[0]
+    return StochasticOracle(problem, noise, rng_seed=stream)
+
+
+def run_universal(problem, T, *, g0, record_every=None, checkpoints=(), oracles=None):
+    """A deterministic run, or with ``oracles`` a batch of seeds."""
     config = SolverConfig(
         iterations=T, g0=g0, record_every=record_every or T
     )
-    return universal_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
+    return universal_mirror_prox(problem, config, checkpoints=checkpoints, oracles=oracles)
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +90,10 @@ def stoch_sweeps(game, l1, trace_registry):
         started = time.perf_counter()
         gaps = {T: [] for T in t_values}
         kept = {T: [] for T in t_values}
-        for seed in range(N_SEEDS):
-            run = run_universal(problem, max(t_values), g0=g0, seed=seed,
-                                noise=NOISE_BOUND, checkpoints=t_values)
+        oracles = {seed: seed_oracle(problem, seed, NOISE_BOUND) for seed in range(N_SEEDS)}
+        batch = run_universal(problem, max(t_values), g0=g0, checkpoints=t_values,
+                              oracles=oracles)
+        for seed, run in batch.traces.items():
             for T in t_values:
                 trace = run.prefix(T)
                 if seed < 3:

@@ -324,6 +324,39 @@ class TestAnytimeSweep:
         assert cli.cmd_sweep(str(path), [20, 10, 40, 20]) == 0
         assert calls == [40, 40, 40]
 
+    def test_thinned_seeds_solve_in_one_batch(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = solver.universal_mirror_prox
+
+        def counting(problem, config, oracle=None, **kwargs):
+            calls.append((config.iterations, list(kwargs["oracles"])))
+            return solve(problem, config, oracle, **kwargs)
+
+        monkeypatch.setattr(solver, "universal_mirror_prox", counting)
+        path = write_config(tmp_path, seeds=[4, 0, 2], noise={"bound": 0.1},
+                            record_every=5, eval_every=10)
+        assert cli.cmd_sweep(str(path), [20, 10, 40]) == 0
+        assert calls == [(40, [4, 0, 2])]
+
+    def test_batch_abort_writes_no_trace(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def grad(x):  # the third seed's loss turns NaN at step 4
+            calls.append(1)
+            out = x - 0.5
+            if len(calls) == 8:
+                out[2] = np.nan
+            return out
+
+        bad = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
+                                 g_bound=2.0, min_value=0.0, name="nan-batch", batched=True)
+        monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bad)
+        path = write_config(tmp_path, seeds=[3, 1, 8], record_every=5, eval_every=10)
+        assert cli.cmd_run(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: aborted at step t=4, eta=") and "(seed 8)" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_abort_leaves_no_summaries(self, tmp_path, monkeypatch, capsys):
         steps = []
 

@@ -136,8 +136,33 @@ class TestMatrixGame:
     def test_bad_matrices(self):
         with pytest.raises(ValueError):
             matrix_game(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            matrix_game([[np.inf, 0.0], [0.0, 1.0]])
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="must have finite entries"):
+                matrix_game([[bad, 0.0], [0.0, 1.0]])
+
+    def test_negative_zero_game_has_positive_zero_bound(self):
+        p = matrix_game(np.full((2, 3), -0.0))
+        assert math.copysign(1.0, p.g_bound) == 1.0
+        assert math.copysign(1.0, p.smoothness) == 1.0
+
+    def test_build_makes_no_temporary_matrix_copy(self):
+        tracemalloc.start()
+        try:
+            make_problem("random-game", d1=1000, d2=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1000 * 1000 * 8, peak  # 1.25 x the float64 matrix
+
+    def test_batched_operator_rows_equal_single_points(self):
+        p = make_problem("random-game", d1=30, d2=20, seed=2)
+        points = np.stack([p.geom.sample(np.random.default_rng(s)) for s in range(4)])
+        values = p.operator_eval(points)
+        assert p.batched and values.shape == (4, 50)
+        for point, value in zip(points, values):
+            u, v = point[:30], point[30:]
+            A = p.params["matrix"]
+            assert np.array_equal(value, np.concatenate([A @ v, -(A.T @ u)]))
 
     def test_large_game_holds_one_matrix(self):
         tracemalloc.start()

@@ -6,7 +6,12 @@ import pytest
 
 import uvi
 from uvi.analysis import replay_steps
-from uvi.geometry import EntropicSimplex, EuclideanBall, EuclideanSimplex
+from uvi.geometry import (
+    EntropicSimplex,
+    EuclideanBall,
+    EuclideanBox,
+    EuclideanSimplex,
+)
 import uvi.operators as operators
 import uvi.solver as solver
 from uvi.operators import (
@@ -14,9 +19,11 @@ from uvi.operators import (
     convex_min_problem,
     make_problem,
     matrix_game,
+    saddle_problem,
 )
 from uvi.solver import (
     DivergenceError,
+    SolverError,
     SolverConfig,
     compute_z_sq,
     fixed_step_mirror_prox,
@@ -442,3 +449,136 @@ class TestTraceMemory:
             tracemalloc.stop()
         assert len(trace.records) == 2000
         assert held <= 1.25 * 2000 * 600 * 8, held  # 1.25 x one (T, d) float64 array
+
+
+def bilinear_saddle(geom_u, geom_v, seed):
+    """u.B.v over the two blocks, with a batched operator."""
+    B = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(geom_u.dim, geom_v.dim))
+    return saddle_problem(
+        phi=lambda u, v: float(u @ B @ v),
+        grad_u=lambda u, v: np.matvec(B, v),
+        grad_v=lambda u, v: np.vecmat(u, B),
+        geom_u=geom_u, geom_v=geom_v, g_bound=10.0, batched=True,
+    )
+
+
+def user_box_quadratic():
+    """A user objective whose gradient takes one point at a time."""
+    c = np.array([0.5, 2.0, -0.3])
+    return convex_min_problem(
+        f=lambda x: 0.5 * float((x - c) @ (x - c)),
+        grad=lambda x: np.array([x[0] - c[0], x[1] - c[1], x[2] - c[2]]),
+        geom=EuclideanBox(-np.ones(3), np.ones(3)),
+        g_bound=5.0, min_value=0.0, name="user-box",
+    )
+
+
+BATCH_PROBLEMS = {
+    "rps": lambda: make_problem("rps"),
+    "random-game-30x20": lambda: make_problem("random-game", d1=30, d2=20, seed=3),
+    "l1-ball": lambda: make_problem("l1-ball"),
+    "quadratic-ball": lambda: make_problem("quadratic-ball"),
+    "piecewise-max": lambda: make_problem("piecewise-max"),
+    "entropic-x-ball": lambda: bilinear_saddle(EntropicSimplex(2), EuclideanBall(1.0, 2), 4),
+    "euclidean-simplices": lambda: bilinear_saddle(EuclideanSimplex(40), EuclideanSimplex(30), 5),
+    "user-convex-min": user_box_quadratic,
+}
+
+
+class TestSeedBatch:
+    """A batch of seeds solves each seed bitwise as its own run would."""
+
+    SEEDS = (2, 5, 9)
+    BUDGETS = (20, 45)
+
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("noise", [0.0, 0.3], ids=["det", "noisy"])
+    @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
+    def test_batch_equals_separate_solves(self, name, noise, record_every):
+        problem = BATCH_PROBLEMS[name]()
+        assert problem.batched == (name != "user-convex-min")
+
+        def oracle(seed):
+            return StochasticOracle(problem, noise, rng_seed=seed) if noise else None
+
+        config = SolverConfig(iterations=60, record_every=record_every)
+        batch = universal_mirror_prox(problem, config, checkpoints=self.BUDGETS,
+                                      oracles={seed: oracle(seed) for seed in self.SEEDS})
+        assert list(batch.traces) == list(self.SEEDS)
+        assert batch.iterations == 60 * len(self.SEEDS)
+        assert len(batch.records) == sum(len(t.records) for t in batch.traces.values())
+        for seed in self.SEEDS:
+            single = universal_mirror_prox(problem, config, oracle(seed),
+                                           checkpoints=self.BUDGETS)
+            got = batch.traces[seed]
+            assert_same_trace(got, single)
+            for T in self.BUDGETS:
+                assert_same_trace(got.prefix(T), single.prefix(T))
+
+    def test_fixed_step_batch_equals_separate_solves(self):
+        problem = make_problem("l1-ball")
+        oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
+        batch = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1, oracles=oracles)
+        for seed in self.SEEDS:
+            single = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1,
+                                            oracle=StochasticOracle(problem, 0.3, rng_seed=seed))
+            assert_same_trace(batch.traces[seed], single)
+
+    def test_mixed_batch_equals_separate_solves(self):
+        # A deterministic seed, a noisy one and a zero-noise one in one batch.
+        problem = make_problem("random-game", d1=4, d2=3, seed=1)
+
+        def oracles():
+            return {1: None, 2: StochasticOracle(problem, 0.3, rng_seed=2),
+                    3: StochasticOracle(problem, 0.0, rng_seed=3)}
+
+        config = SolverConfig(iterations=50, record_every=1)
+        batch = universal_mirror_prox(problem, config, oracles=oracles())
+        for seed, oracle in oracles().items():
+            assert_same_trace(batch.traces[seed],
+                              universal_mirror_prox(problem, config, oracle))
+
+    def test_oracle_and_oracles_are_exclusive(self):
+        problem = make_problem("rps")
+        config = SolverConfig(iterations=5)
+        with pytest.raises(ValueError, match="either oracle or oracles"):
+            universal_mirror_prox(problem, config, StochasticOracle(problem, 0.1),
+                                  oracles={0: None})
+        with pytest.raises(ValueError, match="at least one seed"):
+            universal_mirror_prox(problem, config, oracles={})
+        with pytest.raises(ValueError, match="different problem"):
+            universal_mirror_prox(problem, config, oracles={
+                0: None, 1: StochasticOracle(make_problem("rps"), 0.1)})
+
+    @staticmethod
+    def nan_on_second_seed(batched):
+        """x - 0.5, except NaN for the second seed's loss g_3 at step 3."""
+        calls = []
+
+        def grad(x):
+            calls.append(1)
+            out = x - 0.5
+            if batched and len(calls) == 6:  # step 3: hint M_3, then loss g_3
+                out[1] = np.nan
+            if not batched and len(calls) == 3 * 5 + 2:  # rows go seed after seed
+                out = out * np.nan
+            return out
+
+        return convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
+                                  g_bound=2.0, min_value=0.0, name="nan-seed",
+                                  batched=batched)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
+    def test_abort_names_the_seed(self, batched):
+        problem = self.nan_on_second_seed(batched)
+        oracles = {seed: None for seed in self.SEEDS}
+        with pytest.raises(DivergenceError) as err:
+            universal_mirror_prox(problem, SolverConfig(iterations=10), oracles=oracles)
+        single = universal_mirror_prox(make_problem("quadratic-ball", x0=(0.5, 0.5)),
+                                       SolverConfig(iterations=3))
+        eta = single.records[2].eta
+        assert (err.value.t, err.value.eta, err.value.seed) == (3, eta, 5)
+        message = str(err.value)
+        assert message.startswith(f"aborted at step t=3, eta={eta:.6g}: operator value")
+        assert message.endswith("(seed 5)")
+        assert isinstance(err.value, SolverError)
