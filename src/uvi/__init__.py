@@ -22,6 +22,7 @@ from .operators import (
 )
 from .solver import (
     DivergenceError,
+    GapCheckError,
     InvariantError,
     RunBatch,
     RunTrace,
@@ -32,7 +33,7 @@ from .solver import (
     universal_mirror_prox,
     update_eta,
 )
-from .gap import GapError, GapSeries, dual_gap, gap_series
+from .gap import GapError, dual_gap
 from .analysis import (
     BoundReport,
     lemma4_check,

@@ -16,12 +16,13 @@ Subcommands:
   ``uvi.analysis`` computes them for the tests too.
 
 A config's seeds are solved together, in one batch (``oracles=`` in
-``uvi.solver``), except where every step is recorded (``record_every``
-1): such a trace is O(T d), so those seeds are solved one at a time.
-Summaries are written only once every seed has been solved. A numeric
-abort writes no trace CSV for any seed of the failing batch, and no
-``summary.json`` or ``sweep_summary.json``; with every step recorded, the
-CSVs of the seeds solved before the failing one stay.
+``uvi.solver``); a deterministic config's seeds all run the same solve,
+so it is solved once, as one row, and every seed reads that trace. The
+solver evaluates the gap column of each trace CSV as it runs, so a trace
+holds no d-vector however many steps it records. Files are written only
+once every seed has been solved: a numeric abort, a failed gap check
+included, writes no trace CSV and no ``summary.json`` or
+``sweep_summary.json``.
 
 Config schema (JSON):
 
@@ -60,7 +61,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import analysis, gap, operators, solver
+from . import analysis, operators, solver
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -148,8 +149,8 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        # SolverConfig checks T, g0, the mode, eta and record_every; the
-        # oracle's rule checks the noise bound and sigma_sq.
+        # SolverConfig checks T, g0, the mode, eta, record_every and
+        # eval_every; the oracle's rule checks the noise bound and sigma_sq.
         try:
             self.solver_config()
             if self.stochastic:
@@ -164,13 +165,11 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
-        if self.gap_every < 1:
-            raise ConfigError("eval_every must be >= 1")
-        if self.gap_every % self.record_every != 0:
-            raise ConfigError("eval_every must be a multiple of record_every")
         if self.problem is None:
             # Built once per command; fails early on unknown names or bad params.
             self.problem = operators.make_problem(self.problem_name, **self.problem_params)
+        if self.problem.dual_gap_eval is None:
+            raise ConfigError(f"problem {self.problem_name!r} has no duality-gap evaluator")
 
     def solver_config(self) -> solver.SolverConfig:
         return solver.SolverConfig(
@@ -179,6 +178,7 @@ class ExperimentConfig:
             mode=self.mode,
             eta=self.eta,
             record_every=self.record_every,
+            eval_every=self.gap_every,
         )
 
 
@@ -205,11 +205,10 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _write_trace_csv(path: Path, trace, series: gap.GapSeries):
-    gaps = dict(zip(series.steps, series.gaps))
+def _write_trace_csv(path: Path, trace):
     lines = ["t,eta,z_sq,gap_of_running_avg"]
     for rec in trace.records:
-        gap_str = _fmt(gaps[rec.t]) if rec.t in gaps else ""
+        gap_str = "" if rec.gap is None else _fmt(rec.gap)
         lines.append(f"{rec.t},{_fmt(rec.eta)},{_fmt(rec.z_sq)},{gap_str}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -230,31 +229,35 @@ def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
-def _solve(config: ExperimentConfig, seeds: List[int], checkpoints) -> solver.RunBatch:
-    """One batched run of ``config.iterations`` steps for ``seeds``,
-    snapshotting ``checkpoints``."""
+def _solve(config: ExperimentConfig, checkpoints) -> dict:
+    """Every seed's run of ``config.iterations`` steps, by seed, from one
+    batched solve snapshotting ``checkpoints``. A deterministic config's
+    seeds share one row, solved as its first seed."""
     problem = config.problem
-    oracles = {seed: _oracle_for_seed(config, problem, seed) for seed in seeds}
+    rows = config.seeds if config.stochastic else config.seeds[:1]
+    oracles = {seed: _oracle_for_seed(config, problem, seed) for seed in rows}
     # Called through the module so that wrappers installed on it see every solve.
     if config.mode == "universal":
-        return solver.universal_mirror_prox(
+        batch = solver.universal_mirror_prox(
             problem, config.solver_config(), oracles=oracles, checkpoints=checkpoints
         )
-    return solver.fixed_step_mirror_prox(
-        problem, config.eta, config.iterations,
-        record_every=config.record_every, oracles=oracles, checkpoints=checkpoints,
-    )
+    else:
+        batch = solver.fixed_step_mirror_prox(
+            problem, config.eta, config.iterations, record_every=config.record_every,
+            eval_every=config.gap_every, oracles=oracles, checkpoints=checkpoints,
+        )
+    traces = batch.traces
+    return {seed: traces.get(seed, traces[rows[0]]) for seed in config.seeds}
 
 
 def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
     """Write one seed's trace CSV and return its summary entry."""
     problem = config.problem
-    # The last entry is the gap at x_prefix_T / T, bitwise the gap of x_avg.
-    series = gap.gap_series(problem, trace, config.gap_every)
-    _write_trace_csv(out / f"trace_{seed}.csv", trace, series)
+    _write_trace_csv(out / f"trace_{seed}.csv", trace)
     entry = {
         "seed": seed,
-        "final_gap": series.final_gap,
+        # The gap the solver evaluated at step T, that of x_avg.
+        "final_gap": trace.records[-1].gap,
         "eta_final": trace.eta_final,
         "max_xy_ratio": trace.max_xy_ratio,
         "max_yy_ratio": trace.max_yy_ratio,
@@ -271,21 +274,12 @@ def _solve_seeds(subs: dict, outs: dict) -> dict:
     """Write every seed's trace CSV for each budget; the summary entries, by T.
 
     ``subs`` maps each budget T to its config and ``outs`` to its output
-    directory. Each seed is solved once, at max(T): all seeds in one batch,
-    or one at a time where every step is recorded, so that only one
-    O(T d) trace is held at a time.
+    directory. Every seed is solved once, at max(T), in one batch.
     """
-    longest = subs[max(subs)]
-    seeds = longest.seeds
-    batches = [[seed] for seed in seeds] if longest.record_every == 1 else [seeds]
-    per_seed = {T: [] for T in subs}
-    for batch in batches:
-        traces = _solve(longest, batch, checkpoints=subs).traces
-        for seed in batch:
-            for T, sub in subs.items():
-                per_seed[T].append(_seed_entry(sub, seed, traces[seed].prefix(T), outs[T]))
-        del traces
-    return per_seed
+    traces = _solve(subs[max(subs)], checkpoints=subs)
+    return {T: [_seed_entry(sub, seed, trace.prefix(T), outs[T])
+                for seed, trace in traces.items()]
+            for T, sub in subs.items()}
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:

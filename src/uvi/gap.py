@@ -1,59 +1,63 @@
-"""Duality-gap evaluation at points and along run traces."""
+"""Exact duality gaps at feasible points.
+
+``dual_gap`` checks one point and evaluates the problem's registered
+evaluator there. The solver loop evaluates the gap of every seed's running
+average through ``_dual_gaps``, the same checks on a stack of points, one
+per row: one feasibility test for the stack and, for a ``batched``
+problem, one evaluator call (see ``uvi.solver``).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-from .operators import VIProblem
-from .solver import RunTrace
+import numpy as np
 
-__all__ = ["GapError", "GapSeries", "dual_gap", "gap_series"]
+from .operators import VIProblem
+
+__all__ = ["GapError", "dual_gap"]
 
 
 class GapError(ValueError):
-    """Infeasible query point or missing duality-gap evaluator."""
+    """Infeasible query point, missing duality-gap evaluator, or a gap below
+    -1e-9; ``row`` is the failing row of a stacked evaluation."""
 
-
-@dataclass
-class GapSeries:
-    """Duality gap of the running average at increasing checkpoints."""
-
-    steps: List[int]
-    gaps: List[float]
-    final_gap: float
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 def dual_gap(problem: VIProblem, x) -> float:
     """Exact duality gap at a feasible point via the registered evaluator."""
-    geom = problem.geom
-    x = geom.check_point(x)
-    if not geom._contains(x, 1e-8):
-        raise GapError(f"point is not feasible for {geom.kind}")
-    if problem.dual_gap_eval is None:
-        raise GapError(f"problem {problem.name!r} has no registered duality-gap evaluator")
-    value = float(problem.dual_gap_eval(x))
-    if value < -1e-9:
-        raise GapError(f"duality gap {value} is negative beyond tolerance")
-    return value
+    return _dual_gaps(problem, problem.geom.check_point(x))[0]
 
 
-def gap_series(problem: VIProblem, trace: RunTrace, eval_every: int) -> GapSeries:
-    """Gap of the running average x_bar_t at multiples of eval_every plus t=T.
+def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
+    """The gaps at each row of an (S, dim) stack, or at one dim-vector, as
+    Python floats; the shape of ``points`` is trusted.
 
-    Running averages are reconstructed from the exact prefix sums stored in
-    the trace, so thinning never degrades them. eval_every larger than T
-    yields only the final checkpoint.
+    Each row must be feasible to 1e-8 and its gap at least -1e-9; a
+    ``batched`` problem's evaluator takes the whole stack, any other is
+    called row by row. Raises GapError naming the first failing row.
     """
-    if eval_every < 1:
-        raise ValueError("eval_every must be >= 1")
-    if not trace.records:
-        raise ValueError("trace has no recorded steps")
-    steps: List[int] = []
-    gaps: List[float] = []
-    last_t = trace.records[-1].t
-    for rec in trace.records:
-        if rec.t % eval_every == 0 or rec.t == last_t:
-            steps.append(rec.t)
-            gaps.append(dual_gap(problem, rec.x_prefix / rec.t))
-    return GapSeries(steps=steps, gaps=gaps, final_gap=gaps[-1])
+    geom = problem.geom
+    feasible = geom._contains(points, 1e-8)
+    if not feasible.all():
+        raise GapError(f"point is not feasible for {geom.kind}", int(np.argmin(feasible)))
+    evaluate = problem.dual_gap_eval
+    if evaluate is None:
+        raise GapError(f"problem {problem.name!r} has no registered duality-gap evaluator")
+    if points.ndim == 1:
+        values = [float(evaluate(points))]
+    elif problem.batched:
+        values = np.asarray(evaluate(points), dtype=float)
+        if values.shape != (len(points),):
+            raise GapError(f"duality-gap evaluator must return one value per row, "
+                           f"got shape {values.shape}")
+        values = values.tolist()
+    else:
+        values = [float(evaluate(row)) for row in points]
+    for row, value in enumerate(values):
+        if value < -1e-9:
+            raise GapError(f"duality gap {value} is negative beyond tolerance", row)
+    return values

@@ -12,12 +12,13 @@ map or the negative-entropy map (l1/linf norms, multiplicative prox), and
 two-block products with the 1/D^2 block scaling that keeps the product map
 1-strongly convex w.r.t. the blended norm.
 
-The prox and norm kernels take a leading batch axis: points of shape
-(..., dim), a step size that is a float or an array of shape (..., 1), and
-norms of shape (...). Every reduction in them runs along the last axis
-(row-wise sums, maxima, ``np.vecdot``), so each row of a batched call is
-bitwise the call on that row alone; the solver loop runs a batch of seeds
-through the same code a single point takes.
+The prox, norm and membership kernels take a leading batch axis: points
+of shape (..., dim), a step size that is a float or an array of shape
+(..., 1), and norms and membership flags of shape (...). Every reduction
+in them runs along the last axis (row-wise sums, minima, maxima,
+``np.vecdot``), so each row of a batched call is bitwise the call on that
+row alone; the solver loop runs a batch of seeds through the same code a
+single point takes.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 
 _row_sum = np.add.reduce
 _row_max = np.maximum.reduce
+_row_min = np.minimum.reduce
 
 
 class GeometryError(ValueError):
@@ -118,7 +120,7 @@ class Geometry:
         return self._mirror_value(self.check_point(x))
 
     def contains(self, x, tol: float = 1e-10) -> bool:
-        return self._contains(self.check_point(x), tol)
+        return bool(self._contains(self.check_point(x), tol))
 
     def linear_minimize(self, c) -> tuple[np.ndarray, float]:
         """Exact argmin/min of the linear function c.x over K."""
@@ -156,7 +158,8 @@ class Geometry:
     def _mirror_value(self, x) -> float:
         raise NotImplementedError
 
-    def _contains(self, x, tol) -> bool:
+    def _contains(self, x, tol):
+        """Whether each row of x lies in K up to ``tol``, as a boolean array."""
         raise NotImplementedError
 
     def _linear_minimize(self, c) -> tuple[np.ndarray, float]:
@@ -216,7 +219,7 @@ class EuclideanBall(_EuclideanGeometry):
         return np.zeros(self.dim)
 
     def _contains(self, x, tol):
-        return np.linalg.norm(x) <= self.radius + tol
+        return np.sqrt(np.vecdot(x, x)) <= self.radius + tol
 
     def sample(self, rng):
         v = rng.normal(size=self.dim)
@@ -257,7 +260,7 @@ class EuclideanBox(_EuclideanGeometry):
         return self.center.copy()
 
     def _contains(self, x, tol):
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+        return np.all(x >= self.lower - tol, axis=-1) & np.all(x <= self.upper + tol, axis=-1)
 
     def sample(self, rng):
         return rng.uniform(self.lower, self.upper)
@@ -274,7 +277,7 @@ class _SimplexSet(Geometry):
         return np.full(self.dim, 1.0 / self.dim)
 
     def _contains(self, x, tol):
-        return bool(np.all(x >= -tol) and abs(float(x.sum()) - 1.0) <= tol)
+        return (_row_min(x, axis=-1) >= -tol) & (np.abs(_row_sum(x, axis=-1) - 1.0) <= tol)
 
     def sample(self, rng):
         return rng.dirichlet(np.ones(self.dim))
@@ -429,7 +432,7 @@ class ProductGeometry(Geometry):
 
     def _contains(self, x, tol):
         xu, xv = self._split(x)
-        return self.u._contains(xu, tol) and self.v._contains(xv, tol)
+        return self.u._contains(xu, tol) & self.v._contains(xv, tol)
 
     def sample(self, rng):
         return np.concatenate([self.u.sample(rng), self.v.sample(rng)])

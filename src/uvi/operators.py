@@ -70,8 +70,9 @@ class VIProblem:
     the catalog arguments the problem was built from and, for matrix games,
     the payoff array itself under ``"matrix"``. With ``batched`` set,
     ``operator_eval`` also maps an (S, d) stack of points to a new (S, d)
-    array whose row s is bitwise its value at row s alone; the solver loop
-    evaluates a user operator without it one row at a time.
+    array whose row s is bitwise its value at row s alone, and
+    ``dual_gap_eval`` maps it to the S gaps the same way; the solver loop
+    evaluates a user operator and evaluator without it one row at a time.
     """
 
     name: str
@@ -153,7 +154,8 @@ def convex_min_problem(
     f(x) - min_K f, with the minimum taken from ``min_value`` when the
     closed form is known and from a cached inner solve otherwise. Set
     ``batched`` when ``grad`` also takes a stack of points, one per row
-    (see ``VIProblem``).
+    (see ``VIProblem``); the duality gap maps ``f`` over the rows of a
+    stack either way.
     """
     if min_value is None:
         min_value, gap_tol = _reference_minimum(f, geom)
@@ -164,7 +166,9 @@ def convex_min_problem(
         return float(f(x) - f(y))
 
     def dual_gap_eval(x):
-        return float(f(x)) - min_value
+        if x.ndim == 1:
+            return float(f(x)) - min_value
+        return np.array([float(f(row)) - min_value for row in x])
 
     return VIProblem(
         name=name,
@@ -201,7 +205,8 @@ def saddle_problem(
     F(u, v) = (grad_u phi, -grad_v phi) and
     Delta((u, v), (u0, v0)) = phi(u, v0) - phi(u0, v), both over the scaled
     product geometry of the two blocks. Set ``batched`` when ``grad_u`` and
-    ``grad_v`` also take stacks of blocks, one point per row.
+    ``grad_v``, and ``dual_gap_eval`` if given, also take stacks of points,
+    one per row.
     """
     geom = ProductGeometry(geom_u, geom_v)
     u0, v0 = geom_u.min_point(), geom_v.min_point()
@@ -267,8 +272,9 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
     smoothness = 2.0 * amax * math.sqrt(du2 * dv2)
 
     def dual_gap_eval(x):
-        u, v = x[:d1], x[d1:]
-        return float(np.max(A.T @ u) - np.min(A @ v))
+        # One point or a stack, row by row bitwise A.T @ u and A @ v.
+        u, v = x[..., :d1], x[..., d1:]
+        return np.max(np.vecmat(u, A), axis=-1) - np.min(np.matvec(A, v), axis=-1)
 
     return saddle_problem(
         phi=lambda u, v: float(u @ A @ v),

@@ -37,35 +37,44 @@ step, and both prox steps share one ``_prox_base`` of their anchor.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle) as (S, d) arrays, one seed per row; a single solve is the
-S = 1 batch, run on d-vectors through the same kernels. The kernels reduce row by row (see ``uvi.geometry``), catalog
-operators take the whole stack (``VIProblem.batched``) and a user
-operator is called row by row, so every seed's trace is bitwise the trace
-of its own solve. Each seed keeps its own oracle and generator, and its
-step size, Z^2 sum, maxima and every guard stay per-seed Python floats;
-an abort names the seed. A batch returns a ``RunBatch``: one trace per
+S = 1 batch, run on d-vectors through the same kernels. The kernels reduce
+row by row (see ``uvi.geometry``), catalog operators and gap evaluators
+take the whole stack (``VIProblem.batched``) and a user operator or
+evaluator is called row by row, so every seed's trace is bitwise the
+trace of its own solve. Each seed keeps its own oracle and generator, and
+its step size, Z^2 sum, maxima and every guard stay per-seed Python
+floats; an abort names the seed. A batch returns a ``RunBatch``: one trace per
 seed, with ``iterations`` and ``records`` over all seeds.
 
-A recorded step (``StepRecord``) keeps the exact prefix sum of the x's and
-the scalars the step rule and the Lemma 3 regret bound are built from:
-||x_t - y_t||, ||x_t - y_{t-1}|| and ||g_t - M_t||*. It keeps no other
-d-vector: not x_t, g_t, the anchor y_t or the hint M_t. With every step
-recorded, the loop also streams the two sums the hindsight regret needs,
-sum_t g_t and sum_t g_t.x_t, into the trace (``g_sum``, ``gx_sum``), and
-``uvi.analysis.replay_steps`` re-runs the steps through the public checked
-methods wherever a check needs the vectors themselves.
+A recorded step (``StepRecord``) keeps scalars only: the ones the step
+rule and the Lemma 3 regret bound are built from, ||x_t - y_t||,
+||x_t - y_{t-1}|| and ||g_t - M_t||*, and the exact duality gap of the
+running average x_bar_t = (x_1 + ... + x_t) / t where one is due. Gaps are
+due at every multiple of ``SolverConfig.eval_every`` and at the last step
+of every checkpoint, and the loop evaluates them in place, for all seeds
+in one call through the checked ``uvi.gap`` path (feasibility to 1e-8, a
+gap no lower than -1e-9); a failure aborts the run. A problem without a
+duality-gap evaluator records no gaps. So a trace holds no d-vector per
+step, only its O(d) aggregates. With every step recorded, the loop also streams the two sums the
+hindsight regret needs, sum_t g_t and sum_t g_t.x_t, into the trace
+(``g_sum``, ``gx_sum``), and ``uvi.analysis.replay_steps`` re-runs the
+steps through the public checked methods wherever a check needs the
+vectors themselves.
 
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. Both solvers
 take ``checkpoints``, budgets in ``1..iterations``: at each one the loop
 snapshots what a run with ``iterations=T`` would return (``x_avg`` from the
 same Kahan sum, ``eta_final``, ``z_sq_total``, the three maxima, the two
-regret sums, and the records ``t % record_every == 0 or t == T``), available as
-``trace.prefix(T)`` and bitwise equal to that separate run. The returned
-trace itself is the full run; its records hold no extra checkpoint rows.
+regret sums, and the records ``t % record_every == 0 or t == T``, the last
+one with its gap), available as ``trace.prefix(T)`` and bitwise equal to
+that separate run. The returned trace itself is the full run; its records
+hold no extra checkpoint rows or gaps.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 from dataclasses import dataclass, field
@@ -73,6 +82,7 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
 import numpy as np
 
+from .gap import GapError, _dual_gaps
 from .geometry import GeometryError
 # The loop does not call noisy_eval; it stays in this namespace because
 # bench/tracing.py wraps solver.noisy_eval by that name.
@@ -86,6 +96,7 @@ __all__ = [
     "SolverError",
     "DivergenceError",
     "InvariantError",
+    "GapCheckError",
     "update_eta",
     "compute_z_sq",
     "universal_mirror_prox",
@@ -115,15 +126,23 @@ class InvariantError(SolverError):
     """Movement bound violated; indicates a wrong g_bound or a geometry bug."""
 
 
+class GapCheckError(SolverError):
+    """The running average is infeasible or its duality gap is below -1e-9."""
+
+
 @dataclass
 class SolverConfig:
-    """Iteration budget, step-size prior G0, mode, and trace thinning."""
+    """Iteration budget, step-size prior G0, mode, trace thinning, and the
+    gap spacing: gaps at multiples of ``eval_every`` (a multiple of
+    ``record_every``) and at each checkpoint's last step, or at the
+    checkpoints only when it is None."""
 
     iterations: int
     g0: float = 1.0
     mode: str = "universal"
     eta: Optional[float] = None
     record_every: int = 1
+    eval_every: Optional[int] = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -143,29 +162,35 @@ class SolverConfig:
             )
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.eval_every is not None:
+            if self.eval_every < 1:
+                raise ValueError("eval_every must be >= 1")
+            if self.eval_every % self.record_every != 0:
+                raise ValueError("eval_every must be a multiple of record_every")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
-    """One recorded step: its exact prefix sum plus the three norms the step
-    rule and the regret bound are built from.
+    """One recorded step: its step size and Z_t^2, the three norms the step
+    rule and the regret bound are built from, and the gap of the running
+    average.
 
-    x_prefix is the exact running sum of x_1..x_t. xy_norm = ||x_t - y_t||
-    and xy_prev_norm = ||x_t - y_{t-1}|| are the movement norms Z_t^2 was
-    computed from; gm_dual_norm = ||g_t - M_t||* is the distance between
-    the step's loss and its hint. The iterate x_t, the loss g_t, the anchor
-    y_t and the hint M_t are not kept; in a trace with every step recorded,
-    ``uvi.analysis.replay_steps`` recomputes them bitwise from y_0 =
-    ``min_point()`` and the recorded eta_t.
+    xy_norm = ||x_t - y_t|| and xy_prev_norm = ||x_t - y_{t-1}|| are the
+    movement norms Z_t^2 was computed from; gm_dual_norm = ||g_t - M_t||*
+    is the distance between the step's loss and its hint. gap is the exact
+    duality gap of (x_1 + ... + x_t) / t where one is due (see the module
+    docstring), else None. No d-vector is kept; in a trace with every step
+    recorded, ``uvi.analysis.replay_steps`` recomputes x_t, g_t, y_t and
+    M_t bitwise from y_0 = ``min_point()`` and the recorded eta_t.
     """
 
     t: int
     eta: float
     z_sq: float
-    x_prefix: np.ndarray
     xy_norm: float
     xy_prev_norm: float
     gm_dual_norm: float
+    gap: Optional[float] = None
 
 
 @dataclass
@@ -349,6 +374,8 @@ def _run_loop(
     streamed = config.record_every == 1
     g_sum = np.zeros(shape) if streamed else None
     gx_sum = [0.0] * n if streamed else None
+    eval_every = config.eval_every
+    no_gaps = [None] * n
 
     for t in range(1, config.iterations + 1):
         if fixed:
@@ -412,29 +439,44 @@ def _run_loop(
         y_prev = y
 
         on_schedule = t % config.record_every == 0
-        if on_schedule or t in budgets:
+        at_budget = t in budgets
+        if on_schedule or at_budget:
             if streamed:
                 g_sum += g
                 gx = _seed_floats(np.vecdot(g, x), n)
             gm_norms = _seed_floats(geom._dual_norm(g - m), n)
-            prefixes = _seed_rows(sum_x, n)
+            # eval_every is a multiple of record_every, so an eval step is on schedule.
+            eval_step = eval_every is not None and t % eval_every == 0
+            gaps = no_gaps
+            if eval_step or at_budget:
+                x_avg = sum_x / t
+                if problem.dual_gap_eval is not None:
+                    try:
+                        gaps = _dual_gaps(problem, x_avg)
+                    except GapError as exc:
+                        raise GapCheckError(
+                            t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
+                        ) from exc
+                averages = _seed_rows(x_avg, n)
             for s in range(n):
                 if streamed:
                     gx_sum[s] += gx[s]
-                rec = StepRecord(t=t, eta=etas[s], z_sq=z_sqs[s], x_prefix=prefixes[s].copy(),
-                                 xy_norm=norms[s], xy_prev_norm=norms[n + s],
-                                 gm_dual_norm=gm_norms[s])
+                rec = StepRecord(t=t, eta=etas[s], z_sq=z_sqs[s], xy_norm=norms[s],
+                                 xy_prev_norm=norms[n + s], gm_dual_norm=gm_norms[s],
+                                 gap=gaps[s] if eval_step else None)
                 if on_schedule:
                     records[s].append(rec)
-                if t in budgets:
-                    # A run of t steps also records its last step off schedule;
-                    # that row belongs to this snapshot only.
+                if at_budget:
+                    # A run of t steps also records its last step, with its gap,
+                    # off either schedule; that row belongs to this snapshot only.
+                    last = rec if eval_step else dataclasses.replace(rec, gap=gaps[s])
+                    kept = records[s][:-1] if on_schedule else records[s]
                     snapshots[s][t] = RunTrace(
                         iterations=t,
                         record_every=config.record_every,
                         g_bound=g_caps[s],
-                        records=records[s] + ([] if on_schedule else [rec]),
-                        x_avg=prefixes[s] / t,
+                        records=kept + [last],
+                        x_avg=averages[s].copy(),
                         eta_final=etas[s],
                         z_sq_total=z_sq_accum[s],
                         max_xy_ratio=max_xy[s],
@@ -490,6 +532,7 @@ def fixed_step_mirror_prox(
     iterations: int,
     *,
     record_every: int = 1,
+    eval_every: Optional[int] = None,
     oracle: Optional[StochasticOracle] = None,
     checkpoints: Iterable[int] = (),
     oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
@@ -498,8 +541,8 @@ def fixed_step_mirror_prox(
 
     Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``;
     ``oracles`` solves a batch of seeds, as in ``universal_mirror_prox``.
+    ``record_every`` and ``eval_every`` are those of ``SolverConfig``.
     """
-    config = SolverConfig(
-        iterations=iterations, mode="fixed-step", eta=eta, record_every=record_every
-    )
+    config = SolverConfig(iterations=iterations, mode="fixed-step", eta=eta,
+                          record_every=record_every, eval_every=eval_every)
     return _solve(problem, config, oracle, oracles, checkpoints)

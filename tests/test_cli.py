@@ -120,6 +120,14 @@ class TestRun:
         assert cli.cmd_run(str(floats)) == 0
         assert tree_bytes(tmp_path / "ints") == tree_bytes(tmp_path / "floats")
 
+    def test_problem_without_gap_evaluator_exits_2(self, tmp_path, monkeypatch, capsys):
+        rps = operators.make_problem("rps")
+        bare = dataclasses.replace(rps, dual_gap_eval=None)
+        monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bare)
+        assert cli.cmd_run(str(write_config(tmp_path))) == 2
+        assert "'rps' has no duality-gap evaluator" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
         bad = convex_min_problem(
             f=lambda x: 0.5 * float(x @ x),
@@ -312,17 +320,18 @@ class TestAnytimeSweep:
             f"T={T}: mean final gap {gaps[T]:.6g}" for T in t_list]
 
     def test_one_solve_per_seed(self, tmp_path, monkeypatch, capsys):
+        # Every step recorded: the seeds still solve together, in one batch.
         calls = []
         solve = solver.universal_mirror_prox
 
         def counting(problem, config, oracle=None, **kwargs):
-            calls.append(config.iterations)
+            calls.append((config.iterations, list(kwargs["oracles"])))
             return solve(problem, config, oracle, **kwargs)
 
         monkeypatch.setattr(solver, "universal_mirror_prox", counting)
         path = write_config(tmp_path, seeds=[0, 1, 2], noise={"bound": 0.1})
         assert cli.cmd_sweep(str(path), [20, 10, 40, 20]) == 0
-        assert calls == [40, 40, 40]
+        assert calls == [(40, [0, 1, 2])]
 
     def test_thinned_seeds_solve_in_one_batch(self, tmp_path, monkeypatch, capsys):
         calls = []
@@ -351,10 +360,30 @@ class TestAnytimeSweep:
         bad = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
                                  g_bound=2.0, min_value=0.0, name="nan-batch", batched=True)
         monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bad)
-        path = write_config(tmp_path, seeds=[3, 1, 8], record_every=5, eval_every=10)
+        # Noisy, so that each seed is a row of its own.
+        path = write_config(tmp_path, seeds=[3, 1, 8], record_every=5, eval_every=10,
+                            noise={"bound": 0.1})
         assert cli.cmd_run(str(path)) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric abort: aborted at step t=4, eta=") and "(seed 8)" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_gap_failure_aborts_and_writes_no_trace(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def gap_eval(x):  # one call per step on both seeds; the second's turns negative
+            calls.append(1)
+            return np.array([0.0, -1.0 if len(calls) >= 3 else 0.0])
+
+        bad = dataclasses.replace(operators.make_problem("l1-ball"), dual_gap_eval=gap_eval)
+        monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bad)
+        path = write_config(tmp_path, seeds=[4, 6], noise={"bound": 0.2}, T=10,
+                            eval_every=1, record_every=1)
+        assert cli.cmd_run(str(path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort: aborted at step t=3, eta="), err
+        assert err.rstrip().endswith(
+            "running average: duality gap -1.0 is negative beyond tolerance (seed 6)")
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_abort_leaves_no_summaries(self, tmp_path, monkeypatch, capsys):
@@ -392,6 +421,48 @@ class TestSeedLoop:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_deterministic_output_unchanged(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, **self.CONFIG)
+        if command == "run":
+            assert cli.cmd_run(str(path)) == 0
+        else:
+            assert cli.cmd_sweep(str(path), self.T_LIST) == 0
+        out = tmp_path / "out"
+        assert {name: data.decode("utf-8") for name, data in tree_bytes(out).items()} \
+            == self.EXPECTED[command]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_deterministic_seeds_share_one_row(self, tmp_path, monkeypatch, capsys, command):
+        calls = []
+        solve = solver.universal_mirror_prox
+
+        def counting(problem, config, oracle=None, **kwargs):
+            calls.append((config.iterations, kwargs["oracles"]))
+            return solve(problem, config, oracle, **kwargs)
+
+        monkeypatch.setattr(solver, "universal_mirror_prox", counting)
+        path = write_config(tmp_path, **self.CONFIG)
+        if command == "run":
+            assert cli.cmd_run(str(path)) == 0
+        else:
+            assert cli.cmd_sweep(str(path), self.T_LIST) == 0
+        assert calls == [(12, {2: None})]
+
+
+class TestNoisyEveryStep:
+    """A noisy config with every step recorded, whose gap column has empty and
+    filled cells, keeps its whole output bytes (fixture taken before the
+    solver evaluated the gaps in its loop)."""
+
+    CONFIG = {"problem": {"name": "random-game", "params": {"d1": 5, "d2": 4, "seed": 0}},
+              "T": 40, "noise": {"bound": 0.5}, "seeds": [3, 1], "eval_every": 5,
+              "record_every": 1}
+    T_LIST = [40, 25, 30]
+    # {"run": {path: text}, "sweep": {path: text}}
+    EXPECTED = json.loads(
+        (Path(__file__).parent / "fixtures" / "noisy_every_step.json").read_text())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_noisy_output_unchanged(self, tmp_path, capsys, command):
         path = write_config(tmp_path, **self.CONFIG)
         if command == "run":
             assert cli.cmd_run(str(path)) == 0

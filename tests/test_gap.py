@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import uvi
 from uvi.analysis import gap_sum_chain, regret_bound_sides, replay_steps
-from uvi.gap import GapError, dual_gap, gap_series
+from uvi.gap import GapError, _dual_gaps, dual_gap
 from uvi.operators import convex_min_problem, make_problem, matrix_game, saddle_problem
 from uvi.geometry import EntropicSimplex, EuclideanBall
 from uvi.solver import RunTrace, SolverConfig, StepRecord, universal_mirror_prox
+
+from helpers import sample_batch
 
 ASYM = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -22,8 +26,7 @@ def synthetic_trace(geom, xs, gs, record_every=1):
         g_sum += g
         gx_sum += float(g @ x)
         records.append(
-            StepRecord(t=t, eta=1.0, z_sq=0.0, x_prefix=prefix.copy(), xy_norm=0.0,
-                       xy_prev_norm=0.0, gm_dual_norm=0.0)
+            StepRecord(t=t, eta=1.0, z_sq=0.0, xy_norm=0.0, xy_prev_norm=0.0, gm_dual_norm=0.0)
         )
     return RunTrace(
         iterations=len(xs),
@@ -85,42 +88,95 @@ class TestDualGap:
             dual_gap(p, p.geom.min_point())
 
 
+def streamed_gaps(trace):
+    """The (t, gap) of every record whose gap the solver evaluated."""
+    return [(rec.t, rec.gap) for rec in trace.records if rec.gap is not None]
+
+
+class TestStackedGaps:
+    """The loop's stacked gap path is the checked single-point path, row by row."""
+
+    @pytest.mark.parametrize("name", ["rps", "random-game", "l1-ball", "piecewise-max"])
+    def test_rows_equal_single_points(self, name):
+        p = make_problem(name)
+        points = sample_batch(p.geom, np.random.default_rng(4), 6)
+        assert _dual_gaps(p, points) == [dual_gap(p, x) for x in points]
+
+    def test_unbatched_evaluator_rows_equal_single_points(self):
+        c = np.array([0.3, -0.2])
+        p = convex_min_problem(f=lambda x: float((x - c) @ (x - c)), grad=lambda x: 2 * (x - c),
+                               geom=EuclideanBall(1.0, 2), g_bound=3.0, min_value=0.0)
+        points = sample_batch(p.geom, np.random.default_rng(5), 4)
+        assert not p.batched
+        assert _dual_gaps(p, points) == [dual_gap(p, x) for x in points]
+
+    def test_batched_evaluator_must_return_a_value_per_row(self):
+        p = dataclasses.replace(make_problem("rps"), dual_gap_eval=lambda x: 0.0)
+        with pytest.raises(GapError, match="one value per row, got shape"):
+            _dual_gaps(p, np.full((2, 6), 1.0 / 3.0))
+
+    def test_failing_row_is_named(self):
+        p = make_problem("rps")
+        points = np.full((3, 6), 1.0 / 3.0)
+        points[2] = 0.5
+        with pytest.raises(GapError, match="not feasible") as err:
+            _dual_gaps(p, points)
+        assert err.value.row == 2
+
+
 class TestGapSeries:
+    """The solver evaluates the gap of the running average at multiples of
+    eval_every plus the last step, and stores it in the records."""
+
     def test_checkpoint_schedule(self):
         p = make_problem("rps")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=10))
-        series = gap_series(p, trace, eval_every=5)
-        assert series.steps == [5, 10]
+        trace = universal_mirror_prox(p, SolverConfig(iterations=10, eval_every=5))
+        assert [t for t, _ in streamed_gaps(trace)] == [5, 10]
 
     def test_eval_every_beyond_horizon(self):
         p = make_problem("rps")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=10))
-        series = gap_series(p, trace, eval_every=100)
-        assert series.steps == [10]
-        assert series.final_gap == series.gaps[-1]
+        trace = universal_mirror_prox(p, SolverConfig(iterations=10, eval_every=100))
+        assert [t for t, _ in streamed_gaps(trace)] == [10]
+        assert trace.records[-1].gap == dual_gap(p, trace.x_avg)
 
     def test_constant_trace_at_solution(self):
         p = make_problem("quadratic-ball", x0=(0.0, 0.0))
-        trace = universal_mirror_prox(p, SolverConfig(iterations=20))
-        series = gap_series(p, trace, eval_every=4)
-        assert series.steps == [4, 8, 12, 16, 20]
-        assert all(g == 0.0 for g in series.gaps)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=20, eval_every=4))
+        assert [t for t, _ in streamed_gaps(trace)] == [4, 8, 12, 16, 20]
+        assert all(g == 0.0 for _, g in streamed_gaps(trace))
 
     def test_running_average_gap_shrinks(self):
         p = matrix_game(ASYM, name="asym-2x2")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=2000, record_every=200))
-        series = gap_series(p, trace, eval_every=200)
-        by_step = dict(zip(series.steps, series.gaps))
+        trace = universal_mirror_prox(
+            p, SolverConfig(iterations=2000, record_every=200, eval_every=200))
+        by_step = dict(streamed_gaps(trace))
         assert by_step[2000] < by_step[200]
 
     def test_thinned_trace_matches_full(self):
         p = matrix_game(ASYM)
-        full = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=1))
-        thin = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=50))
-        s_full = gap_series(p, full, eval_every=50)
-        s_thin = gap_series(p, thin, eval_every=50)
-        assert s_full.steps == s_thin.steps
-        np.testing.assert_array_equal(s_full.gaps, s_thin.gaps)
+        full = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=1,
+                                                     eval_every=50))
+        thin = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=50,
+                                                     eval_every=50))
+        assert streamed_gaps(full) == streamed_gaps(thin)
+
+    def test_checkpoint_gap_stays_in_its_snapshot(self):
+        # Step 7 is recorded but not an eval step: the run of 7 steps has its
+        # gap there, the full run does not.
+        p = make_problem("random-game", d1=4, d2=3)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=12, eval_every=5),
+                                      checkpoints=(7,))
+        assert [t for t, _ in streamed_gaps(trace)] == [5, 10, 12]
+        assert [t for t, _ in streamed_gaps(trace.prefix(7))] == [5, 7]
+        assert trace.records[6].gap is None
+        assert trace.prefix(7).records[-1].gap == dual_gap(p, trace.prefix(7).x_avg)
+
+    def test_no_evaluator_records_no_gaps(self):
+        p = saddle_problem(phi=lambda u, v: 0.0, grad_u=lambda u, v: 0.0 * u,
+                           grad_v=lambda u, v: 0.0 * v, geom_u=EntropicSimplex(2),
+                           geom_v=EntropicSimplex(2), g_bound=1.0)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=6, eval_every=2))
+        assert streamed_gaps(trace) == []
 
 
 class TestRegret:

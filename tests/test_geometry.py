@@ -180,6 +180,23 @@ class TestNorms:
         assert best >= 0.98 * dual
 
 
+class TestContains:
+    def test_rows_equal_single_points(self):
+        # Feasible rows, rows moved out of every set, and a NaN row.
+        rng = np.random.default_rng(23)
+        for geom in all_geometries():
+            inside = sample_batch(geom, rng, 5)
+            rows = np.vstack([inside, inside[:2] + 10.0, np.full((1, geom.dim), np.nan)])
+            flags = geom._contains(rows, 1e-10)
+            assert flags.shape == (len(rows),), geom.kind
+            assert flags.tolist() == [geom.contains(row) for row in rows], geom.kind
+            assert flags[:5].all() and not flags[5:].any(), geom.kind
+
+    def test_public_contains_returns_bool(self):
+        for geom in all_geometries():
+            assert geom.contains(geom.min_point()) is True
+
+
 class TestStrongConvexity:
     @pytest.mark.parametrize("geom", all_geometries(), ids=lambda g: g.kind + str(g.dim))
     def test_bregman_dominates_half_squared_norm(self, geom):

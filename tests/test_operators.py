@@ -164,6 +164,16 @@ class TestMatrixGame:
             A = p.params["matrix"]
             assert np.array_equal(value, np.concatenate([A @ v, -(A.T @ u)]))
 
+    def test_batched_dual_gap_rows_equal_single_points(self):
+        p = make_problem("random-game", d1=30, d2=20, seed=2)
+        points = np.stack([p.geom.sample(np.random.default_rng(s)) for s in range(4)])
+        gaps = p.dual_gap_eval(points)
+        assert gaps.shape == (4,)
+        A = p.params["matrix"]
+        for point, value in zip(points, gaps):
+            u, v = point[:30], point[30:]
+            assert value == float(np.max(A.T @ u) - np.min(A @ v))
+
     def test_large_game_holds_one_matrix(self):
         tracemalloc.start()
         try:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -21,8 +22,10 @@ from uvi.operators import (
     matrix_game,
     saddle_problem,
 )
+from uvi.gap import dual_gap
 from uvi.solver import (
     DivergenceError,
+    GapCheckError,
     SolverError,
     SolverConfig,
     compute_z_sq,
@@ -34,6 +37,17 @@ from uvi.solver import (
 from helpers import reference_game_run
 
 ASYM = [[0.0, -1.0], [1.0, 0.0]]
+
+
+def kahan_prefixes(xs):
+    """The loop's Kahan-compensated running sums of the iterates, step by step."""
+    sum_x = comp = 0.0
+    for x in xs:
+        incr = x - comp
+        total = sum_x + incr
+        comp = (total - sum_x) - incr
+        sum_x = total
+        yield sum_x
 
 
 class TestUpdateEta:
@@ -145,11 +159,17 @@ class TestUniversalRuns:
         np.testing.assert_allclose(trace.x_avg, stacked, rtol=1e-12)
 
     def test_prefix_sums_are_exact(self):
+        # Every checkpoint's average and every step's gap come from the
+        # loop's Kahan prefix sum; both are bitwise those of the replay.
         p = make_problem("quadratic-ball")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=100))
-        direct = np.cumsum([step.x for step in replay_steps(p, trace)], axis=0)
-        for rec, expected in zip(trace.records, direct):
-            np.testing.assert_allclose(rec.x_prefix, expected, rtol=1e-12)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=100, eval_every=1),
+                                      checkpoints=range(1, 101))
+        xs = [step.x for step in replay_steps(p, trace)]
+        for rec, prefix in zip(trace.records, kahan_prefixes(xs)):
+            assert np.array_equal(trace.prefix(rec.t).x_avg, prefix / rec.t), rec.t
+            assert rec.gap == dual_gap(p, prefix / rec.t), rec.t
+        direct = np.cumsum(xs, axis=0)
+        np.testing.assert_allclose(trace.x_avg, direct[-1] / 100, rtol=1e-12)
 
     @pytest.mark.parametrize("noise", [0.0, 0.4], ids=["det", "noisy"])
     def test_regret_sums_are_streamed_in_step_order(self, noise):
@@ -202,13 +222,13 @@ class TestFixedStep:
 class TestStochasticRuns:
     def test_same_seed_bitwise_identical(self):
         p = matrix_game(ASYM)
-        cfg = SolverConfig(iterations=200)
+        cfg = SolverConfig(iterations=200, eval_every=1)
         t1 = universal_mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
         t2 = universal_mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
         np.testing.assert_array_equal(t1.x_avg, t2.x_avg)
         for r1, r2 in zip(t1.records, t2.records):
             assert r1.eta == r2.eta and r1.z_sq == r2.z_sq
-            np.testing.assert_array_equal(r1.x_prefix, r2.x_prefix)
+            assert r1.gap == r2.gap and r1.gap is not None
 
     def test_different_seeds_differ(self):
         p = matrix_game(ASYM)
@@ -252,8 +272,9 @@ class TestOracleKernelInLoop:
         # The replay samples through the checked noisy_eval and prox_step; its
         # Kahan prefix and norms must be the records' at every step.
         p = make_problem(name)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=300),
-                                      StochasticOracle(p, 0.5, rng_seed=9))
+        trace = universal_mirror_prox(p, SolverConfig(iterations=300, eval_every=1),
+                                      StochasticOracle(p, 0.5, rng_seed=9),
+                                      checkpoints=range(1, 301))
         twin = StochasticOracle(p, 0.5, rng_seed=9)
         geom = p.geom
         sum_x, comp = np.zeros(geom.dim), np.zeros(geom.dim)
@@ -262,7 +283,8 @@ class TestOracleKernelInLoop:
             total = sum_x + incr
             comp = (total - sum_x) - incr
             sum_x = total
-            assert np.array_equal(rec.x_prefix, sum_x), rec.t
+            assert np.array_equal(trace.prefix(rec.t).x_avg, sum_x / rec.t), rec.t
+            assert rec.gap == dual_gap(p, sum_x / rec.t), rec.t
             assert rec.xy_norm == geom.primal_norm(x - y), rec.t
             assert rec.xy_prev_norm == geom.primal_norm(x - y_prev), rec.t
             assert rec.gm_dual_norm == geom.dual_norm(g - m), rec.t
@@ -313,18 +335,21 @@ def assert_same_trace(got, want):
         assert np.array_equal(got.g_sum, want.g_sum)
     assert [rec.t for rec in got.records] == [rec.t for rec in want.records]
     for a, b in zip(got.records, want.records):
-        for name in ("eta", "z_sq", "xy_norm", "xy_prev_norm", "gm_dual_norm"):
+        for name in ("eta", "z_sq", "xy_norm", "xy_prev_norm", "gm_dual_norm", "gap"):
             assert getattr(a, name) == getattr(b, name), (a.t, name)
-        assert np.array_equal(a.x_prefix, b.x_prefix), a.t
+    # Each run's last step carries its gap.
+    assert got.records[-1].gap == want.records[-1].gap is not None
 
 
 def checkpoint_solve(problem, mode, noise, T, checkpoints=(), record_every=7):
+    """A solve with a gap at every recorded step."""
     oracle = StochasticOracle(problem, noise, rng_seed=11) if noise else None
     if mode == "universal":
-        config = SolverConfig(iterations=T, record_every=record_every)
+        config = SolverConfig(iterations=T, record_every=record_every, eval_every=record_every)
         return universal_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
     return fixed_step_mirror_prox(problem, 0.2, T, record_every=record_every,
-                                  oracle=oracle, checkpoints=checkpoints)
+                                  eval_every=record_every, oracle=oracle,
+                                  checkpoints=checkpoints)
 
 
 class TestCheckpoints:
@@ -429,36 +454,102 @@ class TestGuards:
             SolverConfig(iterations=1, mode="fixed-step")
         with pytest.raises(ValueError):
             SolverConfig(iterations=1, mode="bogus")
+        with pytest.raises(ValueError, match="eval_every must be >= 1"):
+            SolverConfig(iterations=10, eval_every=0)
+        with pytest.raises(ValueError, match="eval_every must be a multiple of record_every"):
+            SolverConfig(iterations=10, record_every=2, eval_every=7)
+        with pytest.raises(ValueError, match="multiple of record_every"):
+            fixed_step_mirror_prox(make_problem("rps"), 0.1, 10, record_every=2, eval_every=3)
         with pytest.raises(ValueError):
             universal_mirror_prox(
                 make_problem("rps"), SolverConfig(iterations=1, mode="fixed-step", eta=0.1)
             )
 
 
+class TestStreamedGaps:
+    """Each gap the loop streams is the checked gap of the replayed average."""
+
+    SEEDS = (3, 8)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.4], ids=["det", "noisy"])
+    @pytest.mark.parametrize("name", ["rps", "random-game-30x20", "l1-ball",
+                                      "quadratic-ball", "piecewise-max"])
+    def test_gap_equals_replayed_average_gap(self, name, noise):
+        problem = BATCH_PROBLEMS[name]()
+
+        def oracle(seed):
+            return StochasticOracle(problem, noise, rng_seed=seed) if noise else None
+
+        batch = universal_mirror_prox(problem, SolverConfig(iterations=60, eval_every=1),
+                                      oracles={seed: oracle(seed) for seed in self.SEEDS})
+        for seed, trace in batch.traces.items():
+            xs = [step.x for step in replay_steps(problem, trace, oracle(seed))]
+            for rec, prefix in zip(trace.records, kahan_prefixes(xs)):
+                assert rec.gap == dual_gap(problem, prefix / rec.t), (seed, rec.t)
+            assert rec.t == 60
+
+    @staticmethod
+    def negative_from_step(step, row):
+        """l1-ball whose evaluator returns -1.0 for ``row`` from ``step`` on."""
+        calls = []
+
+        def gap_eval(x):  # one call per evaluated step, on the stack of seeds
+            calls.append(1)
+            values = np.zeros(len(x))
+            if len(calls) >= step:
+                values[row] = -1.0
+            return values
+
+        return dataclasses.replace(make_problem("l1-ball"), dual_gap_eval=gap_eval)
+
+    def test_negative_gap_aborts_naming_the_seed(self):
+        problem = self.negative_from_step(3, 1)
+        oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
+        with pytest.raises(GapCheckError) as err:
+            universal_mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
+                                  oracles=oracles)
+        plain = make_problem("l1-ball")
+        single = universal_mirror_prox(plain, SolverConfig(iterations=3),
+                                       StochasticOracle(plain, 0.3, rng_seed=8))
+        eta = single.records[2].eta
+        assert (err.value.t, err.value.eta, err.value.seed) == (3, eta, 8)
+        assert str(err.value) == (f"aborted at step t=3, eta={eta:.6g}: running average: "
+                                  "duality gap -1.0 is negative beyond tolerance (seed 8)")
+        assert isinstance(err.value, SolverError)
+
+
 class TestTraceMemory:
-    def test_every_step_trace_holds_one_vector_per_step(self):
-        # A record keeps one d-vector, the prefix sum; x_t and g_t are not kept.
+    def test_every_step_trace_holds_no_vector_per_step(self):
+        # A record keeps scalars only, its gap included; no d-vector is kept.
         p = make_problem("random-game", d1=300, d2=300)
         oracle = StochasticOracle(p, 0.5, rng_seed=1)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trace = universal_mirror_prox(p, SolverConfig(iterations=2000), oracle)
+            trace = universal_mirror_prox(p, SolverConfig(iterations=2000, eval_every=1),
+                                          oracle)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(trace.records) == 2000
-        assert held <= 1.25 * 2000 * 600 * 8, held  # 1.25 x one (T, d) float64 array
+        assert all(rec.gap is not None for rec in trace.records)
+        assert held <= 0.25 * 2000 * 600 * 8, held  # 0.25 x one (T, d) float64 array
 
 
 def bilinear_saddle(geom_u, geom_v, seed):
-    """u.B.v over the two blocks, with a batched operator."""
+    """u.B.v over the two blocks, with a batched operator and duality gap."""
     B = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(geom_u.dim, geom_v.dim))
+
+    def gap(x):  # max_v' u.B.v' - min_u' u'.B.v by the blocks' exact linear minimizers
+        u, v = x[: geom_u.dim], x[geom_u.dim :]
+        return -geom_v.linear_minimize(-(B.T @ u))[1] - geom_u.linear_minimize(B @ v)[1]
+
     return saddle_problem(
         phi=lambda u, v: float(u @ B @ v),
         grad_u=lambda u, v: np.matvec(B, v),
         grad_v=lambda u, v: np.vecmat(u, B),
         geom_u=geom_u, geom_v=geom_v, g_bound=10.0, batched=True,
+        dual_gap_eval=lambda x: gap(x) if x.ndim == 1 else np.array([gap(row) for row in x]),
     )
 
 
@@ -501,7 +592,8 @@ class TestSeedBatch:
         def oracle(seed):
             return StochasticOracle(problem, noise, rng_seed=seed) if noise else None
 
-        config = SolverConfig(iterations=60, record_every=record_every)
+        config = SolverConfig(iterations=60, record_every=record_every,
+                              eval_every=record_every)
         batch = universal_mirror_prox(problem, config, checkpoints=self.BUDGETS,
                                       oracles={seed: oracle(seed) for seed in self.SEEDS})
         assert list(batch.traces) == list(self.SEEDS)
@@ -518,9 +610,10 @@ class TestSeedBatch:
     def test_fixed_step_batch_equals_separate_solves(self):
         problem = make_problem("l1-ball")
         oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
-        batch = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1, oracles=oracles)
+        batch = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1, eval_every=1,
+                                       oracles=oracles)
         for seed in self.SEEDS:
-            single = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1,
+            single = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1, eval_every=1,
                                             oracle=StochasticOracle(problem, 0.3, rng_seed=seed))
             assert_same_trace(batch.traces[seed], single)
 
@@ -532,7 +625,7 @@ class TestSeedBatch:
             return {1: None, 2: StochasticOracle(problem, 0.3, rng_seed=2),
                     3: StochasticOracle(problem, 0.0, rng_seed=3)}
 
-        config = SolverConfig(iterations=50, record_every=1)
+        config = SolverConfig(iterations=50, record_every=1, eval_every=1)
         batch = universal_mirror_prox(problem, config, oracles=oracles())
         for seed, oracle in oracles().items():
             assert_same_trace(batch.traces[seed],
