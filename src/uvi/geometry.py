@@ -18,7 +18,10 @@ of shape (..., dim), a step size that is a float or an array of shape
 in them runs along the last axis (row-wise sums, minima, maxima,
 ``np.vecdot``), so each row of a batched call is bitwise the call on that
 row alone; the solver loop runs a batch of seeds through the same code a
-single point takes.
+single point takes. For the same reason a product of two equal simplex
+blocks (every square matrix game) runs each prox and norm kernel as one
+block-kernel call on an (..., 2, d') view of its points, bitwise the two
+per-block calls that any other product makes.
 """
 
 from __future__ import annotations
@@ -369,6 +372,14 @@ class ProductGeometry(Geometry):
     sqrt(||u||_U^2/D_U^2 + ||v||_V^2/D_V^2) and its dual is
     sqrt(D_U^2 (||u||_U*)^2 + D_V^2 (||v||_V*)^2). The prox step separates
     into block prox steps with effective step sizes eta*D_U^2 and eta*D_V^2.
+
+    When both blocks are the same simplex geometry (the same class, ``dim``
+    and ``clamp_eps``, as in every square matrix game), the prox and norm
+    kernels view a point of shape (..., 2 d') as (..., 2, d') and make one
+    block-kernel call on it, with the step eta*D^2 broadcast to (..., 1, 1)
+    and no ``concatenate``. The block kernels reduce along the last axis
+    only, so this twin path is bitwise the split path, which serves every
+    other pair of blocks.
     """
 
     kind = "product"
@@ -377,12 +388,24 @@ class ProductGeometry(Geometry):
         super().__init__(geom_u.dim + geom_v.dim, 2.0)
         self.u = geom_u
         self.v = geom_v
+        # A simplex geometry is fixed by its class, dim and clamp_eps; other
+        # sets (box bounds, ball radii) carry more than those.
+        self._twin = (
+            type(geom_u) is type(geom_v)
+            and type(geom_u) in (EntropicSimplex, EuclideanSimplex)
+            and geom_u.dim == geom_v.dim
+            and geom_u.clamp_eps == geom_v.clamp_eps
+        )
 
     def split(self, x):
         return self._split(self.check_point(x))
 
     def _split(self, x):
         return x[..., : self.u.dim], x[..., self.u.dim :]
+
+    def _pair(self, x):
+        """The (..., 2, d') view of a twin product's point."""
+        return x.reshape(x.shape[:-1] + (2, self.u.dim))
 
     def _bregman(self, x, y) -> float:
         xu, xv = self._split(x)
@@ -398,10 +421,18 @@ class ProductGeometry(Geometry):
         self.v._check_anchor(av)
 
     def _prox_base(self, anchor):
+        if self._twin:
+            return self.u._prox_base(self._pair(anchor))
         au, av = self._split(anchor)
         return self.u._prox_base(au), self.v._prox_base(av)
 
     def _prox_from(self, base, direction, eta) -> np.ndarray:
+        if self._twin:
+            step = eta * self.u.diameter_sq
+            if isinstance(step, np.ndarray):
+                step = step[..., None]
+            pair = self.u._prox_from(base, self._pair(direction), step)
+            return pair.reshape(direction.shape)
         bu, bv = base
         du, dv = self._split(direction)
         pu = self.u._prox_from(bu, du, eta * self.u.diameter_sq)
@@ -409,12 +440,20 @@ class ProductGeometry(Geometry):
         return np.concatenate([pu, pv], axis=-1)
 
     def _primal_norm(self, v):
+        if self._twin:
+            n = self.u._primal_norm(self._pair(v))
+            sq = n * n / self.u.diameter_sq
+            return np.sqrt(sq[..., 0] + sq[..., 1])
         vu, vv = self._split(v)
         nu = self.u._primal_norm(vu)
         nv = self.v._primal_norm(vv)
         return np.sqrt(nu * nu / self.u.diameter_sq + nv * nv / self.v.diameter_sq)
 
     def _dual_norm(self, v):
+        if self._twin:
+            s = self.u._dual_norm(self._pair(v))
+            sq = self.u.diameter_sq * s * s
+            return np.sqrt(sq[..., 0] + sq[..., 1])
         vu, vv = self._split(v)
         su = self.u._dual_norm(vu)
         sv = self.v._dual_norm(vv)

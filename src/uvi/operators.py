@@ -16,10 +16,10 @@ the solver's movement invariants.
 
 ``VIProblem.operator``/``gap`` and ``noisy_eval``/``noisy_eval_batch``
 validate their points once, at this boundary; the operator and gap
-closures behind them, and the oracle's ``_sample`` kernel, take raw
-arrays of the right dimension unchecked. The catalog operators also take
-a stack of points, one per row (``VIProblem.batched``), so the solver
-loop evaluates a batch of seeds in one call.
+closures behind them take raw arrays of the right dimension unchecked.
+The catalog operators also take a stack of points, one per row
+(``VIProblem.batched``), so the solver loop evaluates a batch of seeds in
+one call.
 """
 
 from __future__ import annotations
@@ -333,9 +333,12 @@ class StochasticOracle:
     bitwise the one a separate draw of d signs would give, for any mix of
     single and batch samples. With noise_bound 0 nothing is drawn.
 
-    ``_sample`` is the unchecked kernel behind ``noisy_eval`` and
-    ``noisy_eval_batch``, which check the point first. The solver loop
-    evaluates the operator itself and adds the rows of ``_noise``.
+    ``noisy_eval`` and ``noisy_eval_batch`` check the point, then add the
+    next rows of ``_noise``. The solver loop evaluates the operator itself
+    and takes each noisy seed's rows as ``_noise(rows)`` slabs, never more
+    than its run still needs, into one stack for the batch; so after a
+    run of T steps the oracle's next row is the (2T + 1)-th of its stream,
+    however the run was batched.
     """
 
     base: VIProblem
@@ -374,13 +377,6 @@ class StochasticOracle:
             return rows
         return np.concatenate([rows, self._draw(count - len(rows))])
 
-    def _sample(self, x: np.ndarray) -> np.ndarray:
-        """F(x) + zeta at a point trusted to be feasible."""
-        f = self.base.operator(x)
-        if self.noise_bound == 0.0:
-            return f
-        return f + self._noise()
-
 
 def _feasible_point(oracle: StochasticOracle, x) -> np.ndarray:
     geom = oracle.base.geom
@@ -392,7 +388,10 @@ def _feasible_point(oracle: StochasticOracle, x) -> np.ndarray:
 
 def noisy_eval(oracle: StochasticOracle, x) -> np.ndarray:
     """One fresh unbiased sample of the operator at a feasible point."""
-    return oracle._sample(_feasible_point(oracle, x))
+    f = oracle.base.operator(_feasible_point(oracle, x))
+    if oracle.noise_bound == 0.0:
+        return f
+    return f + oracle._noise()
 
 
 def noisy_eval_batch(oracle: StochasticOracle, x, count: int) -> np.ndarray:

@@ -30,10 +30,13 @@ Arguments are validated once, at the public entry points: the geometry's
 ``noisy_eval`` (dimension and feasibility, the boundary for callers that
 sample the oracle themselves) and ``dual_gap``. The loop calls the
 unchecked ``operator_eval`` and the geometry's unchecked prox and norm
-kernels on raw arrays, and adds each oracle's noise rows itself; prox
-outputs are feasible by construction, so the loop's query points need no
-feasibility check. Each of the three movement norms is computed once per
-step, and both prox steps share one ``_prox_base`` of their anchor.
+kernels on raw arrays, and adds each oracle's noise rows itself: the
+noisy seeds' rows sit in one (rows, k, d) stack, refilled slab by slab
+from each seed's own ``_noise(rows)`` and never past the run's 2T draws,
+and each sample takes one slice of it. Prox outputs are feasible by
+construction, so the loop's query points need no feasibility check. Each
+of the three movement norms is computed once per step, and both prox
+steps share one ``_prox_base`` of their anchor.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle) as (S, d) arrays, one seed per row; a single solve is the
@@ -289,17 +292,32 @@ def _seed_floats(a, n: int) -> list:
     return [float(a)] if n == 1 else a.tolist()
 
 
-def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]]):
+def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samples: int):
     """F, plus each seed's noise row, at the loop's points (see ``_run_loop``).
 
+    The k noisy seeds' rows come from one (rows, k, d) stack, a (rows, d)
+    one for a single seed, refilled slab by slab from each seed's own
+    ``_noise(rows)``; ``rows`` never exceeds what is left of the run's
+    ``samples`` draws, so no oracle hands out a row the run does not use.
     The returned function raises ``_BadValue`` naming the first seed whose
     value is not a finite vector of dimension d.
     """
     n, dim = len(oracles), problem.geom.dim
     bad_value = f"operator value must be a finite vector of dimension {dim}"
     noisy = [s for s, o in enumerate(oracles) if o is not None and o.noise_bound != 0.0]
-    draws = [oracles[s]._noise for s in noisy]
+    streams = [oracles[s] for s in noisy]
     every_row = len(noisy) == n
+
+    def noise_rows():
+        slab = (dim,) if n == 1 else (len(streams), dim)
+        due = samples
+        while due:
+            rows = min(streams[0]._block_rows, due)
+            due -= rows
+            # No name holds a slab, so it is freed before the next one is drawn.
+            yield from np.stack([o._noise(rows) for o in streams], axis=1).reshape((rows,) + slab)
+
+    noise = noise_rows() if streams else None
 
     def by_row(points):
         values = []
@@ -321,11 +339,10 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]]):
         else:
             values = by_row(points)
         if every_row:
-            noise = draws[0]() if n == 1 else np.array([draw() for draw in draws])
-            values = values + noise
-        elif draws:
+            values = values + next(noise)
+        elif noise is not None:
             values = values.copy()
-            values[noisy] += np.array([draw() for draw in draws])
+            values[noisy] += next(noise)
         if not np.isfinite(values).all():
             finite = np.isfinite(values).reshape(n, dim).all(axis=1)
             raise _BadValue(int(np.argmin(finite)), bad_value)
@@ -357,7 +374,7 @@ def _run_loop(
         if oracle is not None and oracle.base is not problem:
             raise ValueError("oracle was built for a different problem instance")
     g_caps = [problem.g_bound if o is None else o.g_bound for o in oracles]
-    sample = _sampler(problem, oracles)
+    sample = _sampler(problem, oracles, 2 * config.iterations)
 
     y_prev = np.tile(geom.min_point(), shape[:-1] + (1,))
     sum_x = np.zeros(shape)

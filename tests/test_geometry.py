@@ -180,6 +180,75 @@ class TestNorms:
         assert best >= 0.98 * dual
 
 
+TWIN_PAIRS = {
+    "entropic": (EntropicSimplex(3), EntropicSimplex(3)),
+    "entropic-clamped": (EntropicSimplex(4, clamp_eps=1e-3), EntropicSimplex(4, clamp_eps=1e-3)),
+    "euclidean-simplex": (EuclideanSimplex(4), EuclideanSimplex(4)),
+}
+SPLIT_PAIRS = {
+    "unequal-dims": (EntropicSimplex(3), EntropicSimplex(4)),
+    "unequal-clamp": (EntropicSimplex(4), EntropicSimplex(4, clamp_eps=1e-3)),
+    "unequal-class": (EuclideanSimplex(3), EntropicSimplex(3)),
+    "unequal-radius": (EuclideanBall(1.0, 3), EuclideanBall(2.0, 3)),
+    # Same kind, dim and diameter, different bounds.
+    "shifted-boxes": (EuclideanBox([0.0, 0.0], [1.0, 1.0]), EuclideanBox([1.0, 1.0], [2.0, 2.0])),
+}
+
+
+def split_reference(geom, anchor, direction, eta):
+    """The product kernels built from the block kernels plus ``concatenate``."""
+    u, v, d = geom.u, geom.v, geom.u.dim
+    bu, bv = u._prox_base(anchor[..., :d]), v._prox_base(anchor[..., d:])
+    du, dv = direction[..., :d], direction[..., d:]
+    prox = np.concatenate([u._prox_from(bu, du, eta * u.diameter_sq),
+                           v._prox_from(bv, dv, eta * v.diameter_sq)], axis=-1)
+    nu, nv = u._primal_norm(du), v._primal_norm(dv)
+    su, sv = u._dual_norm(du), v._dual_norm(dv)
+    return {
+        "base": np.concatenate([bu, bv], axis=-1),
+        "prox": prox,
+        "primal": np.sqrt(nu * nu / u.diameter_sq + nv * nv / v.diameter_sq),
+        "dual": np.sqrt(u.diameter_sq * su * su + v.diameter_sq * sv * sv),
+    }
+
+
+class TestProductKernelPaths:
+    """Twin blocks run one block call on an (..., 2, d') view; any other pair
+    splits. Both are bitwise the block kernels plus ``concatenate``."""
+
+    @pytest.mark.parametrize("lead, eta_kind", [
+        ((), "float"), ((1,), "float"), ((1,), "column"), ((3,), "float"), ((3,), "column"),
+    ], ids=["point", "S=1", "S=1-column", "S=3", "S=3-column"])
+    @pytest.mark.parametrize("name", sorted(TWIN_PAIRS) + sorted(SPLIT_PAIRS))
+    def test_kernels_equal_block_reference(self, name, lead, eta_kind):
+        geom = ProductGeometry(*(TWIN_PAIRS.get(name) or SPLIT_PAIRS[name]))
+        assert geom._twin == (name in TWIN_PAIRS)
+        rng = np.random.default_rng(43)
+        count = lead[0] if lead else 1
+        anchor = np.array([interiorize(geom, p) for p in sample_batch(geom, rng, count)])
+        # Large steps, so box, ball and clamp constraints bind on some rows.
+        direction = 5.0 * rng.normal(size=(count, geom.dim))
+        anchor, direction = anchor.reshape(lead + (-1,)), direction.reshape(lead + (-1,))
+        eta = 0.7 if eta_kind == "float" else rng.uniform(0.2, 1.5, size=(count, 1))
+        ref = split_reference(geom, anchor, direction, eta)
+
+        base = geom._prox_base(anchor)
+        flat = (base.reshape(anchor.shape) if isinstance(base, np.ndarray)
+                else np.concatenate(base, axis=-1))
+        got = {
+            "base": flat,
+            "prox": geom._prox_from(base, direction, eta),
+            "primal": geom._primal_norm(direction),
+            "dual": geom._dual_norm(direction),
+        }
+        for key, want in ref.items():
+            assert got[key].shape == want.shape, key
+            assert got[key].tobytes() == want.tobytes(), key
+        if lead == ():
+            public = geom.prox_step(anchor, direction, eta)
+            assert public.tobytes() == ref["prox"].tobytes()
+
+
 class TestContains:
     def test_rows_equal_single_points(self):
         # Feasible rows, rows moved out of every set, and a NaN row.

@@ -215,7 +215,6 @@ class TestStochasticOracle:
         np.testing.assert_array_equal(noisy_eval(oracle, x), p.operator(x))
         np.testing.assert_array_equal(noisy_eval_batch(oracle, x, 3),
                                       np.tile(p.operator(x), (3, 1)))
-        np.testing.assert_array_equal(oracle._sample(x), p.operator(x))
         # nothing was drawn from the noise stream
         assert oracle._rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 

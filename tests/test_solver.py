@@ -631,6 +631,51 @@ class TestSeedBatch:
             assert_same_trace(batch.traces[seed],
                               universal_mirror_prox(problem, config, oracle))
 
+    @staticmethod
+    def wide_ball():
+        """A d = 600 ball: its noise blocks are 13 rows, so T = 61 (122 samples)
+        crosses nine block boundaries and ends inside a block."""
+        x0 = np.linspace(-0.05, 0.05, 600)
+        x0[0] = 1.5
+        problem = make_problem("quadratic-ball", x0=x0)
+        assert StochasticOracle(problem, 0.3)._block_rows == 13
+        return problem
+
+    @staticmethod
+    def assert_batch_equals_singles(problem, oracles, T=61):
+        """Each seed's trace, and its oracle's next noise row after the solve,
+        equal those of its own single solve; that row is the (2T + 1)-th of
+        a fresh stream, so neither solve took a row it did not use."""
+        config = SolverConfig(iterations=T, record_every=1, eval_every=1)
+        batch_oracles = oracles()
+        batch = universal_mirror_prox(problem, config, oracles=batch_oracles)
+        fresh = oracles()
+        for seed, oracle in oracles().items():
+            assert_same_trace(batch.traces[seed], universal_mirror_prox(problem, config, oracle))
+            if oracle is None:
+                continue
+            if oracle.noise_bound == 0.0:  # nothing is drawn
+                state = fresh[seed]._rng.bit_generator.state
+                assert batch_oracles[seed]._rng.bit_generator.state == state, seed
+                assert oracle._rng.bit_generator.state == state, seed
+                continue
+            fresh[seed]._noise(2 * T)
+            after = fresh[seed]._noise()
+            assert np.array_equal(batch_oracles[seed]._noise(), after), seed
+            assert np.array_equal(oracle._noise(), after), seed
+
+    def test_noise_stack_crosses_blocks(self):
+        problem = self.wide_ball()
+        self.assert_batch_equals_singles(problem, lambda: {
+            seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS})
+
+    def test_mixed_noise_stack_crosses_blocks(self):
+        problem = self.wide_ball()
+        self.assert_batch_equals_singles(problem, lambda: {
+            1: None, 2: StochasticOracle(problem, 0.3, rng_seed=2),
+            3: StochasticOracle(problem, 0.0, rng_seed=3),
+            4: StochasticOracle(problem, 0.3, rng_seed=4)})
+
     def test_oracle_and_oracles_are_exclusive(self):
         problem = make_problem("rps")
         config = SolverConfig(iterations=5)
