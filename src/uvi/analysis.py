@@ -52,7 +52,8 @@ _HOLD_TOL = 1e-12
 
 @dataclass
 class BoundReport:
-    """Theoretical rate shapes next to observed values for one run setup.
+    """Theoretical rate shapes for one run setup, as ``theorem_bounds``
+    computes them.
 
     alpha = max(G/G0, G0/G) measures the quality of the step-size prior.
     Bounds that need constants the problem lacks (L for the smooth rates,
@@ -65,9 +66,6 @@ class BoundReport:
     thm2_rhs: Optional[float] = None
     thm3_rhs: Optional[float] = None
     thm4_rhs: Optional[float] = None
-    observed_gap: Optional[float] = None
-    lemma3_lhs: Optional[float] = None
-    lemma3_rhs: Optional[float] = None
     log_regime_clamped: bool = False
 
 

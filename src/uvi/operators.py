@@ -14,9 +14,9 @@ The stochastic oracle adds zero-mean sign noise whose dual norm is bounded
 almost surely, so the sampled operator stays norm-bounded as required by
 the solver's movement invariants.
 
-``VIProblem.operator``/``gap`` and ``noisy_eval``/``noisy_eval_batch``
-validate their points once, at this boundary; the operator and gap
-closures behind them take raw arrays of the right dimension unchecked.
+``VIProblem.operator``/``gap`` and ``noisy_eval`` validate their points
+once, at this boundary; the operator and gap closures behind them take raw
+arrays of the right dimension unchecked.
 The catalog operators also take a stack of points, one per row
 (``VIProblem.batched``), so the solver loop evaluates a batch of seeds in
 one call.
@@ -48,7 +48,6 @@ __all__ = [
     "saddle_problem",
     "matrix_game",
     "noisy_eval",
-    "noisy_eval_batch",
     "builtin_problems",
     "make_problem",
 ]
@@ -292,10 +291,6 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
     )
 
 
-# Sign noise is drawn in blocks of about this many bytes of float64 rows.
-_NOISE_BLOCK_BYTES = 65536
-
-
 def _noise_sigma_sq(noise_bound: float, sigma_sq: Optional[float]) -> float:
     """The variance bound of sign noise with dual-norm bound ``noise_bound``.
 
@@ -327,18 +322,15 @@ class StochasticOracle:
     bound for verification only; the solver never reads it. One oracle
     instance per run; the generator is PCG64 seeded from ``rng_seed``.
 
-    Signs are drawn in blocks, one ``integers`` call of (rows, d) per block,
-    and handed out one row per sample in order. PCG64's bounded integer
-    draws do not depend on how a request is chunked, so every sample is
-    bitwise the one a separate draw of d signs would give, for any mix of
-    single and batch samples. With noise_bound 0 nothing is drawn.
-
-    ``noisy_eval`` and ``noisy_eval_batch`` check the point, then add the
-    next rows of ``_noise``. The solver loop evaluates the operator itself
-    and takes each noisy seed's rows as ``_noise(rows)`` slabs, never more
-    than its run still needs, into one stack for the batch; so after a
+    ``_noise(count)`` draws the next ``count`` rows of zeta in one
+    ``integers`` call of (count, d) signs. PCG64's bounded integer draws do
+    not depend on how a request is chunked, so a row is bitwise the one a
+    separate draw of d signs would give, however the stream is split.
+    ``noisy_eval`` checks the point, then adds one row. The solver loop
+    evaluates the operator itself and takes each noisy seed's rows in slabs
+    (see ``uvi.solver``), never more than its run still needs; so after a
     run of T steps the oracle's next row is the (2T + 1)-th of its stream,
-    however the run was batched.
+    however the run was batched. With noise_bound 0 nothing is drawn.
     """
 
     base: VIProblem
@@ -349,59 +341,28 @@ class StochasticOracle:
     def __post_init__(self):
         self.sigma_sq = _noise_sigma_sq(self.noise_bound, self.sigma_sq)
         self._rng = np.random.default_rng(self.rng_seed)
-        dim = self.base.geom.dim
-        self._unit_dual = self.base.geom.dual_norm(np.ones(dim))
-        self._block_rows = max(1, _NOISE_BLOCK_BYTES // (8 * dim))
-        self._block = np.empty((0, dim))
-        self._row = 0
+        self._unit_dual = self.base.geom.dual_norm(np.ones(self.base.geom.dim))
 
     @property
     def g_bound(self) -> float:
         return self.base.g_bound + self.noise_bound
 
-    def _draw(self, rows: int) -> np.ndarray:
-        signs = self._rng.integers(0, 2, size=(rows, self.base.geom.dim))
+    def _noise(self, count: int) -> np.ndarray:
+        """The next ``count`` noise rows, as (count, dim)."""
+        signs = self._rng.integers(0, 2, size=(count, self.base.geom.dim))
         return (self.noise_bound / self._unit_dual) * (signs * 2 - 1)
-
-    def _noise(self, count: Optional[int] = None) -> np.ndarray:
-        """The next noise row, or the next ``count`` rows as (count, dim)."""
-        if count is None:
-            if self._row == len(self._block):
-                self._block = self._draw(self._block_rows)
-                self._row = 0
-            self._row += 1
-            return self._block[self._row - 1]
-        rows = self._block[self._row : self._row + count]
-        self._row += len(rows)
-        if len(rows) == count:
-            return rows
-        return np.concatenate([rows, self._draw(count - len(rows))])
-
-
-def _feasible_point(oracle: StochasticOracle, x) -> np.ndarray:
-    geom = oracle.base.geom
-    x = geom.check_point(x)
-    if not geom._contains(x, 1e-8):
-        raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
-    return x
 
 
 def noisy_eval(oracle: StochasticOracle, x) -> np.ndarray:
     """One fresh unbiased sample of the operator at a feasible point."""
-    f = oracle.base.operator(_feasible_point(oracle, x))
+    geom = oracle.base.geom
+    x = geom.check_point(x)
+    if not geom._contains(x, 1e-8):
+        raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
+    f = oracle.base.operator(x)
     if oracle.noise_bound == 0.0:
         return f
-    return f + oracle._noise()
-
-
-def noisy_eval_batch(oracle: StochasticOracle, x, count: int) -> np.ndarray:
-    """``count`` independent samples at a fixed point, shape (count, dim)."""
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, got {count}")
-    f = oracle.base.operator(_feasible_point(oracle, x))
-    if oracle.noise_bound == 0.0:
-        return np.tile(f, (count, 1))
-    return f[None, :] + oracle._noise(count)
+    return f + oracle._noise(1)[0]
 
 
 # ---------------------------------------------------------------------------

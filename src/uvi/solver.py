@@ -33,10 +33,11 @@ unchecked ``operator_eval`` and the geometry's unchecked prox and norm
 kernels on raw arrays, and adds each oracle's noise rows itself: the
 noisy seeds' rows sit in one (rows, k, d) stack, refilled slab by slab
 from each seed's own ``_noise(rows)`` and never past the run's 2T draws,
-and each sample takes one slice of it. Prox outputs are feasible by
-construction, so the loop's query points need no feasibility check. Each
-of the three movement norms is computed once per step, and both prox
-steps share one ``_prox_base`` of their anchor.
+and each sample takes one slice of it; the loop alone sizes the slabs,
+at about ``_NOISE_BLOCK_BYTES`` of a seed's rows. Prox outputs are
+feasible by construction, so the loop's query points need no feasibility
+check. Each of the three movement norms is computed once per step, and
+both prox steps share one ``_prox_base`` of their anchor.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle) as (S, d) arrays, one seed per row; a single solve is the
@@ -63,6 +64,9 @@ hindsight regret needs, sum_t g_t and sum_t g_t.x_t, into the trace
 (``g_sum``, ``gx_sum``), and ``uvi.analysis.replay_steps`` re-runs the
 steps through the public checked methods wherever a check needs the
 vectors themselves.
+
+Both solvers take every solve setting from one ``SolverConfig``, whose
+``mode`` must name the solver.
 
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. Both solvers
@@ -107,6 +111,8 @@ __all__ = [
 ]
 
 _MOVEMENT_TOL = 1e-9
+# Each noisy seed's rows are drawn in slabs of about this many bytes of float64.
+_NOISE_BLOCK_BYTES = 65536
 
 
 class SolverError(RuntimeError):
@@ -297,8 +303,9 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
 
     The k noisy seeds' rows come from one (rows, k, d) stack, a (rows, d)
     one for a single seed, refilled slab by slab from each seed's own
-    ``_noise(rows)``; ``rows`` never exceeds what is left of the run's
-    ``samples`` draws, so no oracle hands out a row the run does not use.
+    ``_noise(rows)``; ``rows`` is about ``_NOISE_BLOCK_BYTES`` of a seed's
+    rows and never exceeds what is left of the run's ``samples`` draws, so
+    no oracle hands out a row the run does not use.
     The returned function raises ``_BadValue`` naming the first seed whose
     value is not a finite vector of dimension d.
     """
@@ -307,12 +314,13 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
     noisy = [s for s, o in enumerate(oracles) if o is not None and o.noise_bound != 0.0]
     streams = [oracles[s] for s in noisy]
     every_row = len(noisy) == n
+    slab_rows = max(1, _NOISE_BLOCK_BYTES // (8 * dim))
 
     def noise_rows():
         slab = (dim,) if n == 1 else (len(streams), dim)
         due = samples
         while due:
-            rows = min(streams[0]._block_rows, due)
+            rows = min(slab_rows, due)
             due -= rows
             # No name holds a slab, so it is freed before the next one is drawn.
             yield from np.stack([o._noise(rows) for o in streams], axis=1).reshape((rows,) + slab)
@@ -545,21 +553,17 @@ def universal_mirror_prox(
 
 def fixed_step_mirror_prox(
     problem: VIProblem,
-    eta: float,
-    iterations: int,
-    *,
-    record_every: int = 1,
-    eval_every: Optional[int] = None,
+    config: SolverConfig,
     oracle: Optional[StochasticOracle] = None,
+    *,
     checkpoints: Iterable[int] = (),
     oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
 ):
-    """Classic mirror-prox with constant step size, as a tuned baseline.
+    """Classic mirror-prox with the constant step ``config.eta``, as a tuned
+    baseline; ``config.mode`` must be ``"fixed-step"``.
 
-    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``;
-    ``oracles`` solves a batch of seeds, as in ``universal_mirror_prox``.
-    ``record_every`` and ``eval_every`` are those of ``SolverConfig``.
+    ``checkpoints`` and ``oracles`` are those of ``universal_mirror_prox``.
     """
-    config = SolverConfig(iterations=iterations, mode="fixed-step", eta=eta,
-                          record_every=record_every, eval_every=eval_every)
+    if config.mode != "fixed-step":
+        raise ValueError("config.mode must be 'fixed-step'")
     return _solve(problem, config, oracle, oracles, checkpoints)

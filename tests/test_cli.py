@@ -256,11 +256,28 @@ class TestSweep:
         assert not list(tmp_path.glob("out/T_*"))
 
     def test_sweep_checks_every_budget_before_solving(self, tmp_path, capsys):
-        # Without eval_every each point evaluates at its own T, and 102 is
-        # not a multiple of record_every.
+        # The invalid budget sits between two valid ones; none is solved.
         path = write_config(tmp_path, T=100, record_every=4, eval_every=OMIT)
-        assert cli.main(["sweep", str(path), "--T", "100,102,200"]) == 2
+        assert cli.cmd_sweep(str(path), [100, 0, 200]) == 2
         assert not list(tmp_path.glob("out/T_*"))
+
+    def test_default_gap_schedule_needs_no_multiple_of_record_every(self, tmp_path, capsys):
+        # Without eval_every only step T has a gap, so T need not be a
+        # multiple of record_every.
+        path = write_config(tmp_path, T=1000, record_every=3, eval_every=OMIT)
+        assert cli.cmd_run(str(path)) == 0
+        out = tmp_path / "out"
+        assert json.loads((out / "summary.json").read_text())["eval_every"] == 1000
+        rows = [row.split(",") for row in (out / "trace_0.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(3, 1000, 3)) + [1000]
+        assert [row[3] != "" for row in rows] == [False] * (len(rows) - 1) + [True]
+
+    def test_sweep_default_gap_schedule_takes_any_budget(self, tmp_path, capsys):
+        path = write_config(tmp_path, T=1000, record_every=3, eval_every=OMIT)
+        assert cli.main(["sweep", str(path), "--T", "999,1000"]) == 0
+        for T in (999, 1000):
+            rows = (tmp_path / "out" / f"T_{T}" / "trace_0.csv").read_text().splitlines()
+            assert rows[-1].startswith(f"{T},") and not rows[-1].endswith(",")
 
     def test_sweep_default_eval_every_is_each_t(self, tmp_path, capsys):
         path = write_config(tmp_path, T=10, eval_every=OMIT)
@@ -281,6 +298,19 @@ class TestSweep:
 def tree_bytes(root):
     return {f.relative_to(root).as_posix(): f.read_bytes()
             for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def assert_whole_output(tmp_path, case, command):
+    """``uvi run`` of ``case.CONFIG``, or ``uvi sweep`` over ``case.T_LIST``,
+    writes exactly the files and text of ``case.EXPECTED[command]``."""
+    path = write_config(tmp_path, **case.CONFIG)
+    if command == "run":
+        assert cli.cmd_run(str(path)) == 0
+    else:
+        assert cli.cmd_sweep(str(path), case.T_LIST) == 0
+    out = tmp_path / "out"
+    assert {name: data.decode("utf-8") for name, data in tree_bytes(out).items()} \
+        == case.EXPECTED[command]
 
 
 class TestAnytimeSweep:
@@ -421,14 +451,7 @@ class TestSeedLoop:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_deterministic_output_unchanged(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, **self.CONFIG)
-        if command == "run":
-            assert cli.cmd_run(str(path)) == 0
-        else:
-            assert cli.cmd_sweep(str(path), self.T_LIST) == 0
-        out = tmp_path / "out"
-        assert {name: data.decode("utf-8") for name, data in tree_bytes(out).items()} \
-            == self.EXPECTED[command]
+        assert_whole_output(tmp_path, self, command)
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_deterministic_seeds_share_one_row(self, tmp_path, monkeypatch, capsys, command):
@@ -463,14 +486,24 @@ class TestNoisyEveryStep:
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_noisy_output_unchanged(self, tmp_path, capsys, command):
-        path = write_config(tmp_path, **self.CONFIG)
-        if command == "run":
-            assert cli.cmd_run(str(path)) == 0
-        else:
-            assert cli.cmd_sweep(str(path), self.T_LIST) == 0
-        out = tmp_path / "out"
-        assert {name: data.decode("utf-8") for name, data in tree_bytes(out).items()} \
-            == self.EXPECTED[command]
+        assert_whole_output(tmp_path, self, command)
+
+
+class TestFixedStepOutput:
+    """A noisy fixed-step config keeps its whole output bytes (fixture taken
+    before the CLI passed the fixed-step solver a ``SolverConfig``)."""
+
+    CONFIG = {"problem": {"name": "random-game", "params": {"d1": 4, "d2": 3, "seed": 1}},
+              "mode": {"kind": "fixed-step", "eta": 0.2}, "T": 9,
+              "noise": {"bound": 0.3}, "seeds": [0, 1], "eval_every": 3, "record_every": 1}
+    T_LIST = [6, 9]
+    # {"run": {path: text}, "sweep": {path: text}}
+    EXPECTED = json.loads(
+        (Path(__file__).parent / "fixtures" / "fixed_step_sweep.json").read_text())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_fixed_step_output_unchanged(self, tmp_path, capsys, command):
+        assert_whole_output(tmp_path, self, command)
 
 
 class TestVerify:

@@ -15,9 +15,9 @@ from uvi.operators import (
     make_problem,
     matrix_game,
     noisy_eval,
-    noisy_eval_batch,
     saddle_problem,
 )
+from uvi.solver import _NOISE_BLOCK_BYTES
 from uvi.analysis import adapter_invariants
 from uvi.operators import _l1_min_on_ball
 
@@ -213,8 +213,6 @@ class TestStochasticOracle:
         oracle = StochasticOracle(p, 0.0, rng_seed=0)
         x = p.geom.min_point()
         np.testing.assert_array_equal(noisy_eval(oracle, x), p.operator(x))
-        np.testing.assert_array_equal(noisy_eval_batch(oracle, x, 3),
-                                      np.tile(p.operator(x), (3, 1)))
         # nothing was drawn from the noise stream
         assert oracle._rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
@@ -230,7 +228,7 @@ class TestStochasticOracle:
         oracle = StochasticOracle(p, 0.1, rng_seed=7)
         x = p.geom.min_point()
         f = p.operator(x)
-        samples = noisy_eval_batch(oracle, x, 2000)
+        samples = p.operator(x) + oracle._noise(2000)
         noise = samples - f
         linf = np.abs(noise).max(axis=1)
         np.testing.assert_allclose(linf, 0.1, atol=1e-15)
@@ -241,7 +239,7 @@ class TestStochasticOracle:
         oracle = StochasticOracle(p, 0.5, rng_seed=11)
         x = p.geom.min_point()
         n = 100_000
-        samples = noisy_eval_batch(oracle, x, n)
+        samples = p.operator(x) + oracle._noise(n)
         err = samples.mean(axis=0) - p.operator(x)
         coord_sd = 0.5  # each coordinate is +-0.5 for the linf-dual geometry
         assert np.all(np.abs(err) <= 5 * coord_sd / math.sqrt(n))
@@ -250,7 +248,7 @@ class TestStochasticOracle:
         p = self._entropic_problem()
         oracle = StochasticOracle(p, 0.5, rng_seed=13)
         x = p.geom.min_point()
-        samples = noisy_eval_batch(oracle, x, 100_000)
+        samples = p.operator(x) + oracle._noise(100_000)
         sq = np.abs(samples - p.operator(x)).max(axis=1) ** 2
         assert float(sq.mean()) <= oracle.sigma_sq * 1.1
 
@@ -272,8 +270,6 @@ class TestStochasticOracle:
         oracle = StochasticOracle(p, 0.1, rng_seed=0)
         with pytest.raises(GeometryError):
             noisy_eval(oracle, np.array([0.9, 0.9, 0.9]))
-        with pytest.raises(GeometryError):
-            noisy_eval_batch(oracle, np.array([0.9, 0.9, 0.9]), 4)
 
     def test_g_bound_includes_noise(self):
         p = self._entropic_problem()
@@ -292,13 +288,11 @@ class TestStochasticOracle:
         oracle = StochasticOracle(self._entropic_problem(), 0.1, rng_seed=0)
         with pytest.raises(GeometryError):
             noisy_eval(oracle, np.array(point))
-        with pytest.raises(GeometryError):
-            noisy_eval_batch(oracle, np.array(point), 4)
 
     def test_negative_batch_count_rejected(self):
         p = self._entropic_problem()
         with pytest.raises(ValueError):
-            noisy_eval_batch(StochasticOracle(p, 0.1, rng_seed=0), p.geom.min_point(), -1)
+            StochasticOracle(p, 0.1, rng_seed=0)._noise(-1)
 
 
 def linear_ball_problem(dim):
@@ -311,11 +305,12 @@ def linear_ball_problem(dim):
 
 
 class TestOracleStream:
-    """Block-drawn noise is bitwise the stream of one draw of d signs per sample."""
+    """Noise drawn in rows of any count is bitwise the stream of one draw of
+    d signs per sample."""
 
     @pytest.mark.parametrize("problem", [
         linear_ball_problem(3), matrix_game(RPS), linear_ball_problem(600),
-        linear_ball_problem(9000),  # above the block budget: one row per block
+        linear_ball_problem(9000),  # above the solver's slab budget: one-row slabs
     ], ids=["d3", "game-d6", "d600", "d9000"])
     def test_matches_one_draw_per_sample(self, problem):
         seed, bound = 21, 0.4
@@ -330,9 +325,10 @@ class TestOracleStream:
                     for _ in range(count)]
             return np.array(rows).reshape(count, f.size)
 
-        # Random single and batch draws across at least three block boundaries.
+        # Random single and multi-row draws over at least three of the
+        # solver's noise slabs.
         picks = np.random.default_rng(5)
-        block_rows = oracle._block_rows
+        block_rows = max(1, _NOISE_BLOCK_BYTES // (8 * problem.geom.dim))
         budget = min(3 * block_rows + 7, 8200)
         drawn = 0
         while drawn < budget:
@@ -340,7 +336,7 @@ class TestOracleStream:
                 got, want = noisy_eval(oracle, x)[None, :], expected(1)
             else:
                 count = int(picks.integers(0, min(block_rows + 3, 400) + 1))
-                got, want = noisy_eval_batch(oracle, x, count), expected(count)
+                got, want = f + oracle._noise(count), expected(count)
             assert got.shape == want.shape
             assert np.array_equal(got, want), drawn
             drawn += len(want)

@@ -39,6 +39,11 @@ from helpers import reference_game_run
 ASYM = [[0.0, -1.0], [1.0, 0.0]]
 
 
+def fixed(iterations, eta, **kwargs):
+    """The config of a fixed-step solve with step ``eta``."""
+    return SolverConfig(iterations=iterations, mode="fixed-step", eta=eta, **kwargs)
+
+
 def kahan_prefixes(xs):
     """The loop's Kahan-compensated running sums of the iterates, step by step."""
     sum_x = comp = 0.0
@@ -198,25 +203,29 @@ class TestUniversalRuns:
 class TestFixedStep:
     def test_rps_tuned_baseline_golden(self):
         p = make_problem("rps")
-        trace = fixed_step_mirror_prox(p, 1.0 / p.smoothness, 1000, record_every=1000)
+        trace = fixed_step_mirror_prox(p, fixed(1000, 1.0 / p.smoothness, record_every=1000))
         assert uvi.dual_gap(p, trace.x_avg) <= 0.01
 
     def test_zero_eta_rejected(self):
         p = make_problem("rps")
         with pytest.raises(ValueError):
-            fixed_step_mirror_prox(p, 0.0, 10)
+            fixed_step_mirror_prox(p, fixed(10, 0.0))
 
     def test_zero_game_stays_at_start(self):
         p = matrix_game(np.zeros((2, 2)))
-        trace = fixed_step_mirror_prox(p, 0.7, 25)
+        trace = fixed_step_mirror_prox(p, fixed(25, 0.7))
         np.testing.assert_allclose(trace.x_avg, np.full(4, 0.5), atol=1e-12)
         assert p.dual_gap_eval(trace.x_avg) == pytest.approx(0.0, abs=1e-12)
 
     def test_movement_bound_holds_for_fixed_step(self):
         p = matrix_game(ASYM)
-        trace = fixed_step_mirror_prox(p, 1.0 / p.smoothness, 500)
+        trace = fixed_step_mirror_prox(p, fixed(500, 1.0 / p.smoothness))
         assert trace.max_xy_ratio <= p.g_bound + 1e-9
         assert trace.max_yy_ratio <= p.g_bound + 1e-9
+
+    def test_universal_config_rejected(self):
+        with pytest.raises(ValueError, match="must be 'fixed-step'"):
+            fixed_step_mirror_prox(make_problem("rps"), SolverConfig(iterations=10))
 
 
 class TestStochasticRuns:
@@ -347,9 +356,8 @@ def checkpoint_solve(problem, mode, noise, T, checkpoints=(), record_every=7):
     if mode == "universal":
         config = SolverConfig(iterations=T, record_every=record_every, eval_every=record_every)
         return universal_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
-    return fixed_step_mirror_prox(problem, 0.2, T, record_every=record_every,
-                                  eval_every=record_every, oracle=oracle,
-                                  checkpoints=checkpoints)
+    config = fixed(T, 0.2, record_every=record_every, eval_every=record_every)
+    return fixed_step_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
 
 
 class TestCheckpoints:
@@ -446,10 +454,10 @@ class TestGuards:
             with pytest.raises(ValueError):
                 SolverConfig(iterations=1, mode="fixed-step", eta=bad)
             with pytest.raises(ValueError):
-                fixed_step_mirror_prox(make_problem("rps"), bad, 5)
+                fixed_step_mirror_prox(make_problem("rps"), fixed(5, bad))
         for bad in (1e-200, -0.1):
             with pytest.raises(ValueError, match="whose square is nonzero"):
-                fixed_step_mirror_prox(make_problem("rps"), bad, 5)
+                fixed_step_mirror_prox(make_problem("rps"), fixed(5, bad))
         with pytest.raises(ValueError):
             SolverConfig(iterations=1, mode="fixed-step")
         with pytest.raises(ValueError):
@@ -459,7 +467,8 @@ class TestGuards:
         with pytest.raises(ValueError, match="eval_every must be a multiple of record_every"):
             SolverConfig(iterations=10, record_every=2, eval_every=7)
         with pytest.raises(ValueError, match="multiple of record_every"):
-            fixed_step_mirror_prox(make_problem("rps"), 0.1, 10, record_every=2, eval_every=3)
+            fixed_step_mirror_prox(make_problem("rps"),
+                                   fixed(10, 0.1, record_every=2, eval_every=3))
         with pytest.raises(ValueError):
             universal_mirror_prox(
                 make_problem("rps"), SolverConfig(iterations=1, mode="fixed-step", eta=0.1)
@@ -610,11 +619,11 @@ class TestSeedBatch:
     def test_fixed_step_batch_equals_separate_solves(self):
         problem = make_problem("l1-ball")
         oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
-        batch = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1, eval_every=1,
-                                       oracles=oracles)
+        config = fixed(40, 0.2, record_every=1, eval_every=1)
+        batch = fixed_step_mirror_prox(problem, config, oracles=oracles)
         for seed in self.SEEDS:
-            single = fixed_step_mirror_prox(problem, 0.2, 40, record_every=1, eval_every=1,
-                                            oracle=StochasticOracle(problem, 0.3, rng_seed=seed))
+            single = fixed_step_mirror_prox(problem, config,
+                                            StochasticOracle(problem, 0.3, rng_seed=seed))
             assert_same_trace(batch.traces[seed], single)
 
     def test_mixed_batch_equals_separate_solves(self):
@@ -638,7 +647,7 @@ class TestSeedBatch:
         x0 = np.linspace(-0.05, 0.05, 600)
         x0[0] = 1.5
         problem = make_problem("quadratic-ball", x0=x0)
-        assert StochasticOracle(problem, 0.3)._block_rows == 13
+        assert max(1, solver._NOISE_BLOCK_BYTES // (8 * problem.geom.dim)) == 13
         return problem
 
     @staticmethod
@@ -660,9 +669,9 @@ class TestSeedBatch:
                 assert oracle._rng.bit_generator.state == state, seed
                 continue
             fresh[seed]._noise(2 * T)
-            after = fresh[seed]._noise()
-            assert np.array_equal(batch_oracles[seed]._noise(), after), seed
-            assert np.array_equal(oracle._noise(), after), seed
+            after = fresh[seed]._noise(1)[0]
+            assert np.array_equal(batch_oracles[seed]._noise(1)[0], after), seed
+            assert np.array_equal(oracle._noise(1)[0], after), seed
 
     def test_noise_stack_crosses_blocks(self):
         problem = self.wide_ball()
