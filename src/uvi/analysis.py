@@ -72,7 +72,6 @@ class BoundReport:
 def theorem_bounds(
     problem: VIProblem,
     config: SolverConfig,
-    T: Optional[int] = None,
     sigma_sq: Optional[float] = None,
     g_bound: Optional[float] = None,
 ) -> BoundReport:
@@ -81,8 +80,9 @@ def theorem_bounds(
     Smooth deterministic: (alpha G D + alpha^2 L D^2 + L D^2 log(L D / G0)) / T.
     Non-smooth: alpha G D sqrt(log(1+T)) / sqrt(T) (log(1+T) keeps the shape
     strictly decreasing from T=1 on). Noisy variants add / swap in sigma.
+    T and G0 are the config's ``iterations`` and ``g0``.
     """
-    T = config.iterations if T is None else int(T)
+    T = config.iterations
     g0 = config.g0
     G = problem.g_bound if g_bound is None else float(g_bound)
     D = problem.geom.diameter()
@@ -386,7 +386,7 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
     for i in range(100):
         try:
             gap.dual_gap(problem, geom.sample(rng))
-        except gap.GapError as exc:  # raised for a gap below -1e-9
+        except gap.GapError as exc:  # a gap that is not finite or below -1e-9
             return False, f"gap sample {i}: {exc}"
     if problem.known_solution is not None:
         if gap.dual_gap(problem, problem.known_solution) > 1e-9:

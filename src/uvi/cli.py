@@ -27,12 +27,13 @@ included, writes no trace CSV and no ``summary.json`` or
 Config schema (JSON):
 
     {
-      "problem":      {"name": "rps", "params": {}},
+      "problem":      {"name": "rps", "params": {}},  // integer params such as
+                                                      // d1 follow T's rule
       "mode":         {"kind": "universal"}            // or
-                      {"kind": "fixed-step", "eta": 0.5},
+                      {"kind": "fixed-step", "eta": 0.5},  // eta: fixed-step only
       "T":            1000,         // integer; 1e3 passes, 2.7 and true do not
-      "g0":           1.0,
-      "noise":        {"bound": 0.5, "sigma_sq": null},  // optional
+      "g0":           1.0,          // a number; true is not one
+      "noise":        {"bound": 0.5, "sigma_sq": null},  // optional numbers
       "seeds":        [0, 1],       // distinct nonnegative integers
       "eval_every":   100,          // optional integer, default: final step only
       "record_every": 1,            // optional integer
@@ -44,7 +45,7 @@ stream for oracle noise and a reserved stream for verification sampling, so
 traces are reproducible byte-for-byte across runs and platforms. CSV floats
 are written with 17 significant digits ('.' decimal separator), enough to
 round-trip exactly. Exit codes: 0 success, 1 verification failure, 2 config
-error, 3 numeric abort.
+error (any malformed config, found before anything is solved), 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -75,28 +76,20 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    problem_name: str
+    """A checked config: the solve settings, the noise model with its
+    variance bound resolved, the seeds, and the problem, built once."""
+
     problem_params: dict
-    mode: str
-    eta: Optional[float]
-    iterations: int
-    g0: float
+    solve: solver.SolverConfig
     noise_bound: Optional[float]
     noise_sigma_sq: Optional[float]
     seeds: List[int]
-    eval_every: Optional[int]
-    record_every: int
     output_dir: str
-    problem: Optional[operators.VIProblem] = field(default=None, repr=False)
+    problem: operators.VIProblem = field(repr=False)
 
     @property
     def stochastic(self) -> bool:
         return self.noise_bound is not None
-
-    @property
-    def gap_every(self) -> int:
-        """The gap spacing ``summary.json`` reports: T without ``eval_every``."""
-        return self.iterations if self.eval_every is None else self.eval_every
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -113,92 +106,66 @@ class ExperimentConfig:
             problem = doc["problem"]
             name = problem["name"]
             params = problem.get("params", {}) or {}
-            mode_doc = doc.get("mode", {"kind": "universal"})
-            kind = mode_doc.get("kind", "universal")
-            eta = mode_doc.get("eta")
+            mode = doc.get("mode", {"kind": "universal"})
+            if not isinstance(mode, dict):
+                raise ConfigError(f"mode must be an object, got {mode!r}")
+            kind = mode.get("kind", "universal")
+            eta = _optional(_real, "eta", mode.get("eta"))
             iterations = _integer("T", doc["T"])
-            g0 = float(doc.get("g0", 1.0))
+            g0 = _real("g0", doc.get("g0", 1.0))
             noise = doc.get("noise")
-            noise_bound = None if noise is None else float(noise["bound"])
-            noise_sigma = None if noise is None else noise.get("sigma_sq")
+            noise_bound = None if noise is None else _real("noise bound", noise["bound"])
+            noise_sigma = _optional(_real, "noise sigma_sq", (noise or {}).get("sigma_sq"))
             seeds = [_integer("seeds", s) for s in doc.get("seeds", [0])]
-            eval_every = doc.get("eval_every")
-            eval_every = None if eval_every is None else _integer("eval_every", eval_every)
+            eval_every = _optional(_integer, "eval_every", doc.get("eval_every"))
             record_every = _integer("record_every", doc.get("record_every", 1))
             output_dir = str(doc.get("output_dir", "uvi-out"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        if not isinstance(name, str):
+            raise ConfigError(f"problem name must be a string, got {name!r}")
         if not isinstance(params, dict):
             raise ConfigError(f"problem {name!r}: params must be an object, got {params!r}")
 
-        cfg = cls(
-            problem_name=name,
-            problem_params=params,
-            mode=kind,
-            eta=None if eta is None else float(eta),
-            iterations=iterations,
-            g0=g0,
-            noise_bound=noise_bound,
-            noise_sigma_sq=None if noise_sigma is None else float(noise_sigma),
-            seeds=seeds,
-            eval_every=eval_every,
-            record_every=record_every,
-            output_dir=output_dir,
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self):
         # SolverConfig checks T, g0, the mode, eta, record_every and
         # eval_every; the oracle's rule checks the noise bound and sigma_sq.
         try:
-            self.solver_config()
-            if self.stochastic:
-                operators._noise_sigma_sq(self.noise_bound, self.noise_sigma_sq)
+            solve = solver.SolverConfig(iterations=iterations, g0=g0, mode=kind, eta=eta,
+                                        record_every=record_every, eval_every=eval_every)
+            if noise_bound is not None:
+                noise_sigma = operators._noise_sigma_sq(noise_bound, noise_sigma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.stochastic and not self.seeds:
+        if noise_bound is not None and not seeds:
             raise ConfigError("stochastic mode requires a non-empty seed list")
-        if not self.seeds:
-            self.seeds = [0]
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
-        if self.problem is None:
-            # Built once per command; fails early on unknown names or bad params.
-            self.problem = operators.make_problem(self.problem_name, **self.problem_params)
-        if self.problem.dual_gap_eval is None:
-            raise ConfigError(f"problem {self.problem_name!r} has no duality-gap evaluator")
-
-    def solver_config(self) -> solver.SolverConfig:
-        return solver.SolverConfig(
-            iterations=self.iterations,
-            g0=self.g0,
-            mode=self.mode,
-            eta=self.eta,
-            record_every=self.record_every,
-            eval_every=self.eval_every,
-        )
+        seeds = seeds or [0]
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"seeds must be distinct, got {seeds}")
+        if min(seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {seeds}")
+        # Built once per command; fails early on unknown names or bad params.
+        built = operators.make_problem(name, **params)
+        if built.dual_gap_eval is None:
+            raise ConfigError(f"problem {name!r} has no duality-gap evaluator")
+        return cls(problem_params=params, solve=solve, noise_bound=noise_bound,
+                   noise_sigma_sq=noise_sigma, seeds=seeds, output_dir=output_dir,
+                   problem=built)
 
 
-def _integer(key: str, value) -> int:
-    """An integer config value; integral floats such as 1e3 pass, bools do not."""
-    if not (type(value) is int or (type(value) is float and value.is_integer())):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+# The catalog's number rules: 1e3 is an integer; bools and strings are not numbers.
+_integer, _real = operators._integer, operators._real
 
 
-def _oracle_for_seed(config, problem, seed: int) -> Optional[operators.StochasticOracle]:
+def _optional(parse, key: str, value):
+    return None if value is None else parse(key, value)
+
+
+def _oracle_for_seed(config, seed: int) -> Optional[operators.StochasticOracle]:
     if not config.stochastic:
         return None
     noise_stream, _verify_stream = np.random.SeedSequence(seed).spawn(2)
-    return operators.StochasticOracle(
-        base=problem,
-        noise_bound=config.noise_bound,
-        sigma_sq=config.noise_sigma_sq,
-        rng_seed=noise_stream,
-    )
+    return operators.StochasticOracle(base=config.problem, noise_bound=config.noise_bound,
+                                      sigma_sq=config.noise_sigma_sq, rng_seed=noise_stream)
 
 
 def _fmt(x: float) -> str:
@@ -225,28 +192,17 @@ def _json_safe(value):
     return value
 
 
+def _write_json(path: Path, doc: dict):
+    path.write_text(json.dumps(_json_safe(doc), indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8", newline="\n")
+
+
 def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
-def _solve(config: ExperimentConfig, checkpoints) -> dict:
-    """Every seed's run of ``config.iterations`` steps, by seed, from one
-    batched solve snapshotting ``checkpoints``. A deterministic config's
-    seeds share one row, solved as its first seed."""
-    problem = config.problem
-    rows = config.seeds if config.stochastic else config.seeds[:1]
-    oracles = {seed: _oracle_for_seed(config, problem, seed) for seed in rows}
-    # Looked up through the module so that wrappers installed on it see every solve.
-    solve = (solver.universal_mirror_prox if config.mode == "universal"
-             else solver.fixed_step_mirror_prox)
-    traces = solve(problem, config.solver_config(), oracles=oracles,
-                   checkpoints=checkpoints).traces
-    return {seed: traces.get(seed, traces[rows[0]]) for seed in config.seeds}
-
-
 def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
     """Write one seed's trace CSV and return its summary entry."""
-    problem = config.problem
     _write_trace_csv(out / f"trace_{seed}.csv", trace)
     entry = {
         "seed": seed,
@@ -257,46 +213,51 @@ def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
         "max_yy_ratio": trace.max_yy_ratio,
         "max_z_sq": trace.max_z_sq,
     }
-    if config.record_every == 1:
-        lhs, rhs = analysis.regret_bound_sides(problem, trace)
+    if config.solve.record_every == 1:
+        lhs, rhs = analysis.regret_bound_sides(config.problem, trace)
         entry["lemma3_lhs"] = lhs
         entry["lemma3_rhs"] = rhs
     return entry
 
 
-def _solve_seeds(subs: dict, outs: dict) -> dict:
+def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
     """Write every seed's trace CSV for each budget; the summary entries, by T.
 
-    ``subs`` maps each budget T to its config and ``outs`` to its output
-    directory. Every seed is solved once, at max(T), in one batch.
+    ``budgets`` maps each T to its ``SolverConfig``, ``outs`` to its output
+    directory. Every seed is solved once, at max(T), in one batch; a
+    deterministic config's seeds share one row, solved as the first seed.
     """
-    traces = _solve(subs[max(subs)], checkpoints=subs)
-    return {T: [_seed_entry(sub, seed, trace.prefix(T), outs[T])
-                for seed, trace in traces.items()]
-            for T, sub in subs.items()}
+    rows = config.seeds if config.stochastic else config.seeds[:1]
+    oracles = {seed: _oracle_for_seed(config, seed) for seed in rows}
+    # Looked up through the module so that wrappers installed on it see every solve.
+    solve = (solver.universal_mirror_prox if config.solve.mode == "universal"
+             else solver.fixed_step_mirror_prox)
+    traces = solve(config.problem, budgets[max(budgets)], oracles=oracles,
+                   checkpoints=budgets).traces
+    return {T: [_seed_entry(config, seed, traces.get(seed, traces[rows[0]]).prefix(T), outs[T])
+                for seed in config.seeds]
+            for T in budgets}
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """Execute one run per seed; write CSV traces and summary.json."""
     out = _output_dir(config) if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    T = config.iterations
-    per_seed = _solve_seeds({T: config}, {T: out})[T]
-    summary = _write_summary(config, per_seed, out)
+    T = config.solve.iterations
+    per_seed = _solve_seeds(config, {T: config.solve}, {T: out})[T]
+    summary = _write_summary(config, config.solve, per_seed, out)
     return {"summary": summary, "out_dir": out}
 
 
-def _write_summary(config: ExperimentConfig, per_seed: List[dict], out: Path) -> dict:
-    """Aggregate the per-seed entries and theorem bounds into summary.json."""
+def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
+                   per_seed: List[dict], out: Path) -> dict:
+    """Aggregate the per-seed entries and theorem bounds of the ``solve``
+    budget into summary.json."""
     problem = config.problem
     mean_gap = float(np.mean([e["final_gap"] for e in per_seed]))
     g_total = problem.g_bound + (config.noise_bound or 0.0)
-    sigma_sq = None
-    if config.stochastic:
-        sigma_sq = operators._noise_sigma_sq(config.noise_bound, config.noise_sigma_sq)
-    report = analysis.theorem_bounds(
-        problem, config.solver_config(), sigma_sq=sigma_sq, g_bound=g_total
-    )
+    report = analysis.theorem_bounds(problem, solve, sigma_sq=config.noise_sigma_sq,
+                                     g_bound=g_total)
 
     summary = {
         "problem": {
@@ -307,15 +268,15 @@ def _write_summary(config: ExperimentConfig, per_seed: List[dict], out: Path) ->
             "diameter": problem.geom.diameter(),
             "gap_tolerance": problem.gap_tolerance,
         },
-        "mode": config.mode,
-        "eta": config.eta,
-        "T": config.iterations,
-        "g0": config.g0,
-        "noise": None
-        if not config.stochastic
-        else {"bound": config.noise_bound, "sigma_sq": sigma_sq},
-        "eval_every": config.gap_every,
-        "record_every": config.record_every,
+        "mode": solve.mode,
+        "eta": solve.eta,
+        "T": solve.iterations,
+        "g0": solve.g0,
+        "noise": {"bound": config.noise_bound, "sigma_sq": config.noise_sigma_sq}
+        if config.stochastic else None,
+        # The gap spacing: T without eval_every.
+        "eval_every": solve.eval_every or solve.iterations,
+        "record_every": solve.record_every,
         "seeds": config.seeds,
         "per_seed": per_seed,
         "mean_final_gap": mean_gap,
@@ -332,11 +293,7 @@ def _write_summary(config: ExperimentConfig, per_seed: List[dict], out: Path) ->
             "log_regime_clamped": report.log_regime_clamped,
         },
     }
-    (out / "summary.json").write_text(
-        json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -364,26 +321,24 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
         config = ExperimentConfig.from_file(config_path)
         if len(t_list) < 1:
             raise ConfigError("sweep needs at least one T value")
-        # Every budget is checked before the first solve writes anything.
-        subs = {T: dataclasses.replace(config, iterations=int(T)) for T in t_list}
-        for sub in subs.values():
-            sub.validate()
+        # SolverConfig checks every budget before the first solve writes anything.
+        budgets = {T: dataclasses.replace(config.solve, iterations=int(T)) for T in t_list}
     except (ConfigError, operators.UnknownProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     base_out = _output_dir(config)
-    outs = {T: base_out / f"T_{T}" for T in subs}
+    outs = {T: base_out / f"T_{T}" for T in budgets}
     for out in outs.values():
         out.mkdir(parents=True, exist_ok=True)
     try:
-        per_seed = _solve_seeds(subs, outs)
+        per_seed = _solve_seeds(config, budgets, outs)
     except solver.SolverError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    mean_gaps = {T: _write_summary(sub, per_seed[T], outs[T])["mean_final_gap"]
-                 for T, sub in subs.items()}
+    mean_gaps = {T: _write_summary(config, solve, per_seed[T], outs[T])["mean_final_gap"]
+                 for T, solve in budgets.items()}
     points = [(T, mean_gaps[T]) for T in t_list]
     for T, mean_gap in points:
         print(f"T={T}: mean final gap {mean_gap:.6g}")
@@ -397,11 +352,7 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     except ValueError as exc:
         sweep_summary["rate_fit"] = None
         print(f"rate fit skipped: {exc}")
-    (base_out / "sweep_summary.json").write_text(
-        json.dumps(_json_safe(sweep_summary), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write_json(base_out / "sweep_summary.json", sweep_summary)
     return EXIT_OK
 
 
@@ -440,6 +391,12 @@ def _parse_t_list(text: str) -> List[int]:
     return values
 
 
+def _parse_seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="uvi", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -454,7 +411,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
                           choices=["lemmas", "invariants", "all"])
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=_parse_seed, default=42)
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -9,6 +9,7 @@ problem, one evaluator call (see ``uvi.solver``).
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -19,8 +20,8 @@ __all__ = ["GapError", "dual_gap"]
 
 
 class GapError(ValueError):
-    """Infeasible query point, missing duality-gap evaluator, or a gap below
-    -1e-9; ``row`` is the failing row of a stacked evaluation."""
+    """Infeasible query point, missing duality-gap evaluator, or a gap not
+    finite or below -1e-9; ``row`` is the failing row of a stacked evaluation."""
 
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
@@ -36,7 +37,7 @@ def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
     """The gaps at each row of an (S, dim) stack, or at one dim-vector, as
     Python floats; the shape of ``points`` is trusted.
 
-    Each row must be feasible to 1e-8 and its gap at least -1e-9; a
+    Each row must be feasible to 1e-8 and its gap finite and at least -1e-9; a
     ``batched`` problem's evaluator takes the whole stack, any other is
     called row by row. Raises GapError naming the first failing row.
     """
@@ -58,6 +59,8 @@ def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
     else:
         values = [float(evaluate(row)) for row in points]
     for row, value in enumerate(values):
+        if not math.isfinite(value):
+            raise GapError(f"duality gap {value} is not finite", row)
         if value < -1e-9:
             raise GapError(f"duality gap {value} is negative beyond tolerance", row)
     return values

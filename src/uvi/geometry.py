@@ -170,11 +170,13 @@ class Geometry:
 
 
 def _require_diameter(geom: Geometry, what: str) -> None:
-    """The step rule divides by D, so D^2 must not underflow to 0."""
+    """The step rule divides by D, so D^2 must not underflow to 0 or overflow."""
     if not geom.diameter_sq > 0:
         raise GeometryError(
             f"{geom.kind}: {what} too small, squared diameter underflows to 0"
         )
+    if geom.diameter_sq == math.inf:
+        raise GeometryError(f"{geom.kind}: {what} too large, squared diameter overflows")
 
 
 class _EuclideanGeometry(Geometry):

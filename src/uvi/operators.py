@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -369,6 +370,36 @@ def noisy_eval(oracle: StochasticOracle, x) -> np.ndarray:
 # Builtin problem catalog
 # ---------------------------------------------------------------------------
 
+def _integer(key: str, value) -> int:
+    """An integer parameter; integral floats such as 1e3 pass, bools do not."""
+    if isinstance(value, float) and value.is_integer() or (
+            isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _real(key: str, value) -> float:
+    """A real parameter as a float; bools and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} is out of the float range") from None
+
+
+def _array(key: str, value, ndim: int) -> np.ndarray:
+    """A float array of ``ndim`` (1 or 2) dimensions."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{key} must hold numbers in the float range, got {value!r}") from None
+    if x.ndim != ndim:
+        raise ValueError(f"{key} must be a {ndim}-D {('vector', 'matrix')[ndim - 1]}, "
+                         f"got shape {x.shape}")
+    return x
+
+
 _RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
 
@@ -379,10 +410,11 @@ def _make_rps() -> VIProblem:
 
 
 def _make_random_game(d1: int = 3, d2: int = 3, seed: int = 0) -> VIProblem:
+    d1, d2, seed = _integer("d1", d1), _integer("d2", d2), _integer("seed", seed)
     rng = np.random.default_rng(seed)
-    A = rng.uniform(-1.0, 1.0, size=(int(d1), int(d2)))
+    A = rng.uniform(-1.0, 1.0, size=(d1, d2))
     problem = matrix_game(A, name="random-game")
-    problem.params.update({"d1": int(d1), "d2": int(d2), "seed": int(seed)})
+    problem.params.update({"d1": d1, "d2": d2, "seed": seed})
     return problem
 
 
@@ -393,7 +425,7 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
     with a nonzero gradient, which is the regime where gradient magnitudes
     do not vanish even though the problem is smooth.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0, radius = _array("x0", x0, 1), _real("radius", radius)
     geom = EuclideanBall(radius, x0.size)
     nrm = float(np.linalg.norm(x0))
     if nrm <= radius:
@@ -410,7 +442,7 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
         name="quadratic-ball",
         min_value=min_value,
         minimizer=minimizer,
-        params={"radius": float(radius), "x0": x0.tolist()},
+        params={"radius": radius, "x0": x0.tolist()},
         batched=True,
     )
 
@@ -454,7 +486,7 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
     residual take subgradient component 0 (deterministic, minimal norm).
     The reference minimum is exact for every target (``gap_tolerance`` 0).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0, radius = _array("x0", x0, 1), _real("radius", radius)
     geom = EuclideanBall(radius, x0.size)
     min_value, minimizer = _l1_min_on_ball(x0, radius)
     return convex_min_problem(
@@ -465,22 +497,22 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
         name="l1-ball",
         min_value=min_value,
         minimizer=minimizer,
-        params={"radius": float(radius), "x0": x0.tolist()},
+        params={"radius": radius, "x0": x0.tolist()},
         batched=True,
     )
 
 
 def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIProblem:
     """f(x) = max_i (a_i.x + b_i) over a box; the reference minimum is an LP."""
-    if slopes is None:
+    if slopes is None and offsets is None:
         slopes = [[1.0, 1.0], [-1.0, 0.3], [0.2, -1.0]]
         offsets = [-0.5, 0.0, -0.1]
-    a = np.asarray(slopes, dtype=float)
-    b = np.asarray(offsets, dtype=float)
-    if a.ndim != 2 or b.shape != (a.shape[0],):
+    a, b = _array("slopes", slopes, 2), _array("offsets", offsets, 1)
+    if b.shape != (a.shape[0],):
         raise ValueError("slopes must be (k, d) and offsets length k")
     d = a.shape[1]
-    geom = EuclideanBox(np.full(d, float(lower)), np.full(d, float(upper)))
+    lower, upper = _real("lower", lower), _real("upper", upper)
+    geom = EuclideanBox(np.full(d, lower), np.full(d, upper))
 
     def f(x):
         return float(np.max(a @ x + b))
@@ -498,7 +530,7 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
         c,
         A_ub=A_ub,
         b_ub=-b,
-        bounds=[(float(lower), float(upper))] * d + [(None, None)],
+        bounds=[(lower, upper)] * d + [(None, None)],
         method="highs",
     )
     if not res.success:
@@ -514,15 +546,17 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
         params={
             "slopes": a.tolist(),
             "offsets": b.tolist(),
-            "lower": float(lower),
-            "upper": float(upper),
+            "lower": lower,
+            "upper": upper,
         },
         batched=True,
     )
 
 
 def builtin_problems() -> dict:
-    """Catalog of named problem factories addressable from run configs."""
+    """Catalog of named problem factories addressable from run configs; each
+    raises ValueError on a param that is not a number, integer or array of
+    the kind it takes."""
     return {
         "rps": _make_rps,
         "random-game": _make_random_game,

@@ -57,7 +57,7 @@ running average x_bar_t = (x_1 + ... + x_t) / t where one is due. Gaps are
 due at every multiple of ``SolverConfig.eval_every`` and at the last step
 of every checkpoint, and the loop evaluates them in place, for all seeds
 in one call through the checked ``uvi.gap`` path (feasibility to 1e-8, a
-gap no lower than -1e-9); a failure aborts the run. A problem without a
+finite gap no lower than -1e-9); a failure aborts the run. A problem without a
 duality-gap evaluator records no gaps. So a trace holds no d-vector per
 step, only its O(d) aggregates. With every step recorded, the loop also streams the two sums the
 hindsight regret needs, sum_t g_t and sum_t g_t.x_t, into the trace
@@ -136,15 +136,15 @@ class InvariantError(SolverError):
 
 
 class GapCheckError(SolverError):
-    """The running average is infeasible or its duality gap is below -1e-9."""
+    """The running average is infeasible or its duality gap not finite or below -1e-9."""
 
 
 @dataclass
 class SolverConfig:
-    """Iteration budget, step-size prior G0, mode, trace thinning, and the
-    gap spacing: gaps at multiples of ``eval_every`` (a multiple of
-    ``record_every``) and at each checkpoint's last step, or at the
-    checkpoints only when it is None."""
+    """Iteration budget, step-size prior G0, mode, its fixed step ``eta``
+    (fixed-step only), trace thinning, and the gap spacing: gaps at
+    multiples of ``eval_every`` (a multiple of ``record_every``) and at each
+    checkpoint's last step, or at the checkpoints only when it is None."""
 
     iterations: int
     g0: float = 1.0
@@ -169,6 +169,9 @@ class SolverConfig:
                 f"fixed-step mode requires a finite eta > 0 whose square is "
                 f"nonzero, got {self.eta}"
             )
+        if self.mode != "fixed-step" and self.eta is not None:
+            raise ValueError(f"eta is only used in fixed-step mode, got eta={self.eta} "
+                             f"in {self.mode} mode")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.eval_every is not None:

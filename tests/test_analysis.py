@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -26,6 +27,12 @@ class TestTheoremBounds:
         p = make_problem("rps")
         report = theorem_bounds(p, SolverConfig(iterations=100, g0=p.g_bound))
         assert report.alpha == pytest.approx(1.0)
+
+    def test_budget_comes_from_the_config(self):
+        p = make_problem("l1-ball")
+        assert "T" not in inspect.signature(theorem_bounds).parameters
+        short, long = (theorem_bounds(p, SolverConfig(iterations=T)) for T in (100, 400))
+        assert long.thm2_rhs < short.thm2_rhs
 
     def test_alpha_definition(self):
         p = make_problem("quadratic-ball")  # G = 2.5

@@ -90,11 +90,44 @@ class TestRun:
         ({"problem": {"name": "rps", "params": [1]}}, "'rps': params must be an object"),
         ({"problem": {"name": "l1-ball", "params": {"radius": 1e-170}}, "T": 5},
          "squared diameter underflows to 0"),
+        ({"mode": "fixed-step"}, "mode must be an object, got 'fixed-step'"),
+        ({"problem": {"name": ["rps"]}}, "problem name must be a string, got ['rps']"),
+        ({"g0": True}, "g0 must be a number, got True"),
+        ({"g0": "2"}, "g0 must be a number, got '2'"),
+        ({"g0": 10**400}, "g0 is out of the float range"),
+        ({"mode": {"kind": "fixed-step", "eta": True}}, "eta must be a number, got True"),
+        ({"mode": {"kind": "universal", "eta": 0.5}},
+         "eta is only used in fixed-step mode, got eta=0.5 in universal mode"),
+        ({"noise": {"bound": True}}, "noise bound must be a number, got True"),
+        ({"noise": {"bound": 0.5, "sigma_sq": True}}, "noise sigma_sq must be a number, got True"),
+        ({"problem": {"name": "random-game", "params": {"d1": 2.5}}},
+         "d1 must be an integer, got 2.5"),
+        ({"problem": {"name": "random-game", "params": {"seed": True}}},
+         "seed must be an integer, got True"),
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": [[1, 2]]}}},
+         "x0 must be a 1-D vector"),
+        ({"problem": {"name": "l1-ball", "params": {"radius": 10**400}}},
+         "radius is out of the float range"),
+        ({"problem": {"name": "l1-ball", "params": {"x0": {"a": 1}}}},
+         "x0 must hold numbers in the float range, got {'a': 1}"),
+        ({"problem": {"name": "piecewise-max", "params": {"slopes": [[10**400, 1]],
+                                                          "offsets": [0]}}},
+         "slopes must hold numbers in the float range"),
+        ({"problem": {"name": "piecewise-max", "params": {"offsets": [0, 0, 0]}}},
+         "slopes must be a 2-D matrix, got shape ()"),
+        ({"problem": {"name": "l1-ball", "params": {"radius": 1e200}}},
+         "ball radius 1e+200 too large, squared diameter overflows"),
+        ({"problem": {"name": "piecewise-max", "params": {"upper": float("inf")}}},
+         "box widths too large, squared diameter overflows"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
             "seed-negative-noisy", "param-unknown", "params-not-object",
-            "l1-radius-diameter-underflows"])
+            "l1-radius-diameter-underflows", "mode-string", "problem-name-list", "g0-bool",
+            "g0-string", "g0-int-overflows", "eta-bool", "eta-in-universal-mode",
+            "noise-bool", "sigma-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
+            "radius-int-overflows", "x0-object", "slopes-int-overflows", "offsets-without-slopes",
+            "l1-radius-diameter-overflows", "box-upper-inf"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
                                                        overrides, message):
         path = write_config(tmp_path, **overrides)
@@ -119,6 +152,29 @@ class TestRun:
         assert cli.cmd_run(str(ints)) == 0
         assert cli.cmd_run(str(floats)) == 0
         assert tree_bytes(tmp_path / "ints") == tree_bytes(tmp_path / "floats")
+
+    def test_integral_float_catalog_params_are_integers(self, tmp_path):
+        # Only summary.json's params differ: they are the config's, as given.
+        game = {"name": "random-game", "params": {"d1": 3, "d2": 2, "seed": 5}}
+        ints = write_config(tmp_path, name="ints.json", T=20, problem=game,
+                            output_dir=str(tmp_path / "ints"))
+        floats = write_config(tmp_path, name="floats.json", T=20,
+                              problem={**game, "params": {"d1": 3.0, "d2": 2e0, "seed": 5.0}},
+                              output_dir=str(tmp_path / "floats"))
+        assert cli.cmd_run(str(ints)) == 0
+        assert cli.cmd_run(str(floats)) == 0
+        assert tree_bytes(tmp_path / "ints")["trace_0.csv"] == \
+            tree_bytes(tmp_path / "floats")["trace_0.csv"]
+
+    def test_config_holds_one_solver_config(self, tmp_path):
+        config = cli.ExperimentConfig.from_file(write_config(
+            tmp_path, mode={"kind": "fixed-step", "eta": 0.25}, T=30, g0=2.0,
+            noise={"bound": 0.5}))
+        assert config.solve == solver.SolverConfig(iterations=30, g0=2.0, mode="fixed-step",
+                                                   eta=0.25, record_every=1, eval_every=10)
+        assert config.noise_sigma_sq == 0.25  # the checked variance bound, resolved
+        mirrored = {"iterations", "g0", "mode", "eta", "record_every", "eval_every"}
+        assert not mirrored & {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 
     def test_problem_without_gap_evaluator_exits_2(self, tmp_path, monkeypatch, capsys):
         rps = operators.make_problem("rps")
@@ -544,6 +600,13 @@ class TestMain:
     def test_sweep_t_list_parsing(self, tmp_path):
         path = write_config(tmp_path, T=2, eval_every=1)
         assert cli.main(["sweep", str(path), "--T", "10,20,40"]) == 0
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_verify_seed_via_argparse_exits_2(self, seed, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--suite", "lemmas", "--seed", seed])
+        assert err.value.code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_suite_via_argparse_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -115,6 +115,25 @@ class TestStackedGaps:
         with pytest.raises(GapError, match="one value per row, got shape"):
             _dual_gaps(p, np.full((2, 6), 1.0 / 3.0))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gap_rejected(self, value):
+        p = dataclasses.replace(make_problem("rps"),
+                                dual_gap_eval=lambda x: np.array([0.0, value]))
+        with pytest.raises(GapError, match="is not finite") as err:
+            _dual_gaps(p, np.full((2, 6), 1.0 / 3.0))
+        assert err.value.row == 1
+        with pytest.raises(GapError, match="is not finite"):
+            dual_gap(dataclasses.replace(p, dual_gap_eval=lambda x: value), np.full(6, 1.0 / 3.0))
+
+    def test_nan_objective_aborts_the_run(self):
+        # f turns NaN on part of the ball; the running average reaches it.
+        target = np.array([0.8, 0.0])
+        p = convex_min_problem(f=lambda x: np.nan if x[0] > 0.3 else float(x @ x),
+                               grad=lambda x: x - target, geom=EuclideanBall(1.0, 2),
+                               g_bound=2.0, min_value=0.0)
+        with pytest.raises(uvi.GapCheckError, match="duality gap nan is not finite"):
+            universal_mirror_prox(p, SolverConfig(iterations=500, eval_every=50))
+
     def test_failing_row_is_named(self):
         p = make_problem("rps")
         points = np.full((3, 6), 1.0 / 3.0)

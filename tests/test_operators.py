@@ -455,6 +455,27 @@ class TestCatalog:
         for _ in range(200):
             assert uvi.dual_gap(p, p.geom.sample(rng)) >= -1e-9
 
+    def test_integer_params_take_integral_floats_only(self):
+        a = make_problem("random-game", d1=4, d2=3, seed=9)
+        b = make_problem("random-game", d1=4.0, d2=3e0, seed=np.int64(9))
+        np.testing.assert_array_equal(a.params["matrix"], b.params["matrix"])
+        assert b.params["d1"] == 4 and type(b.params["d1"]) is int
+        for param, value in [("d1", 2.5), ("d2", True), ("seed", "1"), ("seed", 1.5)]:
+            with pytest.raises(ValueError, match=f"{param} must be an integer, got {value!r}"):
+                make_problem("random-game", **{param: value})
+
+    @pytest.mark.parametrize("name", ["quadratic-ball", "l1-ball"])
+    def test_target_must_be_a_vector(self, name):
+        for x0 in ([[1.0, 2.0]], 0.5):
+            with pytest.raises(ValueError, match="x0 must be a 1-D vector"):
+                make_problem(name, x0=x0)
+        with pytest.raises(ValueError, match="radius must be a number, got True"):
+            make_problem(name, radius=True)
+
+    def test_box_bounds_must_be_numbers(self):
+        with pytest.raises(ValueError, match="upper must be a number, got '1'"):
+            make_problem("piecewise-max", upper="1")
+
     def test_random_game_reproducible(self):
         a = make_problem("random-game", d1=4, d2=3, seed=9)
         b = make_problem("random-game", d1=4, d2=3, seed=9)

@@ -227,6 +227,11 @@ class TestFixedStep:
         with pytest.raises(ValueError, match="must be 'fixed-step'"):
             fixed_step_mirror_prox(make_problem("rps"), SolverConfig(iterations=10))
 
+    def test_eta_outside_fixed_step_rejected(self):
+        # An eta the adaptive rule would ignore is a config error, not a no-op.
+        with pytest.raises(ValueError, match="eta is only used in fixed-step mode"):
+            SolverConfig(iterations=10, eta=0.5)
+
 
 class TestStochasticRuns:
     def test_same_seed_bitwise_identical(self):
