@@ -37,7 +37,7 @@ Config schema (JSON):
       "seeds":        [0, 1],       // distinct nonnegative integers
       "eval_every":   100,          // optional integer, default: final step only
       "record_every": 1,            // optional integer
-      "output_dir":   "out"         // UVI_OUTPUT_DIR overrides
+      "output_dir":   "out"         // a string; UVI_OUTPUT_DIR overrides
     }
 
 Per-seed randomness uses numpy's PCG64: SeedSequence(seed) is split into a
@@ -119,9 +119,11 @@ class ExperimentConfig:
             seeds = [_integer("seeds", s) for s in doc.get("seeds", [0])]
             eval_every = _optional(_integer, "eval_every", doc.get("eval_every"))
             record_every = _integer("record_every", doc.get("record_every", 1))
-            output_dir = str(doc.get("output_dir", "uvi-out"))
+            output_dir = doc.get("output_dir", "uvi-out")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         if not isinstance(name, str):
             raise ConfigError(f"problem name must be a string, got {name!r}")
         if not isinstance(params, dict):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,11 @@ class TestRun:
          "ball radius 1e+200 too large, squared diameter overflows"),
         ({"problem": {"name": "piecewise-max", "params": {"upper": float("inf")}}},
          "box widths too large, squared diameter overflows"),
+        # str() used to turn these into directories named None, True, 5, ...
+        ({"output_dir": None}, "output_dir must be a string, got None"),
+        ({"output_dir": True}, "output_dir must be a string, got True"),
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
+        ({"output_dir": ["out"]}, "output_dir must be a string, got ['out']"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
@@ -127,15 +133,18 @@ class TestRun:
             "g0-string", "g0-int-overflows", "eta-bool", "eta-in-universal-mode",
             "noise-bool", "sigma-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
             "radius-int-overflows", "x0-object", "slopes-int-overflows", "offsets-without-slopes",
-            "l1-radius-diameter-overflows", "box-upper-inf"])
-    def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, capsys,
+            "l1-radius-diameter-overflows", "box-upper-inf", "output-dir-null",
+            "output-dir-bool", "output-dir-int", "output-dir-list"])
+    def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
+        monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
         path = write_config(tmp_path, **overrides)
         assert cli.cmd_run(str(path)) == 2
         assert message in capsys.readouterr().err
         assert cli.cmd_sweep(str(path), [5, 10]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_tiny_l1_radius_with_subnormal_diameter_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, problem={"name": "l1-ball", "params": {"radius": 1e-160}},
@@ -213,6 +222,27 @@ class TestRun:
         path = write_config(tmp_path, T=5, eval_every=5)
         assert cli.cmd_run(str(path)) == 0
         assert (override / "summary.json").exists()
+
+    def test_concurrent_products_write_the_same_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
+        calls = []
+        concurrently = operators._concurrently
+        monkeypatch.setattr(operators, "_concurrently",
+                            lambda first, second: calls.append(1) or concurrently(first, second))
+        outputs, counts = [], []
+        for threshold in (0, math.inf):  # every game's products at once, then none
+            monkeypatch.setattr(operators, "_CONCURRENT_BYTES", threshold)
+            out = tmp_path / str(threshold)
+            path = write_config(tmp_path, T=60, eval_every=1, record_every=1,
+                                noise={"bound": 0.5}, seeds=[0, 3], output_dir=str(out),
+                                problem={"name": "random-game",
+                                         "params": {"d1": 6, "d2": 4, "seed": 3}})
+            assert cli.cmd_run(str(path)) == 0
+            outputs.append(tree_bytes(out))
+            counts.append(len(calls))
+        assert counts[0] >= 2 * 60 and counts[1] == counts[0]  # all at threshold 0
+        assert sorted(outputs[0]) == ["summary.json", "trace_0.csv", "trace_3.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         path = write_config(

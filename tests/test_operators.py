@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import multiprocessing
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import uvi
+import uvi.operators as operators
 from uvi.geometry import EntropicSimplex, EuclideanBall, GeometryError
 from uvi.operators import (
     StochasticOracle,
@@ -17,7 +22,7 @@ from uvi.operators import (
     noisy_eval,
     saddle_problem,
 )
-from uvi.solver import _NOISE_BLOCK_BYTES
+from uvi.solver import _NOISE_BLOCK_BYTES, SolverConfig, universal_mirror_prox
 from uvi.analysis import adapter_invariants
 from uvi.operators import _l1_min_on_ball
 
@@ -194,6 +199,154 @@ class TestMatrixGame:
         assert p.params["matrix"].shape == (4, 3)
         np.testing.assert_array_equal(p.operator(p.geom.min_point())[:4],
                                       A @ np.full(3, 1.0 / 3.0))
+
+
+def count_concurrent_calls(monkeypatch):
+    calls = []
+    concurrently = operators._concurrently
+
+    def counting(first, second):
+        calls.append(1)
+        return concurrently(first, second)
+
+    monkeypatch.setattr(operators, "_concurrently", counting)
+    return calls
+
+
+def direct_products(A, x):
+    """The operator and the duality gap at x from direct numpy calls."""
+    u, v = x[..., :A.shape[0]], x[..., A.shape[0]:]
+    value = np.concatenate([np.matvec(A, v), -np.vecmat(u, A)], axis=-1)
+    gap = np.max(np.vecmat(u, A), axis=-1) - np.min(np.matvec(A, v), axis=-1)
+    return value, gap
+
+
+def solve_bytes(problem):
+    """Every recorded float of a short noisy every-step solve, as bytes."""
+    oracle = StochasticOracle(problem, 0.5, rng_seed=4)
+    config = SolverConfig(iterations=30, record_every=1, eval_every=1)
+    run = universal_mirror_prox(problem, config, oracle)
+    return run.x_avg.tobytes() + repr([dataclasses.astuple(r) for r in run.records]).encode()
+
+
+def _solve_in_child(conn, problem):
+    conn.send((operators._jobs is None, solve_bytes(problem)))
+    conn.close()
+
+
+@pytest.fixture(scope="module")
+def game_1000():
+    return make_problem("random-game", d1=1000, d2=1000, seed=8)
+
+
+class TestConcurrentProducts:
+    """A large game's two products run at once, one on the helper thread;
+    every value stays bitwise that of the direct numpy calls."""
+
+    @pytest.mark.parametrize("shape", [(6, 6), (7, 5)], ids=["square", "7x5"])
+    def test_small_games_at_threshold_zero_are_bitwise(self, monkeypatch, shape):
+        monkeypatch.setattr(operators, "_CONCURRENT_BYTES", 0)
+        calls = count_concurrent_calls(monkeypatch)
+        A = np.random.default_rng(6).uniform(-1.0, 1.0, size=shape)
+        self.assert_bitwise(matrix_game(A))
+        assert len(calls) == 4
+
+    def test_1000x1000_game_at_default_threshold_is_bitwise(self, monkeypatch, game_1000):
+        assert game_1000.params["matrix"].nbytes >= operators._CONCURRENT_BYTES
+        calls = count_concurrent_calls(monkeypatch)
+        self.assert_bitwise(game_1000)
+        assert len(calls) == 4
+
+    def test_small_game_at_default_threshold_runs_inline(self, monkeypatch):
+        calls = count_concurrent_calls(monkeypatch)
+        self.assert_bitwise(matrix_game(RPS))
+        assert calls == []
+
+    @staticmethod
+    def assert_bitwise(problem):
+        A = problem.params["matrix"]
+        rng = np.random.default_rng(9)
+        points = np.stack([problem.geom.sample(rng) for _ in range(3)])
+        for x in (points[0], points):  # one d-vector, one 3-row stack
+            value, gap = direct_products(A, x)
+            assert problem.operator_eval(x).tobytes() == value.tobytes()
+            assert np.asarray(problem.dual_gap_eval(x)).tobytes() == gap.tobytes()
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_error_is_raised_after_both_calls_finish(self, side):
+        finished = []
+
+        def slow():
+            time.sleep(0.05)
+            finished.append("slow")
+            return 1.0
+
+        def fail():
+            raise ZeroDivisionError(side)
+
+        first, second = (fail, slow) if side == "helper" else (slow, fail)
+        with pytest.raises(ZeroDivisionError, match=side):
+            operators._concurrently(first, second)
+        assert finished == ["slow"]
+
+    def test_helper_side_product_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(operators, "_CONCURRENT_BYTES", 0)
+        A = np.random.default_rng(6).uniform(-1.0, 1.0, size=(7, 5))
+        p = matrix_game(A)
+        x = p.geom.min_point()
+        # One entry too many lands in v: A @ v fails on the helper, u @ A does not.
+        with pytest.raises(ValueError, match="matvec"):
+            p.operator_eval(np.append(x, 0.0))
+        assert p.operator_eval(x).tobytes() == direct_products(A, x)[0].tobytes()
+
+    def test_caller_threads_share_the_helper(self, monkeypatch):
+        monkeypatch.setattr(operators, "_CONCURRENT_BYTES", 0)
+        A = np.random.default_rng(6).uniform(-1.0, 1.0, size=(40, 30))
+        p = matrix_game(A)
+        points = np.stack([p.geom.sample(np.random.default_rng(s)) for s in range(3)])
+        wrong = []
+
+        def evaluate(x):
+            want = direct_products(A, x)[0].tobytes()
+            for _ in range(200):
+                if p.operator_eval(x).tobytes() != want:
+                    wrong.append(x)
+
+        threads = [threading.Thread(target=evaluate, args=(x,)) for x in points]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    # Forking while the helper thread runs is the case under test.
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_starts_its_own_helper(self, monkeypatch):
+        monkeypatch.setattr(operators, "_CONCURRENT_BYTES", 0)
+        p = make_problem("random-game", d1=30, d2=20, seed=2)
+        expected = solve_bytes(p)
+        assert operators._jobs is not None  # the helper thread runs
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=_solve_in_child, args=(send, p))
+        child.start()
+        try:
+            send.close()
+            assert receive.poll(60), "the forked child's solve did not finish"
+            forgot, got = receive.recv()
+            child.join(60)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert forgot and got == expected
 
 
 class TestStochasticOracle:
