@@ -45,7 +45,8 @@ stream for oracle noise and a reserved stream for verification sampling, so
 traces are reproducible byte-for-byte across runs and platforms. CSV floats
 are written with 17 significant digits ('.' decimal separator), enough to
 round-trip exactly. Exit codes: 0 success, 1 verification failure, 2 config
-error (any malformed config, found before anything is solved), 3 numeric abort.
+error (any malformed config or an output directory that cannot be created,
+found before anything is solved), 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -203,6 +204,16 @@ def _output_dir(config) -> Path:
     return Path(os.environ.get("UVI_OUTPUT_DIR", config.output_dir))
 
 
+def _make_dirs(dirs) -> None:
+    """Create each output directory; ConfigError names the first that cannot be."""
+    for out in dirs:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+
+
 def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
     """Write one seed's trace CSV and return its summary entry."""
     _write_trace_csv(out / f"trace_{seed}.csv", trace)
@@ -242,9 +253,12 @@ def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
-    """Execute one run per seed; write CSV traces and summary.json."""
+    """Execute one run per seed; write CSV traces and summary.json.
+
+    The output directory is created first; ConfigError if it cannot be.
+    """
     out = _output_dir(config) if out_dir is None else Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dirs([out])
     T = config.solve.iterations
     per_seed = _solve_seeds(config, {T: config.solve}, {T: out})[T]
     summary = _write_summary(config, config.solve, per_seed, out)
@@ -307,6 +321,9 @@ def cmd_run(config_path: str) -> int:
         return EXIT_CONFIG
     try:
         result = run_experiment(config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except solver.SolverError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -325,14 +342,13 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
             raise ConfigError("sweep needs at least one T value")
         # SolverConfig checks every budget before the first solve writes anything.
         budgets = {T: dataclasses.replace(config.solve, iterations=int(T)) for T in t_list}
+        base_out = _output_dir(config)
+        outs = {T: base_out / f"T_{T}" for T in budgets}
+        _make_dirs(outs.values())
     except (ConfigError, operators.UnknownProblemError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    base_out = _output_dir(config)
-    outs = {T: base_out / f"T_{T}" for T in budgets}
-    for out in outs.values():
-        out.mkdir(parents=True, exist_ok=True)
     try:
         per_seed = _solve_seeds(config, budgets, outs)
     except solver.SolverError as exc:

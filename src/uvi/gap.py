@@ -1,10 +1,9 @@
 """Exact duality gaps at feasible points.
 
-``dual_gap`` checks one point and evaluates the problem's registered
-evaluator there. The solver loop evaluates the gap of every seed's running
-average through ``_dual_gaps``, the same checks on a stack of points, one
-per row: one feasibility test for the stack and, for a ``batched``
-problem, one evaluator call (see ``uvi.solver``).
+``dual_gap`` checks one point and evaluates it as a one-row stack through
+``_dual_gaps``, the path the solver loop takes for the running averages
+of all its seeds: one feasibility test for the stack and, for a
+``batched`` problem, one evaluator call (see ``uvi.solver``).
 """
 
 from __future__ import annotations
@@ -30,12 +29,12 @@ class GapError(ValueError):
 
 def dual_gap(problem: VIProblem, x) -> float:
     """Exact duality gap at a feasible point via the registered evaluator."""
-    return _dual_gaps(problem, problem.geom.check_point(x))[0]
+    return _dual_gaps(problem, problem.geom.check_point(x)[None])[0]
 
 
 def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
-    """The gaps at each row of an (S, dim) stack, or at one dim-vector, as
-    Python floats; the shape of ``points`` is trusted.
+    """The gaps at each row of an (S, dim) stack, as Python floats; the
+    shape of ``points`` is trusted.
 
     Each row must be feasible to 1e-8 and its gap finite and at least -1e-9; a
     ``batched`` problem's evaluator takes the whole stack, any other is
@@ -48,9 +47,7 @@ def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
     evaluate = problem.dual_gap_eval
     if evaluate is None:
         raise GapError(f"problem {problem.name!r} has no registered duality-gap evaluator")
-    if points.ndim == 1:
-        values = [float(evaluate(points))]
-    elif problem.batched:
+    if problem.batched:
         values = np.asarray(evaluate(points), dtype=float)
         if values.shape != (len(points),):
             raise GapError(f"duality-gap evaluator must return one value per row, "

@@ -430,9 +430,7 @@ class ProductGeometry(Geometry):
 
     def _prox_from(self, base, direction, eta) -> np.ndarray:
         if self._twin:
-            step = eta * self.u.diameter_sq
-            if isinstance(step, np.ndarray):
-                step = step[..., None]
+            step = np.asarray(eta * self.u.diameter_sq)[..., None]
             pair = self.u._prox_from(base, self._pair(direction), step)
             return pair.reshape(direction.shape)
         bu, bv = base

@@ -79,12 +79,14 @@ class VIProblem:
     exists; ``dual_gap_eval`` evaluates the exact duality gap when one is
     registered; ``gap_tolerance`` records the accuracy of the reference
     minimum used by that evaluator (0 for closed forms). ``params`` holds
-    the catalog arguments the problem was built from and, for matrix games,
-    the payoff array itself under ``"matrix"``. With ``batched`` set,
+    what the adapter's caller passed; a matrix game's holds its payoff
+    array under ``"matrix"``. With ``batched`` set,
     ``operator_eval`` also maps an (S, d) stack of points to a new (S, d)
     array whose row s is bitwise its value at row s alone, and
-    ``dual_gap_eval`` maps it to the S gaps the same way; the solver loop
-    evaluates a user operator and evaluator without it one row at a time.
+    ``dual_gap_eval`` maps it to the S gaps the same way; the library hands
+    a batched ``dual_gap_eval`` only such stacks, a single point as a
+    one-row stack. Without ``batched``, the solver loop and ``uvi.gap``
+    call a user operator and evaluator one row at a time.
     """
 
     name: str
@@ -513,10 +515,7 @@ def _make_rps() -> VIProblem:
 def _make_random_game(d1: int = 3, d2: int = 3, seed: int = 0) -> VIProblem:
     d1, d2, seed = _integer("d1", d1), _integer("d2", d2), _integer("seed", seed)
     rng = np.random.default_rng(seed)
-    A = rng.uniform(-1.0, 1.0, size=(d1, d2))
-    problem = matrix_game(A, name="random-game")
-    problem.params.update({"d1": d1, "d2": d2, "seed": seed})
-    return problem
+    return matrix_game(rng.uniform(-1.0, 1.0, size=(d1, d2)), name="random-game")
 
 
 def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
@@ -543,7 +542,6 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
         name="quadratic-ball",
         min_value=min_value,
         minimizer=minimizer,
-        params={"radius": radius, "x0": x0.tolist()},
         batched=True,
     )
 
@@ -598,7 +596,6 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
         name="l1-ball",
         min_value=min_value,
         minimizer=minimizer,
-        params={"radius": radius, "x0": x0.tolist()},
         batched=True,
     )
 
@@ -644,12 +641,6 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
         name="piecewise-max",
         min_value=float(res.fun),
         minimizer=np.asarray(res.x[:d], float),
-        params={
-            "slopes": a.tolist(),
-            "offsets": b.tolist(),
-            "lower": lower,
-            "upper": upper,
-        },
         batched=True,
     )
 

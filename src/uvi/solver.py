@@ -41,7 +41,7 @@ both prox steps share one ``_prox_base`` of their anchor.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle) as (S, d) arrays, one seed per row; a single solve is the
-S = 1 batch, run on d-vectors through the same kernels. The kernels reduce
+S = 1 batch, a (1, d) stack. The kernels reduce
 row by row (see ``uvi.geometry``), catalog operators and gap evaluators
 take the whole stack (``VIProblem.batched``) and a user operator or
 evaluator is called row by row, so every seed's trace is bitwise the
@@ -291,24 +291,14 @@ class _BadValue(Exception):
         self.row = row
 
 
-def _seed_rows(a: np.ndarray, n: int) -> list:
-    """The n per-seed vectors of a loop array: itself when n == 1, else its rows."""
-    return [a] if n == 1 else list(a)
-
-
-def _seed_floats(a, n: int) -> list:
-    """The n per-seed values of a kernel's output as Python floats."""
-    return [float(a)] if n == 1 else a.tolist()
-
-
 def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samples: int):
     """F, plus each seed's noise row, at the loop's points (see ``_run_loop``).
 
-    The k noisy seeds' rows come from one (rows, k, d) stack, a (rows, d)
-    one for a single seed, refilled slab by slab from each seed's own
-    ``_noise(rows)``; ``rows`` is about ``_NOISE_BLOCK_BYTES`` of a seed's
-    rows and never exceeds what is left of the run's ``samples`` draws, so
-    no oracle hands out a row the run does not use.
+    The k noisy seeds' rows come from one (rows, k, d) stack, refilled slab
+    by slab from each seed's own ``_noise(rows)``; ``rows`` is about
+    ``_NOISE_BLOCK_BYTES`` of a seed's rows and never exceeds what is left
+    of the run's ``samples`` draws, so no oracle hands out a row the run
+    does not use.
     The returned function raises ``_BadValue`` naming the first seed whose
     value is not a finite vector of dimension d.
     """
@@ -320,19 +310,18 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
     slab_rows = max(1, _NOISE_BLOCK_BYTES // (8 * dim))
 
     def noise_rows():
-        slab = (dim,) if n == 1 else (len(streams), dim)
         due = samples
         while due:
             rows = min(slab_rows, due)
             due -= rows
             # No name holds a slab, so it is freed before the next one is drawn.
-            yield from np.stack([o._noise(rows) for o in streams], axis=1).reshape((rows,) + slab)
+            yield from np.stack([o._noise(rows) for o in streams], axis=1)
 
     noise = noise_rows() if streams else None
 
     def by_row(points):
         values = []
-        for s, point in enumerate(_seed_rows(points, n)):
+        for s, point in enumerate(points):
             try:
                 value = np.asarray(problem.operator_eval(point), dtype=float)
             except GeometryError as exc:
@@ -340,7 +329,7 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
             if value.shape != (dim,):
                 raise _BadValue(s, bad_value)
             values.append(value)
-        return values[0] if n == 1 else np.stack(values)
+        return np.stack(values)
 
     def sample(points):
         if problem.batched:
@@ -355,7 +344,7 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
             values = values.copy()
             values[noisy] += next(noise)
         if not np.isfinite(values).all():
-            finite = np.isfinite(values).reshape(n, dim).all(axis=1)
+            finite = np.isfinite(values).all(axis=1)
             raise _BadValue(int(np.argmin(finite)), bad_value)
         return values
 
@@ -372,13 +361,11 @@ def _run_loop(
     """One trace per seed, seed s solved with ``oracles[s]``.
 
     The iterates of the n seeds are one (n, d) array, row s for seed s; a
-    single seed's are a d-vector, which the same kernels take at the cost of
-    a 1-D numpy call.
+    single seed is the (1, d) stack.
     """
     budgets = _checkpoint_set(checkpoints, config.iterations)
     geom = problem.geom
     n, dim = len(oracles), geom.dim
-    shape = (dim,) if n == 1 else (n, dim)
     diameter = geom.diameter()
     fixed = config.mode == "fixed-step"
     for oracle in oracles:
@@ -387,9 +374,9 @@ def _run_loop(
     g_caps = [problem.g_bound if o is None else o.g_bound for o in oracles]
     sample = _sampler(problem, oracles, 2 * config.iterations)
 
-    y_prev = np.tile(geom.min_point(), shape[:-1] + (1,))
-    sum_x = np.zeros(shape)
-    comp = np.zeros(shape)
+    y_prev = np.tile(geom.min_point(), (n, 1))
+    sum_x = np.zeros((n, dim))
+    comp = np.zeros((n, dim))
     records: List[List[StepRecord]] = [[] for _ in range(n)]
     snapshots: List[Dict[int, RunTrace]] = [{} for _ in range(n)]
     # Each seed's step size, Z^2 sum and maxima stay Python floats.
@@ -400,7 +387,7 @@ def _run_loop(
     z_sqs = [0.0] * n
     # The regret sums are streamed only where every step is recorded.
     streamed = config.record_every == 1
-    g_sum = np.zeros(shape) if streamed else None
+    g_sum = np.zeros((n, dim)) if streamed else None
     gx_sum = [0.0] * n if streamed else None
     eval_every = config.eval_every
     no_gaps = [None] * n
@@ -417,7 +404,7 @@ def _run_loop(
                         t, eta, "step size out of floating-point range: eta_t must be "
                         "positive and finite, with a nonzero square", seeds[s]
                     )
-        step = etas[0] if n == 1 else np.array(etas)[:, None]
+        step = np.array(etas)[:, None]
         base = geom._prox_base(y_prev)  # shared by both prox steps from y_{t-1}
         try:
             m = sample(y_prev)
@@ -429,10 +416,10 @@ def _run_loop(
 
         # The three movement norms of every seed, in one kernel call. y_{t-1}
         # is finite, so a non-finite x_t or y_t gives a non-finite norm.
-        moves = np.concatenate([x - y, x - y_prev, y - y_prev]).reshape(3 * n, dim)
+        moves = np.concatenate([x - y, x - y_prev, y - y_prev])
         norms = geom._primal_norm(moves).tolist()
         if not math.isfinite(sum(norms)):
-            finite = np.isfinite(np.stack([x, y])).reshape(2, n, dim).all(axis=(0, 2))
+            finite = np.isfinite(np.stack([x, y])).all(axis=(0, 2))
             if not finite.all():
                 s = int(np.argmin(finite))
                 raise DivergenceError(t, etas[s], "non-finite iterate", seeds[s])
@@ -471,8 +458,8 @@ def _run_loop(
         if on_schedule or at_budget:
             if streamed:
                 g_sum += g
-                gx = _seed_floats(np.vecdot(g, x), n)
-            gm_norms = _seed_floats(geom._dual_norm(g - m), n)
+                gx = np.vecdot(g, x).tolist()
+            gm_norms = geom._dual_norm(g - m).tolist()
             # eval_every is a multiple of record_every, so an eval step is on schedule.
             eval_step = eval_every is not None and t % eval_every == 0
             gaps = no_gaps
@@ -485,7 +472,6 @@ def _run_loop(
                         raise GapCheckError(
                             t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
                         ) from exc
-                averages = _seed_rows(x_avg, n)
             for s in range(n):
                 if streamed:
                     gx_sum[s] += gx[s]
@@ -504,13 +490,13 @@ def _run_loop(
                         record_every=config.record_every,
                         g_bound=g_caps[s],
                         records=kept + [last],
-                        x_avg=averages[s].copy(),
+                        x_avg=x_avg[s].copy(),
                         eta_final=etas[s],
                         z_sq_total=z_sq_accum[s],
                         max_xy_ratio=max_xy[s],
                         max_yy_ratio=max_yy[s],
                         max_z_sq=max_zsq[s],
-                        g_sum=None if g_sum is None else _seed_rows(g_sum, n)[s].copy(),
+                        g_sum=None if g_sum is None else g_sum[s].copy(),
                         gx_sum=None if gx_sum is None else gx_sum[s],
                     )
 

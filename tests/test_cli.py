@@ -34,6 +34,18 @@ def write_config(tmp_path, name="config.json", **overrides):
 OMIT = object()
 
 
+def count_solves(monkeypatch):
+    calls = []
+    solve = solver.universal_mirror_prox
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "universal_mirror_prox", counting)
+    return calls
+
+
 def count_problem_builds(monkeypatch):
     calls = []
     build = operators.make_problem
@@ -58,6 +70,15 @@ class TestRun:
     def test_unknown_problem_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, problem={"name": "bogus", "params": {}})
         assert cli.cmd_run(str(path)) == 2
+
+    def test_unusable_output_dir_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        solves = count_solves(monkeypatch)
+        path = write_config(tmp_path, T=3, output_dir=str(tmp_path / "blocker"))
+        assert cli.cmd_run(str(path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot create output directory {tmp_path / 'blocker'}: File exists\n")
+        assert solves == []
 
     def test_malformed_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -332,6 +353,16 @@ class TestSweep:
     def test_sweep_bad_config(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "bogus", "params": {}})
         assert cli.cmd_sweep(str(path), [100]) == 2
+
+    def test_unusable_output_dir_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        solves = count_solves(monkeypatch)
+        path = write_config(tmp_path, output_dir=str(tmp_path / "blocker"))
+        assert cli.cmd_sweep(str(path), [1, 2, 3]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot create output directory {tmp_path / 'blocker' / 'T_1'}: "
+            "Not a directory\n")
+        assert solves == []
 
     def test_sweep_t_below_one_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -123,7 +123,24 @@ class TestStackedGaps:
             _dual_gaps(p, np.full((2, 6), 1.0 / 3.0))
         assert err.value.row == 1
         with pytest.raises(GapError, match="is not finite"):
-            dual_gap(dataclasses.replace(p, dual_gap_eval=lambda x: value), np.full(6, 1.0 / 3.0))
+            dual_gap(dataclasses.replace(p, dual_gap_eval=lambda x: np.full(len(x), value)),
+                     np.full(6, 1.0 / 3.0))
+
+    def test_batched_evaluator_receives_only_stacks(self):
+        # dual_gap hands a batched evaluator its point as a one-row stack.
+        game = make_problem("random-game", d1=3, d2=4, seed=2)
+        seen = []
+
+        def stacks_only(x):
+            if x.ndim != 2:
+                raise AssertionError(f"evaluator got shape {x.shape}")
+            seen.append(x.shape)
+            return game.dual_gap_eval(x)
+
+        p = dataclasses.replace(game, dual_gap_eval=stacks_only)
+        x = sample_batch(p.geom, np.random.default_rng(6), 1)[0]
+        assert uvi.dual_gap(p, x) == float(game.dual_gap_eval(x[None])[0])
+        assert seen == [(1, 7)]
 
     def test_nan_objective_aborts_the_run(self):
         # f turns NaN on part of the ball; the running average reaches it.
