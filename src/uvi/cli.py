@@ -131,7 +131,7 @@ class ExperimentConfig:
             raise ConfigError(f"problem {name!r}: params must be an object, got {params!r}")
 
         # SolverConfig checks T, g0, the mode, eta, record_every and
-        # eval_every; the oracle's rule checks the noise bound and sigma_sq.
+        # eval_every; the noise model's rule checks the noise bound and sigma_sq.
         try:
             solve = solver.SolverConfig(iterations=iterations, g0=g0, mode=kind, eta=eta,
                                         record_every=record_every, eval_every=eval_every)
@@ -168,7 +168,7 @@ def _oracle_for_seed(config, seed: int) -> Optional[operators.StochasticOracle]:
         return None
     noise_stream, _verify_stream = np.random.SeedSequence(seed).spawn(2)
     return operators.StochasticOracle(base=config.problem, noise_bound=config.noise_bound,
-                                      sigma_sq=config.noise_sigma_sq, rng_seed=noise_stream)
+                                      rng_seed=noise_stream)
 
 
 def _fmt(x: float) -> str:

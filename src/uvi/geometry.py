@@ -13,15 +13,16 @@ two-block products with the 1/D^2 block scaling that keeps the product map
 1-strongly convex w.r.t. the blended norm.
 
 The prox, norm and membership kernels take a leading batch axis: points
-of shape (..., dim), a step size that is a float or an array of shape
-(..., 1), and norms and membership flags of shape (...). Every reduction
-in them runs along the last axis (row-wise sums, minima, maxima,
-``np.vecdot``), so each row of a batched call is bitwise the call on that
-row alone; the solver loop runs a batch of seeds through the same code a
-single point takes. For the same reason a product of two equal simplex
-blocks (every square matrix game) runs each prox and norm kernel as one
-block-kernel call on an (..., 2, d') view of its points, bitwise the two
-per-block calls that any other product makes.
+of shape (..., dim) and norms and membership flags of shape (...); the
+prox kernel takes an (S, dim) stack and the step that ``_steps`` builds
+from its S step sizes. Every reduction in them runs along the last axis
+(row-wise sums, minima, maxima, ``np.vecdot``), so each row of a batched
+call is bitwise the call on that row alone; the solver loop runs a batch
+of seeds through the same code a single point takes. For the same reason
+a product of two equal simplex blocks (every square matrix game) runs
+each prox and norm kernel as one block-kernel call on an (..., 2, d')
+view of its points, bitwise the two per-block calls that any other
+product makes.
 """
 
 from __future__ import annotations
@@ -70,12 +71,15 @@ def project_simplex(z: np.ndarray) -> np.ndarray:
 
 class Geometry:
     """Base class; concrete geometries supply the closed forms as unchecked
-    kernels (``_prox``, ``_primal_norm``, ...) on raw float arrays. Each
-    public method validates its arguments once, then calls its kernel.
+    kernels (``_prox_from``, ``_primal_norm``, ...) on raw float arrays.
+    Each public method validates its arguments once, then calls its kernel.
 
-    A prox step is ``_prox_from(_prox_base(anchor), direction, eta)``: the
-    two prox steps of one solver round share their anchor, so they share
-    its ``_prox_base`` too (the logarithm, for the entropic map).
+    A prox step is ``_prox_from(_prox_base(anchors), directions,
+    _steps(etas))`` on an (S, dim) stack with one step size per row: the two
+    prox steps of one solver round share their anchor, so they share its
+    ``_prox_base`` too (the logarithm, for the entropic map), and their step
+    sizes, so they share one ``_steps``, which a fixed-step solve builds
+    once. ``prox_step`` runs a point as the one-row stack.
     """
 
     kind = "abstract"
@@ -110,17 +114,14 @@ class Geometry:
         if not np.all(np.isfinite(direction)):
             raise GeometryError("prox direction has non-finite components")
         self._check_anchor(anchor)
-        return self._prox(anchor, direction, float(eta))
+        step = self._steps([float(eta)])
+        return self._prox_from(self._prox_base(anchor[None]), direction[None], step)[0]
 
     def primal_norm(self, v) -> float:
         return float(self._primal_norm(self.check_point(v)))
 
     def dual_norm(self, v) -> float:
         return float(self._dual_norm(self.check_point(v)))
-
-    def mirror_value(self, x) -> float:
-        """R(x), shifted so that min over K is exactly 0."""
-        return self._mirror_value(self.check_point(x))
 
     def contains(self, x, tol: float = 1e-10) -> bool:
         return bool(self._contains(self.check_point(x), tol))
@@ -142,23 +143,22 @@ class Geometry:
     def _bregman(self, x, y) -> float:
         raise NotImplementedError
 
-    def _prox(self, anchor, direction, eta) -> np.ndarray:
-        return self._prox_from(self._prox_base(anchor), direction, eta)
-
     def _prox_base(self, anchor):
         """What the prox step needs of its anchor; the anchor itself by default."""
         return anchor
 
-    def _prox_from(self, base, direction, eta) -> np.ndarray:
+    def _steps(self, etas):
+        """The step of ``_prox_from`` for the list of per-row step sizes
+        ``etas``; the (S, 1) column by default."""
+        return np.array(etas)[:, None]
+
+    def _prox_from(self, base, direction, step) -> np.ndarray:
         raise NotImplementedError
 
     def _primal_norm(self, v):
         raise NotImplementedError
 
     def _dual_norm(self, v):
-        raise NotImplementedError
-
-    def _mirror_value(self, x) -> float:
         raise NotImplementedError
 
     def _contains(self, x, tol):
@@ -194,10 +194,6 @@ class _EuclideanGeometry(Geometry):
 
     def _dual_norm(self, v):
         return self._primal_norm(v)
-
-    def _mirror_value(self, x) -> float:
-        d = x - self.min_point()
-        return 0.5 * float(d @ d)
 
     def project(self, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -360,11 +356,6 @@ class EntropicSimplex(_SimplexSet):
     def _dual_norm(self, v):
         return _row_max(np.abs(v), axis=-1)
 
-    def _mirror_value(self, x) -> float:
-        xp = np.maximum(x, 0.0)
-        terms = np.where(xp > 0.0, xp * np.log(np.maximum(xp, 1e-300)), 0.0)
-        return float(terms.sum()) + math.log(self.dim)
-
 
 class ProductGeometry(Geometry):
     """Two-block product K = U x V with block maps scaled by 1/D_U^2, 1/D_V^2.
@@ -373,12 +364,13 @@ class ProductGeometry(Geometry):
     the product diameter squared is 2 by construction. The primal norm is
     sqrt(||u||_U^2/D_U^2 + ||v||_V^2/D_V^2) and its dual is
     sqrt(D_U^2 (||u||_U*)^2 + D_V^2 (||v||_V*)^2). The prox step separates
-    into block prox steps with effective step sizes eta*D_U^2 and eta*D_V^2.
+    into block prox steps with effective step sizes eta*D_U^2 and eta*D_V^2,
+    which ``_steps`` multiplies out, so ``_prox_from`` takes them ready.
 
     When both blocks are the same simplex geometry (the same class, ``dim``
     and ``clamp_eps``, as in every square matrix game), the prox and norm
     kernels view a point of shape (..., 2 d') as (..., 2, d') and make one
-    block-kernel call on it, with the step eta*D^2 broadcast to (..., 1, 1)
+    block-kernel call on it, with the step eta*D^2 as an (S, 1, 1) array
     and no ``concatenate``. The block kernels reduce along the last axis
     only, so this twin path is bitwise the split path, which serves every
     other pair of blocks.
@@ -398,9 +390,6 @@ class ProductGeometry(Geometry):
             and geom_u.dim == geom_v.dim
             and geom_u.clamp_eps == geom_v.clamp_eps
         )
-
-    def split(self, x):
-        return self._split(self.check_point(x))
 
     def _split(self, x):
         return x[..., : self.u.dim], x[..., self.u.dim :]
@@ -428,16 +417,21 @@ class ProductGeometry(Geometry):
         au, av = self._split(anchor)
         return self.u._prox_base(au), self.v._prox_base(av)
 
-    def _prox_from(self, base, direction, eta) -> np.ndarray:
+    def _steps(self, etas):
+        du2, dv2 = self.u.diameter_sq, self.v.diameter_sq
         if self._twin:
-            step = np.asarray(eta * self.u.diameter_sq)[..., None]
+            return np.array([eta * du2 for eta in etas])[:, None, None]
+        steps_u = self.u._steps([eta * du2 for eta in etas])
+        return steps_u, self.v._steps([eta * dv2 for eta in etas])
+
+    def _prox_from(self, base, direction, step) -> np.ndarray:
+        if self._twin:
             pair = self.u._prox_from(base, self._pair(direction), step)
             return pair.reshape(direction.shape)
-        bu, bv = base
+        (bu, bv), (su, sv) = base, step
         du, dv = self._split(direction)
-        pu = self.u._prox_from(bu, du, eta * self.u.diameter_sq)
-        pv = self.v._prox_from(bv, dv, eta * self.v.diameter_sq)
-        return np.concatenate([pu, pv], axis=-1)
+        return np.concatenate([self.u._prox_from(bu, du, su), self.v._prox_from(bv, dv, sv)],
+                              axis=-1)
 
     def _primal_norm(self, v):
         if self._twin:
@@ -461,13 +455,6 @@ class ProductGeometry(Geometry):
 
     def min_point(self):
         return np.concatenate([self.u.min_point(), self.v.min_point()])
-
-    def _mirror_value(self, x) -> float:
-        xu, xv = self._split(x)
-        return (
-            self.u._mirror_value(xu) / self.u.diameter_sq
-            + self.v._mirror_value(xv) / self.v.diameter_sq
-        )
 
     def _contains(self, x, tol):
         xu, xv = self._split(x)

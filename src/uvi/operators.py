@@ -78,9 +78,9 @@ class VIProblem:
     sample); ``smoothness`` is the dual-norm Lipschitz constant of F when it
     exists; ``dual_gap_eval`` evaluates the exact duality gap when one is
     registered; ``gap_tolerance`` records the accuracy of the reference
-    minimum used by that evaluator (0 for closed forms). ``params`` holds
-    what the adapter's caller passed; a matrix game's holds its payoff
-    array under ``"matrix"``. With ``batched`` set,
+    minimum used by that evaluator (0 for closed forms). ``params`` is
+    empty but for a matrix game's, which holds its payoff array under
+    ``"matrix"``. With ``batched`` set,
     ``operator_eval`` also maps an (S, d) stack of points to a new (S, d)
     array whose row s is bitwise its value at row s alone, and
     ``dual_gap_eval`` maps it to the S gaps the same way; the library hands
@@ -159,7 +159,6 @@ def convex_min_problem(
     name: str = "convex-min",
     min_value: Optional[float] = None,
     minimizer=None,
-    params: Optional[dict] = None,
     batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex objective to the gap-function interface.
@@ -194,7 +193,6 @@ def convex_min_problem(
         dual_gap_eval=dual_gap_eval,
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
         gap_tolerance=gap_tol,
-        params=dict(params or {}),
         batched=batched,
     )
 
@@ -211,7 +209,6 @@ def saddle_problem(
     name: str = "saddle",
     dual_gap_eval=None,
     known_solution=None,
-    params: Optional[dict] = None,
     batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex-concave function phi(u, v) to the gap-function interface.
@@ -243,7 +240,6 @@ def saddle_problem(
         smoothness=smoothness,
         dual_gap_eval=dual_gap_eval,
         known_solution=known_solution,
-        params=dict(params or {}),
         batched=batched,
     )
 
@@ -395,14 +391,19 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
     )
 
 
+def _check_noise_bound(noise_bound: float) -> None:
+    if not (math.isfinite(noise_bound) and noise_bound >= 0):
+        raise ValueError(f"noise bound must be finite and nonnegative, got {noise_bound}")
+
+
 def _noise_sigma_sq(noise_bound: float, sigma_sq: Optional[float]) -> float:
     """The variance bound of sign noise with dual-norm bound ``noise_bound``.
 
     ``sigma_sq`` defaults to noise_bound^2, the exact second moment; a given
-    value must be finite and may not understate it. Raises ValueError.
+    value must be finite and may not understate it. Raises ValueError, also
+    for a noise bound the oracle refuses.
     """
-    if not (math.isfinite(noise_bound) and noise_bound >= 0):
-        raise ValueError(f"noise bound must be finite and nonnegative, got {noise_bound}")
+    _check_noise_bound(noise_bound)
     if sigma_sq is None:
         return noise_bound**2
     if not math.isfinite(sigma_sq):
@@ -422,9 +423,10 @@ class StochasticOracle:
     Each coordinate of zeta is an independent fair sign times
     noise_bound / c, where c is the dual norm of the all-ones vector, so
     dual_norm(zeta) = noise_bound almost surely and the second moment of
-    the dual norm is exactly noise_bound^2. ``sigma_sq`` stores the variance
-    bound for verification only; the solver never reads it. One oracle
-    instance per run; the generator is PCG64 seeded from ``rng_seed``.
+    the dual norm is exactly noise_bound^2, the variance bound that
+    ``_noise_sigma_sq`` resolves. ``noise_bound`` must be finite and
+    nonnegative (ValueError). One oracle instance per run; the generator
+    is PCG64 seeded from ``rng_seed``.
 
     ``_noise(count)`` draws the next ``count`` rows of zeta in one
     ``integers`` call of (count, d) signs. PCG64's bounded integer draws do
@@ -439,11 +441,10 @@ class StochasticOracle:
 
     base: VIProblem
     noise_bound: float
-    sigma_sq: Optional[float] = None
     rng_seed: Union[int, np.random.SeedSequence] = 0
 
     def __post_init__(self):
-        self.sigma_sq = _noise_sigma_sq(self.noise_bound, self.sigma_sq)
+        _check_noise_bound(self.noise_bound)
         self._rng = np.random.default_rng(self.rng_seed)
         self._unit_dual = self.base.geom.dual_norm(np.ones(self.base.geom.dim))
 

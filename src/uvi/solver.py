@@ -37,7 +37,8 @@ and each sample takes one slice of it; the loop alone sizes the slabs,
 at about ``_NOISE_BLOCK_BYTES`` of a seed's rows. Prox outputs are
 feasible by construction, so the loop's query points need no feasibility
 check. Each of the three movement norms is computed once per step, and
-both prox steps share one ``_prox_base`` of their anchor.
+both prox steps share one ``_prox_base`` of their anchor and one
+``_steps`` of their step sizes, which a fixed-step solve builds once.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle) as (S, d) arrays, one seed per row; a single solve is the
@@ -391,11 +392,12 @@ def _run_loop(
     gx_sum = [0.0] * n if streamed else None
     eval_every = config.eval_every
     no_gaps = [None] * n
+    if fixed:
+        etas = [config.eta] * n  # range-checked by SolverConfig
+        step = geom._steps(etas)  # built once per solve
 
     for t in range(1, config.iterations + 1):
-        if fixed:
-            etas = [config.eta] * n  # range-checked by SolverConfig
-        else:
+        if not fixed:
             etas = [update_eta(z, diameter, config.g0) for z in z_sq_accum]
             for s, eta in enumerate(etas):
                 # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
@@ -404,7 +406,7 @@ def _run_loop(
                         t, eta, "step size out of floating-point range: eta_t must be "
                         "positive and finite, with a nonzero square", seeds[s]
                     )
-        step = np.array(etas)[:, None]
+            step = geom._steps(etas)
         base = geom._prox_base(y_prev)  # shared by both prox steps from y_{t-1}
         try:
             m = sample(y_prev)

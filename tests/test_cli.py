@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import uvi.cli as cli
 import uvi.operators as operators
 import uvi.solver as solver
 from uvi.geometry import EuclideanBall
-from uvi.operators import convex_min_problem
+from uvi.operators import convex_min_problem, make_problem
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -621,6 +622,28 @@ class TestFixedStepOutput:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_fixed_step_output_unchanged(self, tmp_path, capsys, command):
         assert_whole_output(tmp_path, self, command)
+
+
+class TestTwinProductOutput:
+    """A noisy square game, whose product geometry takes the twin prox path
+    that every benchmark workload takes, keeps its whole output bytes in
+    both modes (fixture taken before the geometry prepared the prox steps)."""
+
+    GAME = {"problem": {"name": "random-game", "params": {"d1": 4, "d2": 4, "seed": 2}},
+            "T": 30, "noise": {"bound": 0.5}, "seeds": [4, 1], "eval_every": 5,
+            "record_every": 1}
+    MODES = {"universal": {}, "fixed-step": {"mode": {"kind": "fixed-step", "eta": 0.3}}}
+    T_LIST = [30, 10, 20]
+    # {mode: {"run": {path: text}, "sweep": {path: text}}}
+    FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "twin_product.json").read_text())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_twin_output_unchanged(self, tmp_path, capsys, mode, command):
+        assert make_problem("random-game", **self.GAME["problem"]["params"]).geom._twin
+        case = SimpleNamespace(CONFIG={**self.GAME, **self.MODES[mode]}, T_LIST=self.T_LIST,
+                               EXPECTED=self.FIXTURE[mode])
+        assert_whole_output(tmp_path, case, command)
 
 
 class TestVerify:

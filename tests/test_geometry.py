@@ -231,22 +231,23 @@ class TestProductKernelPaths:
         anchor, direction = anchor.reshape(lead + (-1,)), direction.reshape(lead + (-1,))
         eta = 0.7 if eta_kind == "float" else rng.uniform(0.2, 1.5, size=(count, 1))
         ref = split_reference(geom, anchor, direction, eta)
+        etas = [0.7] * count if eta_kind == "float" else eta[:, 0].tolist()
 
         base = geom._prox_base(anchor)
         flat = (base.reshape(anchor.shape) if isinstance(base, np.ndarray)
                 else np.concatenate(base, axis=-1))
+        # A single point takes the prox kernel through prox_step, as a one-row stack.
+        prox = (geom.prox_step(anchor, direction, eta) if lead == ()
+                else geom._prox_from(base, direction, geom._steps(etas)))
         got = {
             "base": flat,
-            "prox": geom._prox_from(base, direction, eta),
+            "prox": prox,
             "primal": geom._primal_norm(direction),
             "dual": geom._dual_norm(direction),
         }
         for key, want in ref.items():
             assert got[key].shape == want.shape, key
             assert got[key].tobytes() == want.tobytes(), key
-        if lead == ():
-            public = geom.prox_step(anchor, direction, eta)
-            assert public.tobytes() == ref["prox"].tobytes()
 
 
 class TestContains:
@@ -287,12 +288,19 @@ class TestMinPointAndDiameter:
         )
 
     def test_min_point_minimizes_mirror_value(self):
-        rng = np.random.default_rng(29)
+        # The minimiser of R in closed form: uniform on a simplex, the centre
+        # of a ball or box, and block by block on a product.
+        def minimiser(geom):
+            if geom.kind == "product":
+                return np.concatenate([minimiser(geom.u), minimiser(geom.v)])
+            if geom.kind in ("euclidean-simplex", "entropic-simplex"):
+                return np.full(geom.dim, 1.0 / geom.dim)
+            if geom.kind == "euclidean-box":
+                return (geom.lower + geom.upper) / 2
+            return np.zeros(geom.dim)
+
         for geom in all_geometries():
-            base = geom.mirror_value(geom.min_point())
-            assert base == pytest.approx(0.0, abs=1e-12)
-            for _ in range(100):
-                assert geom.mirror_value(geom.sample(rng)) >= -1e-12
+            np.testing.assert_allclose(geom.min_point(), minimiser(geom), rtol=0, atol=1e-15)
 
     def test_diameters(self):
         assert EntropicSimplex(3).diameter() == pytest.approx(math.sqrt(math.log(3.0)))
@@ -301,10 +309,12 @@ class TestMinPointAndDiameter:
         assert prod.diameter() == pytest.approx(math.sqrt(2.0))
 
     def test_diameter_matches_sampled_mirror_range(self):
-        # max R - min R over samples never exceeds the stored squared diameter.
+        # At the interior minimiser of R, D_R(x, min_point) = R(x) - min R, so
+        # over samples it never exceeds the stored squared diameter.
         rng = np.random.default_rng(31)
         for geom in all_geometries():
-            values = [geom.mirror_value(geom.sample(rng)) for _ in range(500)]
+            centre = geom.min_point()
+            values = [geom.bregman(geom.sample(rng), centre) for _ in range(500)]
             assert max(values) <= geom.diameter_sq + 1e-9
 
 

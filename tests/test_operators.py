@@ -24,7 +24,7 @@ from uvi.operators import (
 )
 from uvi.solver import _NOISE_BLOCK_BYTES, SolverConfig, universal_mirror_prox
 from uvi.analysis import adapter_invariants
-from uvi.operators import _l1_min_on_ball
+from uvi.operators import _l1_min_on_ball, _noise_sigma_sq
 
 RPS = np.array([[0.0, -1.0, 1.0], [1.0, 0.0, -1.0], [-1.0, 1.0, 0.0]])
 
@@ -403,7 +403,7 @@ class TestStochasticOracle:
         x = p.geom.min_point()
         samples = p.operator(x) + oracle._noise(100_000)
         sq = np.abs(samples - p.operator(x)).max(axis=1) ** 2
-        assert float(sq.mean()) <= oracle.sigma_sq * 1.1
+        assert float(sq.mean()) <= oracle.noise_bound**2 * 1.1
 
     def test_product_geometry_noise_respects_dual_bound(self):
         p = matrix_game(RPS)
@@ -414,9 +414,9 @@ class TestStochasticOracle:
             assert p.geom.dual_norm(zeta) <= 0.5 + 1e-12
 
     def test_sigma_sq_cannot_understate_noise(self):
-        p = self._entropic_problem()
-        with pytest.raises(ValueError):
-            StochasticOracle(p, 0.5, sigma_sq=0.01)
+        with pytest.raises(ValueError, match="understates"):
+            _noise_sigma_sq(0.5, 0.01)
+        assert _noise_sigma_sq(0.5, None) == 0.25
 
     def test_infeasible_point_rejected(self):
         p = self._entropic_problem()
@@ -433,8 +433,12 @@ class TestStochasticOracle:
         (math.nan, None), (math.inf, None), (-0.1, None), (0.5, math.inf), (0.5, math.nan),
     ])
     def test_non_finite_or_negative_noise_rejected(self, bound, sigma_sq):
+        # The variance bound is the noise model's; the oracle checks its noise bound.
         with pytest.raises(ValueError):
-            StochasticOracle(self._entropic_problem(), bound, sigma_sq=sigma_sq)
+            _noise_sigma_sq(bound, sigma_sq)
+        if sigma_sq is None:
+            with pytest.raises(ValueError, match="noise bound"):
+                StochasticOracle(self._entropic_problem(), bound)
 
     @pytest.mark.parametrize("point", [[0.5, 0.5], [[1.0, 0.0, 0.0]]], ids=["short", "matrix"])
     def test_wrong_shape_point_rejected(self, point):

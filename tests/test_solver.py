@@ -621,8 +621,11 @@ class TestSeedBatch:
             for T in self.BUDGETS:
                 assert_same_trace(got.prefix(T), single.prefix(T))
 
-    def test_fixed_step_batch_equals_separate_solves(self):
-        problem = make_problem("l1-ball")
+    @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
+    def test_fixed_step_batch_equals_separate_solves(self, name):
+        # The step array is prepared once per solve, on the twin product path
+        # (rps) and the split one (the other games and saddles) too.
+        problem = BATCH_PROBLEMS[name]()
         oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
         config = fixed(40, 0.2, record_every=1, eval_every=1)
         batch = fixed_step_mirror_prox(problem, config, oracles=oracles)
