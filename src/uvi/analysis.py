@@ -9,8 +9,9 @@ inequalities that drive the adaptive-step analysis, and ``prop1_mc`` checks
 the martingale-smoothing bound by Monte Carlo against an adversarially
 chosen feasible point. ``regret_bound_sides`` computes both sides of the
 optimistic-update regret bound along an actual run from the sums and norms
-the solver loop streams; its left-hand side is the hindsight regret.
-``replay_steps`` recomputes the vectors of each step of an every-step run
+the solver loop streams; its left-hand side is the hindsight regret, and
+``gap_certificate`` bounds the exact gap of a run's average by its accuracy
+certificate. ``replay_steps`` recomputes the vectors of an every-step run
 for the checks that need them. The invariant sweeps below are the one copy
 of every check that ``uvi verify`` runs and the tests assert.
 """
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tup
 import numpy as np
 
 from . import gap, operators, solver
-from .geometry import EntropicSimplex, Geometry
+from .geometry import EntropicSimplex, Geometry, GeometryError
 from .operators import VIProblem
 from .solver import RunTrace, SolverConfig, StepRecord
 
@@ -42,7 +43,7 @@ __all__ = [
     "replay_steps",
     "lemma_oracle_checks",
     "adapter_invariants",
-    "gap_sum_chain",
+    "gap_certificate",
     "solver_invariants",
     "invariant_checks",
 ]
@@ -91,7 +92,6 @@ def theorem_bounds(
 
     alpha = max(G / g0, g0 / G) if G > 0 else math.inf
     sqrt_log_t = math.sqrt(math.log(1.0 + T))
-    clamped = False
 
     report = BoundReport(alpha=alpha)
     if math.isfinite(alpha):
@@ -100,7 +100,7 @@ def theorem_bounds(
             log_term = math.log(L * D / g0) if L * D > 0 else -math.inf
             if log_term < 0.0:
                 log_term = 0.0
-                clamped = True
+                report.log_regime_clamped = True
             smooth_part = (
                 alpha * G * D + alpha**2 * L * D * D + L * D * D * log_term
             ) / T
@@ -109,7 +109,6 @@ def theorem_bounds(
                 report.thm4_rhs = smooth_part + alpha * sigma * D * sqrt_log_t / math.sqrt(T)
         if sigma is not None:
             report.thm3_rhs = alpha * G * D * sqrt_log_t / math.sqrt(T)
-    report.log_regime_clamped = clamped
     return report
 
 
@@ -303,7 +302,8 @@ def replay_steps(
     ``noisy_eval`` on ``oracle``, a fresh twin of the run's oracle (same
     problem, noise and seed), and takes both prox steps with the recorded
     eta_t. The solver loop makes the same calls through unchecked kernels,
-    so each step is bitwise the run's own. Requires record_every=1.
+    so each step is bitwise the run's own. Requires record_every=1; raises
+    GeometryError at the first x_t or y_t that is not in K to 1e-10.
     """
     if trace.record_every != 1:
         raise ValueError("replay needs every step recorded (record_every=1)")
@@ -321,6 +321,8 @@ def replay_steps(
         x = geom.prox_step(y_prev, m, rec.eta)
         g = evaluate(x)
         y = geom.prox_step(y_prev, g, rec.eta)
+        if not (geom.contains(x, tol=1e-10) and geom.contains(y, tol=1e-10)):
+            raise GeometryError(f"iterate infeasible at t={rec.t}")
         yield ReplayedStep(rec, y_prev, m, x, g, y)
         y_prev = y
 
@@ -394,26 +396,19 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
     return True, ""
 
 
-def gap_sum_chain(
-    problem: VIProblem, steps: Iterable[Tuple[np.ndarray, np.ndarray]], rng, probes: int
-) -> Tuple[bool, str]:
-    """T Delta(x_avg, x) <= sum_t Delta(x_t, x) <= sum_t g_t.(x_t - x) at random x.
-
-    ``steps`` are the (x_t, g_t) pairs of a run, t = 1..T (``replay_steps``
-    gives them for an every-step trace), and x_avg is the mean of the x_t.
-    The first step is convexity of Delta in its first argument, the second
-    its compatibility with the operator.
-    """
-    steps = list(steps)
-    T = len(steps)
-    x_avg = np.mean([x_t for x_t, _ in steps], axis=0)
-    for i in range(probes):
-        x = problem.geom.sample(rng)
-        delta_avg = problem.gap(x_avg, x) * T
-        delta_sum = sum(problem.gap(x_t, x) for x_t, _ in steps)
-        linear_sum = sum(float(g_t @ (x_t - x)) for x_t, g_t in steps)
-        if not (delta_avg <= delta_sum + 1e-6 and delta_sum <= linear_sum + 1e-6):
-            return False, f"gap-sum chain violated at probe {i}"
+def gap_certificate(problem: VIProblem, x_avg: np.ndarray, pairs: Iterable) -> Tuple[bool, str]:
+    """gap(x_avg) <= cert = (sum_t F(x_t).x_t - min_K (sum_t F(x_t)).x) / T for a
+    run's pairs (x_t, F(x_t)), t = 1..T, F noise-free, x_avg the mean of the x_t.
+    This accuracy certificate (Nemirovski, Onn & Rothblum 2010) is exact for a
+    Delta compatible with F and convex in x: T Delta(x_avg, x) <= sum_t Delta(x_t, x)
+    <= sum_t F(x_t).(x_t - x) at every x in K, whose supremum over K is T cert."""
+    f_sum, fx_sum = 0.0, 0.0
+    for T, (x_t, f_t) in enumerate(pairs, start=1):
+        f_sum, fx_sum = f_sum + f_t, fx_sum + float(f_t @ x_t)
+    cert = (fx_sum - problem.geom.linear_minimize(f_sum)[1]) / T
+    value = gap.dual_gap(problem, x_avg)
+    if value > cert * (1 + _HOLD_TOL) + _HOLD_TOL:
+        return False, f"gap {value:.6g} of the average exceeds its certificate {cert:.6g}"
     return True, ""
 
 
@@ -423,64 +418,55 @@ def solver_invariants(
     """Invariants of one universal run of 300 steps with every step recorded.
 
     The run must not abort, eta_t must not increase, the movement ratios
-    stay within G and Z_t^2 within G^2, and the iterates and the average are
-    feasible. A deterministic run must also satisfy the regret bound and the
-    gap-sum chain; a stochastic one must rerun bitwise from the same seed.
+    stay within G and Z_t^2 within G^2, the iterates and the average are
+    feasible, and the average meets ``gap_certificate`` on the replayed x_t.
+    A deterministic run must also satisfy the regret bound, whose left side
+    is then T cert; a stochastic one must rerun bitwise from the same seed.
     """
     config = SolverConfig(iterations=300, g0=1.0, record_every=1)
-    oracle = None
-    if noise_bound > 0:
-        oracle = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
+
+    def oracle():  # a fresh one, or None, for the run, its replay and its rerun alike
+        if noise_bound <= 0:
+            return None
+        return operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
+
     try:
-        trace = solver.universal_mirror_prox(problem, config, oracle)
+        trace = solver.universal_mirror_prox(problem, config, oracle())
     except solver.SolverError as exc:
         return False, f"solver aborted: {exc}"
-    g_cap = trace.g_bound
-
     etas = [rec.eta for rec in trace.records]
     if any(b > a + 1e-15 for a, b in zip(etas, etas[1:])):
         return False, "eta not non-increasing"
     ratio = max(trace.max_xy_ratio, trace.max_yy_ratio)
-    if ratio > g_cap + 1e-9:
+    if ratio > trace.g_bound + 1e-9:
         return False, f"movement ratio {ratio:.6g} > G"
-    if trace.max_z_sq > g_cap**2 + 1e-9:
+    if trace.max_z_sq > trace.g_bound**2 + 1e-9:
         return False, f"Z^2 {trace.max_z_sq:.6g} > G^2"
-    geom = problem.geom
-    if not geom.contains(trace.x_avg, tol=1e-10):
+    if not problem.geom.contains(trace.x_avg, tol=1e-10):
         return False, "averaged output infeasible"
-    twin = None
-    if oracle is not None:
-        twin = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
-    steps = []
-    for step in replay_steps(problem, trace, twin):  # the loop's x_t and y_t, bitwise
-        t = step.record.t
-        if t % 6 == 1 and not (geom.contains(step.x, tol=1e-10)
-                               and geom.contains(step.y, tol=1e-10)):
-            return False, f"iterate infeasible at t={t}"
-        steps.append((step.x, step.g))
-
-    if oracle is None:
+    # The loop's x_t, bitwise, with F(x_t) noise-free in a stochastic run too.
+    pairs = ((step.x, problem.operator(step.x)) for step in replay_steps(problem, trace, oracle()))
+    try:
+        certified = gap_certificate(problem, trace.x_avg, pairs)
+    except GeometryError as exc:  # a replayed iterate outside K
+        return False, str(exc)
+    if noise_bound <= 0:
         lhs, rhs = regret_bound_sides(problem, trace)
         if lhs > rhs + 1e-6:
             return False, f"regret bound violated: lhs={lhs:.6g} rhs={rhs:.6g}"
-        return gap_sum_chain(problem, steps, np.random.default_rng(seed + 1), probes=20)
-    oracle2 = operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
-    trace2 = solver.universal_mirror_prox(problem, config, oracle2)
-    if not np.array_equal(trace.x_avg, trace2.x_avg):
+    elif not np.array_equal(trace.x_avg,
+                            solver.universal_mirror_prox(problem, config, oracle()).x_avg):
         return False, "stochastic rerun with same seed differs"
-    return True, ""
+    return certified
 
 
 def invariant_checks(seed: int) -> List[Tuple[str, bool, str]]:
     """``adapter_invariants`` on every catalog problem and ``solver_invariants``
-    on three of them, deterministic and with noise; ``(name, ok, detail)`` each."""
-    checks = []
-    for name in sorted(operators.builtin_problems()):
-        ok, detail = adapter_invariants(operators.make_problem(name), seed)
-        checks.append((f"adapter-{name}", ok, detail))
-    for name in ("rps", "quadratic-ball", "l1-ball"):
-        ok, detail = solver_invariants(operators.make_problem(name), seed)
-        checks.append((f"solver-{name}", ok, detail))
-    ok, detail = solver_invariants(operators.make_problem("rps"), seed, noise_bound=0.25)
-    checks.append(("solver-rps-stochastic", ok, detail))
+    on four of them, and with noise on ``rps``; ``(name, ok, detail)`` each."""
+    make = operators.make_problem
+    checks = [(f"adapter-{name}", *adapter_invariants(make(name), seed))
+              for name in sorted(operators.builtin_problems())]
+    checks += [(f"solver-{name}", *solver_invariants(make(name), seed))
+               for name in ("rps", "random-game", "quadratic-ball", "l1-ball")]
+    checks.append(("solver-rps-stochastic", *solver_invariants(make("rps"), seed, 0.25)))
     return checks

@@ -104,17 +104,19 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         try:
-            problem = doc["problem"]
+            doc = _object("config", doc, ("problem", "mode", "T", "g0", "noise", "seeds",
+                                          "eval_every", "record_every", "output_dir"))
+            problem = _object("problem", doc["problem"], ("name", "params"))
             name = problem["name"]
             params = problem.get("params", {}) or {}
-            mode = doc.get("mode", {"kind": "universal"})
-            if not isinstance(mode, dict):
-                raise ConfigError(f"mode must be an object, got {mode!r}")
+            mode = _object("mode", doc.get("mode", {"kind": "universal"}), ("kind", "eta"))
             kind = mode.get("kind", "universal")
             eta = _optional(_real, "eta", mode.get("eta"))
             iterations = _integer("T", doc["T"])
             g0 = _real("g0", doc.get("g0", 1.0))
             noise = doc.get("noise")
+            if noise is not None:
+                _object("noise", noise, ("bound", "sigma_sq"))
             noise_bound = None if noise is None else _real("noise bound", noise["bound"])
             noise_sigma = _optional(_real, "noise sigma_sq", (noise or {}).get("sigma_sq"))
             seeds = [_integer("seeds", s) for s in doc.get("seeds", [0])]
@@ -157,6 +159,16 @@ class ExperimentConfig:
 
 # The catalog's number rules: 1e3 is an integer; bools and strings are not numbers.
 _integer, _real = operators._integer, operators._real
+
+
+def _object(where: str, value, known: tuple) -> dict:
+    """``value`` if it is an object whose keys are all in ``known``, else ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}; known keys: {', '.join(known)}")
+    return value
 
 
 def _optional(parse, key: str, value):

@@ -332,7 +332,7 @@ def _concurrently(first, second):
     return job.value, value
 
 
-def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VIProblem:
+def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
     """Bilinear zero-sum game phi(u, v) = u.A.v over two entropic simplices.
 
     The operator bound comes from max_ij |A_ij| through the product dual
@@ -357,8 +357,8 @@ def matrix_game(A, *, name: str = "matrix-game", clamp_eps: float = 1e-12) -> VI
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("payoff matrix must have finite entries")
     d1, d2 = A.shape
-    geom_u = EntropicSimplex(d1, clamp_eps)
-    geom_v = EntropicSimplex(d2, clamp_eps)
+    geom_u = EntropicSimplex(d1)
+    geom_v = EntropicSimplex(d2)
     amax = max(abs(hi), abs(lo))  # +0.0, not -0.0, for an all-(-0.0) matrix
     du2, dv2 = geom_u.diameter_sq, geom_v.diameter_sq
     g_bound = amax * math.sqrt(du2 + dv2)

@@ -114,6 +114,7 @@ class TestRun:
         ({"problem": {"name": "l1-ball", "params": {"radius": 1e-170}}, "T": 5},
          "squared diameter underflows to 0"),
         ({"mode": "fixed-step"}, "mode must be an object, got 'fixed-step'"),
+        ({"problem": "rps"}, "problem must be an object, got 'rps'"),
         ({"problem": {"name": ["rps"]}}, "problem name must be a string, got ['rps']"),
         ({"g0": True}, "g0 must be a number, got True"),
         ({"g0": "2"}, "g0 must be a number, got '2'"),
@@ -147,16 +148,27 @@ class TestRun:
         ({"output_dir": True}, "output_dir must be a string, got True"),
         ({"output_dir": 5}, "output_dir must be a string, got 5"),
         ({"output_dir": ["out"]}, "output_dir must be a string, got ['out']"),
+        # A misspelt key used to be ignored, and the run used its default.
+        ({"eval_evry": 5}, "unknown config key 'eval_evry'; known keys: problem, mode, T, g0, "
+                           "noise, seeds, eval_every, record_every, output_dir"),
+        ({"problem": {"name": "rps", "parmas": {"x": 1}}},
+         "unknown problem key 'parmas'; known keys: name, params"),
+        ({"mode": {"kind": "universal", "eta_": 2}},
+         "unknown mode key 'eta_'; known keys: kind, eta"),
+        ({"noise": {"bound": 0.1, "sigma": 3}},
+         "unknown noise key 'sigma'; known keys: bound, sigma_sq"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
             "seed-negative-noisy", "param-unknown", "params-not-object",
-            "l1-radius-diameter-underflows", "mode-string", "problem-name-list", "g0-bool",
-            "g0-string", "g0-int-overflows", "eta-bool", "eta-in-universal-mode",
+            "l1-radius-diameter-underflows", "mode-string", "problem-string",
+            "problem-name-list", "g0-bool", "g0-string", "g0-int-overflows", "eta-bool",
+            "eta-in-universal-mode",
             "noise-bool", "sigma-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
             "radius-int-overflows", "x0-object", "slopes-int-overflows", "offsets-without-slopes",
             "l1-radius-diameter-overflows", "box-upper-inf", "output-dir-null",
-            "output-dir-bool", "output-dir-int", "output-dir-list"])
+            "output-dir-bool", "output-dir-int", "output-dir-list", "config-key-unknown",
+            "problem-key-unknown", "mode-key-unknown", "noise-key-unknown"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
@@ -672,7 +684,7 @@ class TestVerify:
             "adapter-quadratic-ball  FAIL  G bound at sample 0",
             "solver-quadratic-ball   FAIL  solver aborted: aborted at step t=1, eta=0.707107: "
             "movement/eta ratio 1.41421 exceeds operator bound 0.5",
-            "VERIFY FAIL (2/9 checks failed)",
+            "VERIFY FAIL (2/10 checks failed)",
         ]
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import uvi
-from uvi.analysis import gap_sum_chain, regret_bound_sides, replay_steps
+from uvi import operators
+from uvi.analysis import gap_certificate, invariant_checks, regret_bound_sides, replay_steps
 from uvi.gap import GapError, _dual_gaps, dual_gap
 from uvi.operators import convex_min_problem, make_problem, matrix_game, saddle_problem
 from uvi.geometry import EntropicSimplex, EuclideanBall
@@ -255,19 +256,50 @@ class TestRegret:
         # played = 0.1 + 0.2; best = -2*||(1,1)|| = -2*sqrt(2)
         assert regret_bound_sides(p, trace)[0] == pytest.approx(0.3 + 2.0 * np.sqrt(2.0))
 
-    def test_gap_sum_chain_flags_losses_that_miss_the_gap(self):
-        # f(x) = c.x on the 2-simplex, but the recorded loss is g_1 = 0, so
-        # sum Delta(x_t, x) = 1 - x[0] exceeds sum g_t.(x_t - x) = 0.
+
+class TestGapCertificate:
+    def test_flags_losses_that_miss_the_gap(self):
+        # f(x) = c.x on the 2-simplex, but the recorded loss is F(x_1) = 0, so
+        # the certificate is 0 while the gap of x_avg = x_1 = (1, 0) is 1.
         c = np.array([1.0, 0.0])
         p = convex_min_problem(f=lambda x: float(c @ x), grad=lambda x: c,
                                geom=EntropicSimplex(2), g_bound=1.0, min_value=0.0,
                                name="linear")
-        steps = [(np.array([1.0, 0.0]), np.zeros(2))]
-        assert gap_sum_chain(p, steps, np.random.default_rng(0), probes=5) == (
-            False, "gap-sum chain violated at probe 0")
+        x_1 = np.array([1.0, 0.0])
+        assert gap_certificate(p, x_1, [(x_1, np.zeros(2))]) == (
+            False, "gap 1 of the average exceeds its certificate 0")
 
-    def test_gap_sum_chain_along_run(self):
+    def test_holds_along_run(self):
         p = matrix_game(ASYM)
         trace = universal_mirror_prox(p, SolverConfig(iterations=300))
-        steps = ((step.x, step.g) for step in replay_steps(p, trace))
-        assert gap_sum_chain(p, steps, np.random.default_rng(3), probes=100) == (True, "")
+        pairs = ((step.x, step.g) for step in replay_steps(p, trace))
+        assert gap_certificate(p, trace.x_avg, pairs) == (True, "")
+
+    @pytest.mark.parametrize("name", ["quadratic-ball", "l1-ball"])
+    def test_fails_on_the_average_of_the_y_t(self, name):
+        # The mean of the y_t is not the point the certificate's sums speak for.
+        p = make_problem(name)
+        trace = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=1))
+        steps = list(replay_steps(p, trace))
+        pairs = [(step.x, step.g) for step in steps]
+        assert gap_certificate(p, trace.x_avg, pairs) == (True, "")
+        y_avg = np.mean([step.y for step in steps], axis=0)
+        ok, detail = gap_certificate(p, y_avg, pairs)
+        assert not ok and "exceeds its certificate" in detail
+
+    def test_doubled_gap_evaluator_fails_the_solver_rows(self, monkeypatch):
+        catalog = operators.builtin_problems()
+
+        def doubled(factory):
+            def make(**params):
+                p = factory(**params)
+                return dataclasses.replace(p, dual_gap_eval=lambda x: 2.0 * p.dual_gap_eval(x))
+            return make
+
+        for name in ("random-game", "rps"):
+            catalog[name] = doubled(catalog[name])
+        monkeypatch.setattr(operators, "builtin_problems", lambda: catalog)
+        failed = {name: detail for name, ok, detail in invariant_checks(42) if not ok}
+        # Deterministic rps sits at its equilibrium, where the doubled gap is still 0.
+        assert sorted(failed) == ["solver-random-game", "solver-rps-stochastic"]
+        assert all("exceeds its certificate" in detail for detail in failed.values())
