@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,8 +552,9 @@ class TestTraceMemory:
         assert held <= 0.25 * 2000 * 600 * 8, held  # 0.25 x one (T, d) float64 array
 
 
-def bilinear_saddle(geom_u, geom_v, seed):
-    """u.B.v over the two blocks, with a batched operator and duality gap."""
+def bilinear_saddle(geom_u, geom_v, seed, batched=True):
+    """u.B.v over the two blocks; its gradients and duality gap take stacks
+    of points, or one point at a time with ``batched=False``."""
     B = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(geom_u.dim, geom_v.dim))
 
     def gap(x):  # max_v' u.B.v' - min_u' u'.B.v by the blocks' exact linear minimizers
@@ -562,8 +565,8 @@ def bilinear_saddle(geom_u, geom_v, seed):
         phi=lambda u, v: float(u @ B @ v),
         grad_u=lambda u, v: np.matvec(B, v),
         grad_v=lambda u, v: np.vecmat(u, B),
-        geom_u=geom_u, geom_v=geom_v, g_bound=10.0, batched=True,
-        dual_gap_eval=lambda x: gap(x) if x.ndim == 1 else np.array([gap(row) for row in x]),
+        geom_u=geom_u, geom_v=geom_v, g_bound=10.0, batched=batched,
+        dual_gap_eval=(lambda x: np.array([gap(row) for row in x])) if batched else gap,
     )
 
 
@@ -737,3 +740,52 @@ class TestSeedBatch:
         assert message.startswith(f"aborted at step t=3, eta={eta:.6g}: operator value")
         assert message.endswith("(seed 5)")
         assert isinstance(err.value, SolverError)
+
+
+def trace_hex(trace):
+    """Every float of a trace as ``float.hex``: its records, aggregates and sums."""
+    def hexed(value):
+        return None if value is None else float(value).hex()
+
+    return {
+        "records": [[rec.t] + [hexed(getattr(rec, name)) for name in
+                               ("eta", "z_sq", "xy_norm", "xy_prev_norm", "gm_dual_norm", "gap")]
+                    for rec in trace.records],
+        "aggregates": [hexed(getattr(trace, name)) for name in
+                       ("eta_final", "z_sq_total", "max_xy_ratio", "max_yy_ratio", "max_z_sq")],
+        "x_avg": [hexed(v) for v in trace.x_avg],
+        "g_sum": [hexed(v) for v in trace.g_sum],
+        "gx_sum": hexed(trace.gx_sum),
+    }
+
+
+PER_POINT_PROBLEMS = {
+    "user-box": user_box_quadratic,
+    "user-saddle": lambda: bilinear_saddle(EntropicSimplex(3), EuclideanBall(1.0, 2), 6,
+                                           batched=False),
+}
+
+
+def per_point_golden_runs(name):
+    """{run: {seed: trace_hex}} for one per-point user problem: a deterministic
+    solve, and a batch of two noisy seeds; T = 40 with every step recorded
+    and evaluated."""
+    problem = PER_POINT_PROBLEMS[name]()
+    config = SolverConfig(iterations=40, record_every=1, eval_every=1)
+    noisy = universal_mirror_prox(problem, config, oracles={
+        seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in (3, 8)})
+    return {
+        "det": {"0": trace_hex(universal_mirror_prox(problem, config))},
+        "noisy": {str(seed): trace_hex(trace) for seed, trace in noisy.traces.items()},
+    }
+
+
+class TestPerPointGolden:
+    """A user problem whose callables take one point at a time reproduces its
+    stored traces bit for bit."""
+
+    FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "per_point_user.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(PER_POINT_PROBLEMS))
+    def test_traces_unchanged(self, name):
+        assert per_point_golden_runs(name) == self.FIXTURE[name]
