@@ -40,13 +40,13 @@ Config schema (JSON):
       "output_dir":   "out"         // a string; UVI_OUTPUT_DIR overrides
     }
 
-Per-seed randomness uses numpy's PCG64: SeedSequence(seed) is split into a
-stream for oracle noise and a reserved stream for verification sampling, so
-traces are reproducible byte-for-byte across runs and platforms. CSV floats
-are written with 17 significant digits ('.' decimal separator), enough to
-round-trip exactly. Exit codes: 0 success, 1 verification failure, 2 config
-error (any malformed config or an output directory that cannot be created,
-found before anything is solved), 3 numeric abort.
+Per-seed randomness uses numpy's PCG64: the oracle noise of a seed is drawn
+from the first child of SeedSequence(seed), so traces are reproducible
+byte-for-byte across runs and platforms. CSV floats are written with 17
+significant digits ('.' decimal separator), enough to round-trip exactly.
+Exit codes: 0 success, 1 verification failure, 2 config error (any
+malformed config or an output directory that cannot be created, found
+before anything is solved), 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class ExperimentConfig:
                                           "eval_every", "record_every", "output_dir"))
             problem = _object("problem", doc["problem"], ("name", "params"))
             name = problem["name"]
-            params = problem.get("params", {}) or {}
+            params = {} if problem.get("params") is None else problem["params"]
             mode = _object("mode", doc.get("mode", {"kind": "universal"}), ("kind", "eta"))
             kind = mode.get("kind", "universal")
             eta = _optional(_real, "eta", mode.get("eta"))
@@ -178,7 +178,7 @@ def _optional(parse, key: str, value):
 def _oracle_for_seed(config, seed: int) -> Optional[operators.StochasticOracle]:
     if not config.stochastic:
         return None
-    noise_stream, _verify_stream = np.random.SeedSequence(seed).spawn(2)
+    noise_stream, = np.random.SeedSequence(seed).spawn(1)
     return operators.StochasticOracle(base=config.problem, noise_bound=config.noise_bound,
                                       rng_seed=noise_stream)
 
@@ -264,12 +264,12 @@ def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
             for T in budgets}
 
 
-def run_experiment(config: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one run per seed; write CSV traces and summary.json.
 
     The output directory is created first; ConfigError if it cannot be.
     """
-    out = _output_dir(config) if out_dir is None else Path(out_dir)
+    out = _output_dir(config)
     _make_dirs([out])
     T = config.solve.iterations
     per_seed = _solve_seeds(config, {T: config.solve}, {T: out})[T]

@@ -2,8 +2,8 @@
 
 ``dual_gap`` checks one point and evaluates it as a one-row stack through
 ``_dual_gaps``, the path the solver loop takes for the running averages
-of all its seeds: one feasibility test for the stack and, for a
-``batched`` problem, one evaluator call (see ``uvi.solver``).
+of all its seeds: one feasibility test and one evaluator call for the
+stack (see ``uvi.solver``).
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
     """The gaps at each row of an (S, dim) stack, as Python floats; the
     shape of ``points`` is trusted.
 
-    Each row must be feasible to 1e-8 and its gap finite and at least -1e-9; a
-    ``batched`` problem's evaluator takes the whole stack, any other is
-    called row by row. Raises GapError naming the first failing row.
+    The evaluator takes the whole stack and must return one value per row.
+    Each row must be feasible to 1e-8 and its gap finite and at least -1e-9.
+    Raises GapError naming the first failing row.
     """
     geom = problem.geom
     feasible = geom._contains(points, 1e-8)
@@ -47,14 +47,11 @@ def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
     evaluate = problem.dual_gap_eval
     if evaluate is None:
         raise GapError(f"problem {problem.name!r} has no registered duality-gap evaluator")
-    if problem.batched:
-        values = np.asarray(evaluate(points), dtype=float)
-        if values.shape != (len(points),):
-            raise GapError(f"duality-gap evaluator must return one value per row, "
-                           f"got shape {values.shape}")
-        values = values.tolist()
-    else:
-        values = [float(evaluate(row)) for row in points]
+    values = np.asarray(evaluate(points), dtype=float)
+    if values.shape != (len(points),):
+        raise GapError(f"duality-gap evaluator must return one value per row, "
+                       f"got shape {values.shape}")
+    values = values.tolist()
     for row, value in enumerate(values):
         if not math.isfinite(value):
             raise GapError(f"duality gap {value} is not finite", row)

@@ -16,10 +16,10 @@ the solver's movement invariants.
 
 ``VIProblem.operator``/``gap`` and ``noisy_eval`` validate their points
 once, at this boundary; the operator and gap closures behind them take raw
-arrays of the right dimension unchecked.
-The catalog operators also take a stack of points, one per row
-(``VIProblem.batched``), so the solver loop evaluates a batch of seeds in
-one call.
+arrays of the right dimension unchecked. Every problem's operator and
+duality gap take an (S, d) stack of points, one per row, so the solver
+loop evaluates a batch of seeds in one call; the two adapters map a user's
+per-point callables over the rows of a stack (``batched=False``).
 
 A matrix game's operator and duality gap both need the two products A v
 and u A. When the payoff array holds at least 4 MiB (``_CONCURRENT_BYTES``;
@@ -80,13 +80,13 @@ class VIProblem:
     registered; ``gap_tolerance`` records the accuracy of the reference
     minimum used by that evaluator (0 for closed forms). ``params`` is
     empty but for a matrix game's, which holds its payoff array under
-    ``"matrix"``. With ``batched`` set,
-    ``operator_eval`` also maps an (S, d) stack of points to a new (S, d)
-    array whose row s is bitwise its value at row s alone, and
-    ``dual_gap_eval`` maps it to the S gaps the same way; the library hands
-    a batched ``dual_gap_eval`` only such stacks, a single point as a
-    one-row stack. Without ``batched``, the solver loop and ``uvi.gap``
-    call a user operator and evaluator one row at a time.
+    ``"matrix"``.
+
+    ``operator_eval`` maps an (S, d) stack of points to a new (S, d) array
+    whose row s is bitwise its value at row s alone, and ``dual_gap_eval``
+    maps it to the S gaps the same way; the library hands both only such
+    stacks, a single point as a one-row stack. ``gap_eval`` takes two
+    single points.
     """
 
     name: str
@@ -99,10 +99,9 @@ class VIProblem:
     known_solution: Optional[np.ndarray] = None
     gap_tolerance: float = 0.0
     params: dict = field(default_factory=dict)
-    batched: bool = False
 
     def operator(self, x) -> np.ndarray:
-        return np.asarray(self.operator_eval(self.geom.check_point(x)), dtype=float)
+        return np.asarray(self.operator_eval(self.geom.check_point(x)[None]), dtype=float)[0]
 
     def gap(self, x, y) -> float:
         check = self.geom.check_point
@@ -149,6 +148,11 @@ def _reference_minimum(f, geom: Geometry) -> tuple[float, float]:
     return best, 1e-8
 
 
+def _by_row(f):
+    """``f``, which takes one point, mapped over the rows of an (S, d) stack."""
+    return lambda x: np.stack([np.asarray(f(row), dtype=float) for row in x])
+
+
 def convex_min_problem(
     f,
     grad,
@@ -166,9 +170,9 @@ def convex_min_problem(
     Delta(x, y) = f(x) - f(y) and F = grad; the duality gap is
     f(x) - min_K f, with the minimum taken from ``min_value`` when the
     closed form is known and from a cached inner solve otherwise. Set
-    ``batched`` when ``grad`` also takes a stack of points, one per row
-    (see ``VIProblem``); the duality gap maps ``f`` over the rows of a
-    stack either way.
+    ``batched`` when ``grad`` takes a stack of points, one per row (see
+    ``VIProblem``); else it is called row by row. ``f`` takes one point,
+    and the duality gap maps it over the rows of a stack.
     """
     if min_value is None:
         min_value, gap_tol = _reference_minimum(f, geom)
@@ -178,22 +182,16 @@ def convex_min_problem(
     def gap_eval(x, y):
         return float(f(x) - f(y))
 
-    def dual_gap_eval(x):
-        if x.ndim == 1:
-            return float(f(x)) - min_value
-        return np.array([float(f(row)) - min_value for row in x])
-
     return VIProblem(
         name=name,
         geom=geom,
-        operator_eval=lambda x: np.asarray(grad(x), dtype=float),
+        operator_eval=(lambda x: np.asarray(grad(x), dtype=float)) if batched else _by_row(grad),
         gap_eval=gap_eval,
         g_bound=float(g_bound),
         smoothness=smoothness,
-        dual_gap_eval=dual_gap_eval,
+        dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value),
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
         gap_tolerance=gap_tol,
-        batched=batched,
     )
 
 
@@ -216,8 +214,8 @@ def saddle_problem(
     F(u, v) = (grad_u phi, -grad_v phi) and
     Delta((u, v), (u0, v0)) = phi(u, v0) - phi(u0, v), both over the scaled
     product geometry of the two blocks. Set ``batched`` when ``grad_u`` and
-    ``grad_v``, and ``dual_gap_eval`` if given, also take stacks of points,
-    one per row.
+    ``grad_v``, and ``dual_gap_eval`` if given, take stacks of points, one
+    per row (see ``VIProblem``); else they are called row by row.
     """
     geom = ProductGeometry(geom_u, geom_v)
     u0, v0 = geom_u.min_point(), geom_v.min_point()
@@ -231,6 +229,10 @@ def saddle_problem(
 
     operator_eval, gap_eval = _saddle_evals(
         geom, phi, lambda u, v: (grad_u(u, v), grad_v(u, v)))
+    if not batched:
+        operator_eval = _by_row(operator_eval)
+        if dual_gap_eval is not None:
+            dual_gap_eval = _by_row(dual_gap_eval)
     return VIProblem(
         name=name,
         geom=geom,
@@ -240,7 +242,6 @@ def saddle_problem(
         smoothness=smoothness,
         dual_gap_eval=dual_gap_eval,
         known_solution=known_solution,
-        batched=batched,
     )
 
 
@@ -387,7 +388,6 @@ def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
         smoothness=smoothness,
         dual_gap_eval=dual_gap_eval,
         params={"matrix": A},
-        batched=True,
     )
 
 

@@ -42,14 +42,14 @@ both prox steps share one ``_prox_base`` of their anchor and one
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle) as (S, d) arrays, one seed per row; a single solve is the
-S = 1 batch, a (1, d) stack. The kernels reduce
-row by row (see ``uvi.geometry``), catalog operators and gap evaluators
-take the whole stack (``VIProblem.batched``) and a user operator or
-evaluator is called row by row, so every seed's trace is bitwise the
-trace of its own solve. Each seed keeps its own oracle and generator, and
-its step size, Z^2 sum, maxima and every guard stay per-seed Python
-floats; an abort names the seed. A batch returns a ``RunBatch``: one trace per
-seed, with ``iterations`` and ``records`` over all seeds.
+S = 1 batch, a (1, d) stack. The kernels reduce row by row (see
+``uvi.geometry``), and the operator and gap evaluator take the whole stack
+and give each row bitwise its own value (see ``VIProblem``), so every
+seed's trace is bitwise the trace of its own solve. Each seed keeps its
+own oracle and generator, and its step size, Z^2 sum, maxima and every
+guard stay per-seed Python floats; an abort names the seed. A batch
+returns a ``RunBatch``: one trace per seed, with ``iterations`` and
+``records`` over all seeds.
 
 A recorded step (``StepRecord``) keeps scalars only: the ones the step
 rule and the Lemma 3 regret bound are built from, ||x_t - y_t||,
@@ -91,7 +91,6 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 import numpy as np
 
 from .gap import GapError, _dual_gaps
-from .geometry import GeometryError
 # The loop does not call noisy_eval; it stays in this namespace because
 # bench/tracing.py wraps solver.noisy_eval by that name.
 from .operators import StochasticOracle, VIProblem, noisy_eval  # noqa: F401
@@ -300,8 +299,9 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
     ``_NOISE_BLOCK_BYTES`` of a seed's rows and never exceeds what is left
     of the run's ``samples`` draws, so no oracle hands out a row the run
     does not use.
-    The returned function raises ``_BadValue`` naming the first seed whose
-    value is not a finite vector of dimension d.
+    The returned function makes one ``operator_eval`` call per stack of
+    points and raises ``_BadValue`` naming the first seed when the values
+    are not an (S, d) stack, or the first seed whose value is not finite.
     """
     n, dim = len(oracles), problem.geom.dim
     bad_value = f"operator value must be a finite vector of dimension {dim}"
@@ -320,25 +320,10 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
 
     noise = noise_rows() if streams else None
 
-    def by_row(points):
-        values = []
-        for s, point in enumerate(points):
-            try:
-                value = np.asarray(problem.operator_eval(point), dtype=float)
-            except GeometryError as exc:
-                raise _BadValue(s, str(exc)) from exc
-            if value.shape != (dim,):
-                raise _BadValue(s, bad_value)
-            values.append(value)
-        return np.stack(values)
-
     def sample(points):
-        if problem.batched:
-            values = np.asarray(problem.operator_eval(points), dtype=float)
-            if values.shape != points.shape:
-                raise _BadValue(0, bad_value)
-        else:
-            values = by_row(points)
+        values = np.asarray(problem.operator_eval(points), dtype=float)
+        if values.shape != points.shape:
+            raise _BadValue(0, bad_value)
         if every_row:
             values = values + next(noise)
         elif noise is not None:

@@ -111,6 +111,12 @@ class TestRun:
          "seeds must be nonnegative, got [-1]"),
         ({"problem": {"name": "rps", "params": {"foo": 1}}}, "'rps' has no param 'foo'"),
         ({"problem": {"name": "rps", "params": [1]}}, "'rps': params must be an object"),
+        # A falsy non-object used to run with the default params.
+        ({"problem": {"name": "rps", "params": []}}, "'rps': params must be an object, got []"),
+        ({"problem": {"name": "rps", "params": 0}}, "'rps': params must be an object, got 0"),
+        ({"problem": {"name": "rps", "params": False}},
+         "'rps': params must be an object, got False"),
+        ({"problem": {"name": "rps", "params": ""}}, "'rps': params must be an object, got ''"),
         ({"problem": {"name": "l1-ball", "params": {"radius": 1e-170}}, "T": 5},
          "squared diameter underflows to 0"),
         ({"mode": "fixed-step"}, "mode must be an object, got 'fixed-step'"),
@@ -160,7 +166,8 @@ class TestRun:
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
-            "seed-negative-noisy", "param-unknown", "params-not-object",
+            "seed-negative-noisy", "param-unknown", "params-not-object", "params-empty-list",
+            "params-zero", "params-false", "params-empty-string",
             "l1-radius-diameter-underflows", "mode-string", "problem-string",
             "problem-name-list", "g0-bool", "g0-string", "g0-int-overflows", "eta-bool",
             "eta-in-universal-mode",
@@ -178,6 +185,7 @@ class TestRun:
         assert message in capsys.readouterr().err
         assert cli.cmd_sweep(str(path), [5, 10]) == 2
         assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_tiny_l1_radius_with_subnormal_diameter_runs(self, tmp_path, capsys):
@@ -186,6 +194,15 @@ class TestRun:
         assert cli.cmd_run(str(path)) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["mean_final_gap"] >= 0.0
+
+    def test_null_params_are_absent(self, tmp_path):
+        absent = write_config(tmp_path, name="absent.json", problem={"name": "rps"},
+                              output_dir=str(tmp_path / "absent"))
+        null = write_config(tmp_path, name="null.json", problem={"name": "rps", "params": None},
+                            output_dir=str(tmp_path / "null"))
+        assert cli.cmd_run(str(absent)) == 0
+        assert cli.cmd_run(str(null)) == 0
+        assert tree_bytes(tmp_path / "absent") == tree_bytes(tmp_path / "null")
 
     def test_integral_floats_are_integers(self, tmp_path):
         ints = write_config(tmp_path, name="ints.json", T=20, seeds=[3],

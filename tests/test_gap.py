@@ -108,7 +108,6 @@ class TestStackedGaps:
         p = convex_min_problem(f=lambda x: float((x - c) @ (x - c)), grad=lambda x: 2 * (x - c),
                                geom=EuclideanBall(1.0, 2), g_bound=3.0, min_value=0.0)
         points = sample_batch(p.geom, np.random.default_rng(5), 4)
-        assert not p.batched
         assert _dual_gaps(p, points) == [dual_gap(p, x) for x in points]
 
     def test_batched_evaluator_must_return_a_value_per_row(self):
@@ -128,7 +127,7 @@ class TestStackedGaps:
                      np.full(6, 1.0 / 3.0))
 
     def test_batched_evaluator_receives_only_stacks(self):
-        # dual_gap hands a batched evaluator its point as a one-row stack.
+        # dual_gap hands the evaluator its point as a one-row stack.
         game = make_problem("random-game", d1=3, d2=4, seed=2)
         seen = []
 

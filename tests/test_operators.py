@@ -163,7 +163,7 @@ class TestMatrixGame:
         p = make_problem("random-game", d1=30, d2=20, seed=2)
         points = np.stack([p.geom.sample(np.random.default_rng(s)) for s in range(4)])
         values = p.operator_eval(points)
-        assert p.batched and values.shape == (4, 50)
+        assert values.shape == (4, 50)
         for point, value in zip(points, values):
             u, v = point[:30], point[30:]
             A = p.params["matrix"]
@@ -648,7 +648,8 @@ class TestCatalog:
         ({"operator_eval": lambda x: -x}, "monotonicity pair 0"),
         ({"g_bound": 0.1}, "G bound at sample"),
         ({"smoothness": 0.5}, "L bound pair 0"),
-        ({"dual_gap_eval": lambda x: -1.0}, "gap sample 0: duality gap -1.0 is negative"),
+        ({"dual_gap_eval": lambda x: np.full(len(x), -1.0)},
+         "gap sample 0: duality gap -1.0 is negative"),
         ({"known_solution": np.array([0.5, 0.0])}, "known solution has positive gap"),
     ])
     def test_adapter_invariants_flag_broken_problem(self, fields, label):

@@ -604,7 +604,6 @@ class TestSeedBatch:
     @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
     def test_batch_equals_separate_solves(self, name, noise, record_every):
         problem = BATCH_PROBLEMS[name]()
-        assert problem.batched == (name != "user-convex-min")
 
         def oracle(seed):
             return StochasticOracle(problem, noise, rng_seed=seed) if noise else None
@@ -725,6 +724,18 @@ class TestSeedBatch:
         return convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
                                   g_bound=2.0, min_value=0.0, name="nan-seed",
                                   batched=batched)
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
+    @pytest.mark.parametrize("grad", [lambda x: x[..., :1], lambda x: 0.5],
+                             ids=["one-coordinate", "scalar"])
+    def test_wrong_shape_aborts_at_the_first_step(self, grad, batched):
+        problem = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
+                                     g_bound=2.0, min_value=0.0, batched=batched)
+        with pytest.raises(DivergenceError,
+                           match="operator value must be a finite vector of dimension 2") as err:
+            universal_mirror_prox(problem, SolverConfig(iterations=10),
+                                  oracles={4: None, 8: None})
+        assert (err.value.t, err.value.seed) == (1, 4)
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
     def test_abort_names_the_seed(self, batched):
