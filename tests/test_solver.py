@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import uvi
-from uvi.analysis import replay_steps
+from uvi.analysis import gap_certificate, replay_steps
 from uvi.geometry import (
     EntropicSimplex,
     EuclideanBall,
@@ -571,13 +571,14 @@ def bilinear_saddle(geom_u, geom_v, seed, batched=True):
 
 
 def user_box_quadratic():
-    """A user objective whose gradient takes one point at a time."""
+    """A user objective whose gradient takes one point at a time; its minimum
+    over the box is 0.5, at c clipped to the box."""
     c = np.array([0.5, 2.0, -0.3])
     return convex_min_problem(
         f=lambda x: 0.5 * float((x - c) @ (x - c)),
         grad=lambda x: np.array([x[0] - c[0], x[1] - c[1], x[2] - c[2]]),
         geom=EuclideanBox(-np.ones(3), np.ones(3)),
-        g_bound=5.0, min_value=0.0, name="user-box",
+        g_bound=5.0, min_value=0.5, minimizer=[0.5, 1.0, -0.3], name="user-box",
     )
 
 
@@ -591,6 +592,19 @@ BATCH_PROBLEMS = {
     "euclidean-simplices": lambda: bilinear_saddle(EuclideanSimplex(40), EuclideanSimplex(30), 5),
     "user-convex-min": user_box_quadratic,
 }
+
+
+class TestGapCertificate:
+    """The gap of each run's average lies within its accuracy certificate,
+    which also checks the minimum a user problem states."""
+
+    @pytest.mark.parametrize("T", [40, 300])
+    @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
+    def test_average_gap_within_certificate(self, name, T):
+        problem = BATCH_PROBLEMS[name]()
+        trace = universal_mirror_prox(problem, SolverConfig(iterations=T))
+        pairs = ((step.x, problem.operator(step.x)) for step in replay_steps(problem, trace))
+        assert gap_certificate(problem, trace.x_avg, pairs) == (True, "")
 
 
 class TestSeedBatch:
