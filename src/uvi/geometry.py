@@ -46,6 +46,7 @@ __all__ = [
 _row_sum = np.add.reduce
 _row_max = np.maximum.reduce
 _row_min = np.minimum.reduce
+_ENTROPIC_CLAMP = 1e-12  # the entropic prox's floor on each weight
 
 
 class GeometryError(ValueError):
@@ -84,12 +85,11 @@ class Geometry:
 
     kind = "abstract"
 
-    def __init__(self, dim: int, diameter_sq: float, clamp_eps: float = 0.0):
+    def __init__(self, dim: int, diameter_sq: float):
         if dim < 1:
             raise GeometryError("dimension must be positive")
         self.dim = int(dim)
         self.diameter_sq = float(diameter_sq)
-        self.clamp_eps = float(clamp_eps)
 
     def check_point(self, v) -> np.ndarray:
         arr = np.asarray(v, dtype=float)
@@ -310,18 +310,16 @@ class EntropicSimplex(_SimplexSet):
     R(x) = sum_i x_i log x_i + log d, so min R = 0 at the uniform point and
     the Bregman diameter squared is exactly log d. The norm pair is l1/linf
     and the prox step is the multiplicative update
-    anchor_i * exp(-eta * direction_i), normalized, then clamped away from
-    the boundary so the mirror-map gradient stays finite.
+    anchor_i * exp(-eta * direction_i), normalized, floored at 1e-12 and
+    normalized again, so the mirror-map gradient stays finite at the iterates.
     """
 
     kind = "entropic-simplex"
 
-    def __init__(self, dim: int, clamp_eps: float = 1e-12):
+    def __init__(self, dim: int):
         if dim < 2:
             raise GeometryError("simplex needs dimension >= 2")
-        if not clamp_eps > 0:
-            raise GeometryError("clamp_eps must be positive")
-        super().__init__(dim, math.log(dim), clamp_eps)
+        super().__init__(dim, math.log(dim))
 
     def _bregman(self, x, y) -> float:
         if float(np.min(x)) < -1e-9:
@@ -347,7 +345,7 @@ class EntropicSimplex(_SimplexSet):
         logw -= _row_max(logw, axis=-1, keepdims=True)
         w = np.exp(logw)
         w /= _row_sum(w, axis=-1, keepdims=True)
-        w = np.maximum(w, self.clamp_eps)
+        w = np.maximum(w, _ENTROPIC_CLAMP)
         return w / _row_sum(w, axis=-1, keepdims=True)
 
     def _primal_norm(self, v):
@@ -367,8 +365,8 @@ class ProductGeometry(Geometry):
     into block prox steps with effective step sizes eta*D_U^2 and eta*D_V^2,
     which ``_steps`` multiplies out, so ``_prox_from`` takes them ready.
 
-    When both blocks are the same simplex geometry (the same class, ``dim``
-    and ``clamp_eps``, as in every square matrix game), the prox and norm
+    When both blocks are the same simplex geometry (the same class and
+    ``dim``, as in every square matrix game), the prox and norm
     kernels view a point of shape (..., 2 d') as (..., 2, d') and make one
     block-kernel call on it, with the step eta*D^2 as an (S, 1, 1) array
     and no ``concatenate``. The block kernels reduce along the last axis
@@ -382,13 +380,12 @@ class ProductGeometry(Geometry):
         super().__init__(geom_u.dim + geom_v.dim, 2.0)
         self.u = geom_u
         self.v = geom_v
-        # A simplex geometry is fixed by its class, dim and clamp_eps; other
-        # sets (box bounds, ball radii) carry more than those.
+        # A simplex geometry is fixed by its class and dim; other sets (box
+        # bounds, ball radii) carry more than those.
         self._twin = (
             type(geom_u) is type(geom_v)
             and type(geom_u) in (EntropicSimplex, EuclideanSimplex)
             and geom_u.dim == geom_v.dim
-            and geom_u.clamp_eps == geom_v.clamp_eps
         )
 
     def _split(self, x):

@@ -148,9 +148,17 @@ def _reference_minimum(f, geom: Geometry) -> tuple[float, float]:
     return best, 1e-8
 
 
-def _by_row(f):
-    """``f``, which takes one point, mapped over the rows of an (S, d) stack."""
-    return lambda x: np.stack([np.asarray(f(row), dtype=float) for row in x])
+def _by_row(f, shape):
+    """``f``, which takes one point, mapped over the rows of an (S, d) stack;
+    a value not of ``shape`` becomes a NaN row, which the finiteness checks
+    of the solver and of ``uvi.gap`` report with its seed."""
+    nan = np.full(shape, np.nan)
+
+    def rows(x):
+        values = (np.asarray(f(row), dtype=float) for row in x)
+        return np.stack([v if v.shape == shape else nan for v in values])
+
+    return rows
 
 
 def convex_min_problem(
@@ -185,11 +193,12 @@ def convex_min_problem(
     return VIProblem(
         name=name,
         geom=geom,
-        operator_eval=(lambda x: np.asarray(grad(x), dtype=float)) if batched else _by_row(grad),
+        operator_eval=((lambda x: np.asarray(grad(x), dtype=float)) if batched
+                       else _by_row(grad, (geom.dim,))),
         gap_eval=gap_eval,
         g_bound=float(g_bound),
         smoothness=smoothness,
-        dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value),
+        dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value, ()),
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
         gap_tolerance=gap_tol,
     )
@@ -230,9 +239,9 @@ def saddle_problem(
     operator_eval, gap_eval = _saddle_evals(
         geom, phi, lambda u, v: (grad_u(u, v), grad_v(u, v)))
     if not batched:
-        operator_eval = _by_row(operator_eval)
+        operator_eval = _by_row(operator_eval, (geom.dim,))
         if dual_gap_eval is not None:
-            dual_gap_eval = _by_row(dual_gap_eval)
+            dual_gap_eval = _by_row(dual_gap_eval, ())
     return VIProblem(
         name=name,
         geom=geom,

@@ -283,15 +283,8 @@ def _checkpoint_set(checkpoints: Iterable[int], iterations: int) -> set:
     return budgets | {iterations}  # the run is its own last checkpoint
 
 
-class _BadValue(Exception):
-    """An operator value the prox kernels cannot take, for seed index ``row``."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samples: int):
+def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], seeds: list,
+             samples: int):
     """F, plus each seed's noise row, at the loop's points (see ``_run_loop``).
 
     The k noisy seeds' rows come from one (rows, k, d) stack, refilled slab
@@ -299,9 +292,10 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
     ``_NOISE_BLOCK_BYTES`` of a seed's rows and never exceeds what is left
     of the run's ``samples`` draws, so no oracle hands out a row the run
     does not use.
-    The returned function makes one ``operator_eval`` call per stack of
-    points and raises ``_BadValue`` naming the first seed when the values
-    are not an (S, d) stack, or the first seed whose value is not finite.
+    The returned ``sample(points, t, etas)`` makes one ``operator_eval``
+    call per stack and raises step ``t``'s ``DivergenceError``, naming the
+    first seed when the values are not an (S, d) stack, or the first seed
+    whose value is not finite.
     """
     n, dim = len(oracles), problem.geom.dim
     bad_value = f"operator value must be a finite vector of dimension {dim}"
@@ -320,18 +314,18 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], samp
 
     noise = noise_rows() if streams else None
 
-    def sample(points):
+    def sample(points, t, etas):
         values = np.asarray(problem.operator_eval(points), dtype=float)
         if values.shape != points.shape:
-            raise _BadValue(0, bad_value)
+            raise DivergenceError(t, etas[0], bad_value, seeds[0])
         if every_row:
             values = values + next(noise)
         elif noise is not None:
             values = values.copy()
             values[noisy] += next(noise)
         if not np.isfinite(values).all():
-            finite = np.isfinite(values).all(axis=1)
-            raise _BadValue(int(np.argmin(finite)), bad_value)
+            s = int(np.argmin(np.isfinite(values).all(axis=1)))
+            raise DivergenceError(t, etas[s], bad_value, seeds[s])
         return values
 
     return sample
@@ -358,7 +352,7 @@ def _run_loop(
         if oracle is not None and oracle.base is not problem:
             raise ValueError("oracle was built for a different problem instance")
     g_caps = [problem.g_bound if o is None else o.g_bound for o in oracles]
-    sample = _sampler(problem, oracles, 2 * config.iterations)
+    sample = _sampler(problem, oracles, seeds, 2 * config.iterations)
 
     y_prev = np.tile(geom.min_point(), (n, 1))
     sum_x = np.zeros((n, dim))
@@ -393,12 +387,9 @@ def _run_loop(
                     )
             step = geom._steps(etas)
         base = geom._prox_base(y_prev)  # shared by both prox steps from y_{t-1}
-        try:
-            m = sample(y_prev)
-            x = geom._prox_from(base, m, step)
-            g = sample(x)
-        except _BadValue as exc:
-            raise DivergenceError(t, etas[exc.row], str(exc), seeds[exc.row]) from exc
+        m = sample(y_prev, t, etas)
+        x = geom._prox_from(base, m, step)
+        g = sample(x, t, etas)
         y = geom._prox_from(base, g, step)
 
         # The three movement norms of every seed, in one kernel call. y_{t-1}

@@ -182,12 +182,12 @@ class TestNorms:
 
 TWIN_PAIRS = {
     "entropic": (EntropicSimplex(3), EntropicSimplex(3)),
-    "entropic-clamped": (EntropicSimplex(4, clamp_eps=1e-3), EntropicSimplex(4, clamp_eps=1e-3)),
+    # The test runs it with directions large enough that the entropic prox's 1e-12 floor binds.
+    "entropic-clamped": (EntropicSimplex(4), EntropicSimplex(4)),
     "euclidean-simplex": (EuclideanSimplex(4), EuclideanSimplex(4)),
 }
 SPLIT_PAIRS = {
     "unequal-dims": (EntropicSimplex(3), EntropicSimplex(4)),
-    "unequal-clamp": (EntropicSimplex(4), EntropicSimplex(4, clamp_eps=1e-3)),
     "unequal-class": (EuclideanSimplex(3), EntropicSimplex(3)),
     "unequal-radius": (EuclideanBall(1.0, 3), EuclideanBall(2.0, 3)),
     # Same kind, dim and diameter, different bounds.
@@ -212,6 +212,17 @@ def split_reference(geom, anchor, direction, eta):
     }
 
 
+def unclamped_entropic_weights(geom, anchor, direction, eta):
+    """The normalized multiplicative weights of a product of two entropic
+    blocks before the prox's floor, as an (..., 2, d') array."""
+    pair = (2, geom.u.dim)
+    step = np.asarray(eta)[..., None] * geom.u.diameter_sq
+    logw = (np.log(anchor.reshape(anchor.shape[:-1] + pair))
+            - step * direction.reshape(direction.shape[:-1] + pair))
+    w = np.exp(logw - logw.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
 class TestProductKernelPaths:
     """Twin blocks run one block call on an (..., 2, d') view; any other pair
     splits. Both are bitwise the block kernels plus ``concatenate``."""
@@ -226,10 +237,14 @@ class TestProductKernelPaths:
         rng = np.random.default_rng(43)
         count = lead[0] if lead else 1
         anchor = np.array([interiorize(geom, p) for p in sample_batch(geom, rng, count)])
-        # Large steps, so box, ball and clamp constraints bind on some rows.
-        direction = 5.0 * rng.normal(size=(count, geom.dim))
+        # Large steps, so box and ball constraints bind on some rows, and the
+        # entropic floor on some rows of "entropic-clamped".
+        scale = 100.0 if name == "entropic-clamped" else 5.0
+        direction = scale * rng.normal(size=(count, geom.dim))
         anchor, direction = anchor.reshape(lead + (-1,)), direction.reshape(lead + (-1,))
         eta = 0.7 if eta_kind == "float" else rng.uniform(0.2, 1.5, size=(count, 1))
+        if name == "entropic-clamped":
+            assert (unclamped_entropic_weights(geom, anchor, direction, eta) < 1e-12).any()
         ref = split_reference(geom, anchor, direction, eta)
         etas = [0.7] * count if eta_kind == "float" else eta[:, 0].tolist()
 

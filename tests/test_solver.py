@@ -751,6 +751,38 @@ class TestSeedBatch:
                                   oracles={4: None, 8: None})
         assert (err.value.t, err.value.seed) == (1, 4)
 
+    @pytest.mark.parametrize("adapter", ["convex-min-grad", "saddle-dual-gap"])
+    def test_ragged_per_point_values_abort_naming_the_seed(self, adapter):
+        # Rows go seed after seed, so the second call is seed 8's at t = 1.
+        def second_call_returns(usual, odd):
+            calls = []
+
+            def value(x):
+                calls.append(1)
+                return (odd if len(calls) == 2 else usual)(x)
+
+            return value
+
+        ball = EuclideanBall(1.0, 2)
+        if adapter == "convex-min-grad":
+            grad = second_call_returns(lambda x: x, lambda x: x[:1])
+            problem = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=ball,
+                                         g_bound=2.0, min_value=0.0)
+            error, message = DivergenceError, "operator value must be a finite vector"
+        else:
+            def zero(u, v):
+                return np.zeros(2)
+
+            gap = second_call_returns(lambda x: 0.0, lambda x: np.zeros(2))
+            problem = saddle_problem(phi=lambda u, v: 0.0, grad_u=zero, grad_v=zero,
+                                     geom_u=ball, geom_v=ball, g_bound=1.0,
+                                     dual_gap_eval=gap)
+            error, message = GapCheckError, "running average: duality gap nan is not finite"
+        with pytest.raises(error, match=message) as err:
+            universal_mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
+                                  oracles={4: None, 8: None})
+        assert (err.value.t, err.value.seed) == (1, 8)
+
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
     def test_abort_names_the_seed(self, batched):
         problem = self.nan_on_second_seed(batched)
