@@ -675,6 +675,30 @@ class TestTwinProductOutput:
         assert_whole_output(tmp_path, case, command)
 
 
+def summary_bounds(tmp_path, problem, noise):
+    """summary.json's ``bounds`` block of a two-seed run, floats as ``float.hex``."""
+    path = write_config(tmp_path, problem={"name": problem, "params": {}}, T=40, seeds=[0, 1],
+                        noise=OMIT if noise is None else {"bound": noise})
+    assert cli.cmd_run(str(path)) == 0
+    bounds = json.loads((tmp_path / "out" / "summary.json").read_text())["bounds"]
+    return {key: value.hex() if isinstance(value, float) else value
+            for key, value in bounds.items()}
+
+
+class TestSummaryBounds:
+    """The theorem bounds of summary.json keep their exact floats, with no
+    noise and with each noise bound (fixture taken while the noise variance
+    was still a config key)."""
+
+    # {problem: {str(noise bound or None): {key: hex float, bool or None}}}
+    FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "summary_bounds.json").read_text())
+
+    @pytest.mark.parametrize("noise", [None, 0, 0.3, 0.5])
+    @pytest.mark.parametrize("problem", ["rps", "quadratic-ball", "l1-ball"])
+    def test_bounds_unchanged(self, tmp_path, capsys, problem, noise):
+        assert summary_bounds(tmp_path, problem, noise) == self.FIXTURE[problem][str(noise)]
+
+
 class TestVerify:
     def test_malformed_suite_name(self):
         assert cli.cmd_verify("bogus") == 2
