@@ -35,7 +35,6 @@ from .solver import (
 )
 from .gap import GapError, dual_gap
 from .analysis import (
-    BoundReport,
     lemma4_check,
     lemma5_check,
     lemma7_check,

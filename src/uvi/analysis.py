@@ -19,7 +19,6 @@ of every check that ``uvi verify`` runs and the tests assert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from .operators import VIProblem
 from .solver import RunTrace, SolverConfig, StepRecord
 
 __all__ = [
-    "BoundReport",
     "theorem_bounds",
     "lemma4_check",
     "lemma5_check",
@@ -51,65 +49,52 @@ __all__ = [
 _HOLD_TOL = 1e-12
 
 
-@dataclass
-class BoundReport:
-    """Theoretical rate shapes for one run setup, as ``theorem_bounds``
-    computes them.
-
-    alpha = max(G/G0, G0/G) measures the quality of the step-size prior.
-    Bounds that need constants the problem lacks (L for the smooth rates,
-    sigma for the noisy ones) are None. ``log_regime_clamped`` flags that
-    log(L D / G0) was negative and got clamped to 0.
-    """
-
-    alpha: float
-    thm1_rhs: Optional[float] = None
-    thm2_rhs: Optional[float] = None
-    thm3_rhs: Optional[float] = None
-    thm4_rhs: Optional[float] = None
-    log_regime_clamped: bool = False
-
-
 def theorem_bounds(
-    problem: VIProblem,
-    config: SolverConfig,
-    sigma_sq: Optional[float] = None,
-    g_bound: Optional[float] = None,
-) -> BoundReport:
-    """Unit-constant rate shapes for the applicable convergence theorems.
+    problem: VIProblem, config: SolverConfig, noise_bound: Optional[float] = None
+) -> dict:
+    """Unit-constant rate shapes for the applicable convergence theorems, as
+    the ``bounds`` entries of summary.json.
 
     Smooth deterministic: (alpha G D + alpha^2 L D^2 + L D^2 log(L D / G0)) / T.
     Non-smooth: alpha G D sqrt(log(1+T)) / sqrt(T) (log(1+T) keeps the shape
     strictly decreasing from T=1 on). Noisy variants add / swap in sigma.
-    T and G0 are the config's ``iterations`` and ``g0``.
+    T and G0 are the config's ``iterations`` and ``g0``. With a ``noise_bound``,
+    G is the sampled operator's bound ``problem.g_bound + noise_bound`` and
+    sigma^2 = noise_bound^2, the exact second moment of the sign noise's dual
+    norm (see ``StochasticOracle``). alpha = max(G/G0, G0/G) measures the
+    quality of the step-size prior. Shapes that need constants the run lacks
+    (L for the smooth rates, noise for the noisy ones) are None;
+    ``log_regime_clamped`` flags that log(L D / G0) was negative and got
+    clamped to 0.
     """
     T = config.iterations
     g0 = config.g0
-    G = problem.g_bound if g_bound is None else float(g_bound)
+    G = problem.g_bound + (noise_bound or 0.0)
     D = problem.geom.diameter()
     L = problem.smoothness
-    sigma = None if sigma_sq is None else math.sqrt(sigma_sq)
 
     alpha = max(G / g0, g0 / G) if G > 0 else math.inf
     sqrt_log_t = math.sqrt(math.log(1.0 + T))
 
-    report = BoundReport(alpha=alpha)
+    bounds = {"alpha": alpha, "thm1_rhs": None, "thm2_rhs": None, "thm3_rhs": None,
+              "thm4_rhs": None, "log_regime_clamped": False}
     if math.isfinite(alpha):
-        report.thm2_rhs = alpha * G * D * sqrt_log_t / math.sqrt(T)
+        bounds["thm2_rhs"] = alpha * G * D * sqrt_log_t / math.sqrt(T)
+        if noise_bound is not None:
+            bounds["thm3_rhs"] = bounds["thm2_rhs"]
         if L is not None:
             log_term = math.log(L * D / g0) if L * D > 0 else -math.inf
             if log_term < 0.0:
                 log_term = 0.0
-                report.log_regime_clamped = True
+                bounds["log_regime_clamped"] = True
             smooth_part = (
                 alpha * G * D + alpha**2 * L * D * D + L * D * D * log_term
             ) / T
-            report.thm1_rhs = smooth_part
-            if sigma is not None:
-                report.thm4_rhs = smooth_part + alpha * sigma * D * sqrt_log_t / math.sqrt(T)
-        if sigma is not None:
-            report.thm3_rhs = alpha * G * D * sqrt_log_t / math.sqrt(T)
-    return report
+            bounds["thm1_rhs"] = smooth_part
+            if noise_bound is not None:  # sigma is noise_bound
+                bounds["thm4_rhs"] = (
+                    smooth_part + alpha * noise_bound * D * sqrt_log_t / math.sqrt(T))
+    return bounds
 
 
 def _sequence(seq, cap) -> Tuple[np.ndarray, float]:

@@ -16,13 +16,13 @@ Subcommands:
   ``uvi.analysis`` computes them for the tests too.
 
 A config's seeds are solved together, in one batch (``oracles=`` in
-``uvi.solver``); a deterministic config's seeds all run the same solve,
-so it is solved once, as one row, and every seed reads that trace. The
-solver evaluates the gap column of each trace CSV as it runs, so a trace
-holds no d-vector however many steps it records. Files are written only
-once every seed has been solved: a numeric abort, a failed gap check
-included, writes no trace CSV and no ``summary.json`` or
-``sweep_summary.json``.
+``uvi.solver``); without noise, or with a noise bound of 0, every seed
+runs the same solve, so it is solved once, as one row, and every seed
+reads that trace. The solver evaluates the gap column of each trace CSV
+as it runs, so a trace holds no d-vector however many steps it records.
+Files are written only once every seed has been solved: a numeric abort,
+a failed gap check included, writes no trace CSV and no ``summary.json``
+or ``sweep_summary.json``.
 
 Config schema (JSON):
 
@@ -33,7 +33,7 @@ Config schema (JSON):
                       {"kind": "fixed-step", "eta": 0.5},  // eta: fixed-step only
       "T":            1000,         // integer; 1e3 passes, 2.7 and true do not
       "g0":           1.0,          // a number; true is not one
-      "noise":        {"bound": 0.5, "sigma_sq": null},  // optional numbers
+      "noise":        {"bound": 0.5},  // optional; summary.json adds sigma_sq = bound^2
       "seeds":        [0, 1],       // distinct nonnegative integers
       "eval_every":   100,          // optional integer, default: final step only
       "record_every": 1,            // optional integer
@@ -77,20 +77,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """A checked config: the solve settings, the noise model with its
-    variance bound resolved, the seeds, and the problem, built once."""
+    """A checked config: the solve settings, the noise bound, the seeds, and
+    the problem, built once."""
 
     problem_params: dict
     solve: solver.SolverConfig
     noise_bound: Optional[float]
-    noise_sigma_sq: Optional[float]
     seeds: List[int]
     output_dir: str
     problem: operators.VIProblem = field(repr=False)
-
-    @property
-    def stochastic(self) -> bool:
-        return self.noise_bound is not None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -116,9 +111,8 @@ class ExperimentConfig:
             g0 = _real("g0", doc.get("g0", 1.0))
             noise = doc.get("noise")
             if noise is not None:
-                _object("noise", noise, ("bound", "sigma_sq"))
+                _object("noise", noise, ("bound",))
             noise_bound = None if noise is None else _real("noise bound", noise["bound"])
-            noise_sigma = _optional(_real, "noise sigma_sq", (noise or {}).get("sigma_sq"))
             seeds = [_integer("seeds", s) for s in doc.get("seeds", [0])]
             eval_every = _optional(_integer, "eval_every", doc.get("eval_every"))
             record_every = _integer("record_every", doc.get("record_every", 1))
@@ -133,12 +127,12 @@ class ExperimentConfig:
             raise ConfigError(f"problem {name!r}: params must be an object, got {params!r}")
 
         # SolverConfig checks T, g0, the mode, eta, record_every and
-        # eval_every; the noise model's rule checks the noise bound and sigma_sq.
+        # eval_every; the oracle's rule checks the noise bound.
         try:
             solve = solver.SolverConfig(iterations=iterations, g0=g0, mode=kind, eta=eta,
                                         record_every=record_every, eval_every=eval_every)
             if noise_bound is not None:
-                noise_sigma = operators._noise_sigma_sq(noise_bound, noise_sigma)
+                operators._check_noise_bound(noise_bound)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if noise_bound is not None and not seeds:
@@ -153,8 +147,7 @@ class ExperimentConfig:
         if built.dual_gap_eval is None:
             raise ConfigError(f"problem {name!r} has no duality-gap evaluator")
         return cls(problem_params=params, solve=solve, noise_bound=noise_bound,
-                   noise_sigma_sq=noise_sigma, seeds=seeds, output_dir=output_dir,
-                   problem=built)
+                   seeds=seeds, output_dir=output_dir, problem=built)
 
 
 # The catalog's number rules: 1e3 is an integer; bools and strings are not numbers.
@@ -176,7 +169,7 @@ def _optional(parse, key: str, value):
 
 
 def _oracle_for_seed(config, seed: int) -> Optional[operators.StochasticOracle]:
-    if not config.stochastic:
+    if not config.noise_bound:
         return None
     noise_stream, = np.random.SeedSequence(seed).spawn(1)
     return operators.StochasticOracle(base=config.problem, noise_bound=config.noise_bound,
@@ -249,10 +242,10 @@ def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
     """Write every seed's trace CSV for each budget; the summary entries, by T.
 
     ``budgets`` maps each T to its ``SolverConfig``, ``outs`` to its output
-    directory. Every seed is solved once, at max(T), in one batch; a
-    deterministic config's seeds share one row, solved as the first seed.
+    directory. Every seed is solved once, at max(T), in one batch; without
+    a nonzero noise bound, the seeds share one row, solved as the first seed.
     """
-    rows = config.seeds if config.stochastic else config.seeds[:1]
+    rows = config.seeds if config.noise_bound else config.seeds[:1]
     oracles = {seed: _oracle_for_seed(config, seed) for seed in rows}
     # Looked up through the module so that wrappers installed on it see every solve.
     solve = (solver.universal_mirror_prox if config.solve.mode == "universal"
@@ -283,9 +276,7 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
     budget into summary.json."""
     problem = config.problem
     mean_gap = float(np.mean([e["final_gap"] for e in per_seed]))
-    g_total = problem.g_bound + (config.noise_bound or 0.0)
-    report = analysis.theorem_bounds(problem, solve, sigma_sq=config.noise_sigma_sq,
-                                     g_bound=g_total)
+    bounds = analysis.theorem_bounds(problem, solve, config.noise_bound)
 
     summary = {
         "problem": {
@@ -300,8 +291,8 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
         "eta": solve.eta,
         "T": solve.iterations,
         "g0": solve.g0,
-        "noise": {"bound": config.noise_bound, "sigma_sq": config.noise_sigma_sq}
-        if config.stochastic else None,
+        "noise": None if config.noise_bound is None
+        else {"bound": config.noise_bound, "sigma_sq": config.noise_bound**2},
         # The gap spacing: T without eval_every.
         "eval_every": solve.eval_every or solve.iterations,
         "record_every": solve.record_every,
@@ -309,16 +300,11 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
         "per_seed": per_seed,
         "mean_final_gap": mean_gap,
         "bounds": {
-            "alpha": report.alpha,
-            "thm1_rhs": report.thm1_rhs,
-            "thm2_rhs": report.thm2_rhs,
-            "thm3_rhs": report.thm3_rhs,
-            "thm4_rhs": report.thm4_rhs,
+            **bounds,
             "observed_gap": mean_gap,
             # The regret bound's two sides along the first seed's run.
             "lemma3_lhs": per_seed[0].get("lemma3_lhs"),
             "lemma3_rhs": per_seed[0].get("lemma3_rhs"),
-            "log_regime_clamped": report.log_regime_clamped,
         },
     }
     _write_json(out / "summary.json", summary)

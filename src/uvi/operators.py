@@ -236,8 +236,13 @@ def saddle_problem(
             f"geometry blocks have dims {geom_u.dim}/{geom_v.dim}"
         )
 
-    operator_eval, gap_eval = _saddle_evals(
-        geom, phi, lambda u, v: (grad_u(u, v), grad_v(u, v)))
+    def grads(u, v):  # a block of the wrong shape becomes NaN, as in ``_by_row``
+        gu, gv = np.asarray(grad_u(u, v), dtype=float), np.asarray(grad_v(u, v), dtype=float)
+        if gu.shape != u.shape or gv.shape != v.shape:
+            return np.full(u.shape, np.nan), np.full(v.shape, np.nan)
+        return gu, gv
+
+    operator_eval, gap_eval = _saddle_evals(geom, phi, grads)
     if not batched:
         operator_eval = _by_row(operator_eval, (geom.dim,))
         if dual_gap_eval is not None:
@@ -401,28 +406,10 @@ def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
 
 
 def _check_noise_bound(noise_bound: float) -> None:
-    if not (math.isfinite(noise_bound) and noise_bound >= 0):
-        raise ValueError(f"noise bound must be finite and nonnegative, got {noise_bound}")
-
-
-def _noise_sigma_sq(noise_bound: float, sigma_sq: Optional[float]) -> float:
-    """The variance bound of sign noise with dual-norm bound ``noise_bound``.
-
-    ``sigma_sq`` defaults to noise_bound^2, the exact second moment; a given
-    value must be finite and may not understate it. Raises ValueError, also
-    for a noise bound the oracle refuses.
-    """
-    _check_noise_bound(noise_bound)
-    if sigma_sq is None:
-        return noise_bound**2
-    if not math.isfinite(sigma_sq):
-        raise ValueError(f"noise sigma_sq must be finite, got {sigma_sq}")
-    if sigma_sq < noise_bound**2 * (1 - 1e-12):
-        raise ValueError(
-            "sigma_sq understates the noise model: sign noise with dual-norm "
-            f"bound {noise_bound} has second moment {noise_bound ** 2}"
-        )
-    return sigma_sq
+    # The variance bound noise_bound^2 must be a float too.
+    if not (noise_bound >= 0 and math.isfinite(noise_bound * noise_bound)):
+        raise ValueError("noise bound must be finite and nonnegative, with a finite square, "
+                         f"got {noise_bound}")
 
 
 @dataclass
@@ -432,10 +419,11 @@ class StochasticOracle:
     Each coordinate of zeta is an independent fair sign times
     noise_bound / c, where c is the dual norm of the all-ones vector, so
     dual_norm(zeta) = noise_bound almost surely and the second moment of
-    the dual norm is exactly noise_bound^2, the variance bound that
-    ``_noise_sigma_sq`` resolves. ``noise_bound`` must be finite and
-    nonnegative (ValueError). One oracle instance per run; the generator
-    is PCG64 seeded from ``rng_seed``.
+    the dual norm is exactly noise_bound^2: ``uvi.analysis.theorem_bounds``
+    derives the variance bound sigma^2 from the noise bound alone.
+    ``noise_bound`` must be nonnegative with a finite square (ValueError).
+    One oracle instance per run; the generator is PCG64 seeded from
+    ``rng_seed``.
 
     ``_noise(count)`` draws the next ``count`` rows of zeta in one
     ``integers`` call of (count, d) signs. PCG64's bounded integer draws do

@@ -25,34 +25,34 @@ ASYM = [[0.0, -1.0], [1.0, 0.0]]
 class TestTheoremBounds:
     def test_alpha_matched_prior(self):
         p = make_problem("rps")
-        report = theorem_bounds(p, SolverConfig(iterations=100, g0=p.g_bound))
-        assert report.alpha == pytest.approx(1.0)
+        bounds = theorem_bounds(p, SolverConfig(iterations=100, g0=p.g_bound))
+        assert bounds["alpha"] == pytest.approx(1.0)
 
     def test_budget_comes_from_the_config(self):
         p = make_problem("l1-ball")
         assert "T" not in inspect.signature(theorem_bounds).parameters
         short, long = (theorem_bounds(p, SolverConfig(iterations=T)) for T in (100, 400))
-        assert long.thm2_rhs < short.thm2_rhs
+        assert long["thm2_rhs"] < short["thm2_rhs"]
 
     def test_alpha_definition(self):
         p = make_problem("quadratic-ball")  # G = 2.5
-        report = theorem_bounds(p, SolverConfig(iterations=100, g0=1.25))
-        assert report.alpha == pytest.approx(2.0)
-        report = theorem_bounds(p, SolverConfig(iterations=100, g0=5.0))
-        assert report.alpha == pytest.approx(2.0)
+        bounds = theorem_bounds(p, SolverConfig(iterations=100, g0=1.25))
+        assert bounds["alpha"] == pytest.approx(2.0)
+        bounds = theorem_bounds(p, SolverConfig(iterations=100, g0=5.0))
+        assert bounds["alpha"] == pytest.approx(2.0)
 
     def test_presence_rules(self):
         smooth = make_problem("rps")
         nonsmooth = make_problem("l1-ball")
         cfg = SolverConfig(iterations=100)
         r = theorem_bounds(smooth, cfg)
-        assert r.thm1_rhs is not None and r.thm2_rhs is not None
-        assert r.thm3_rhs is None and r.thm4_rhs is None
-        r = theorem_bounds(smooth, cfg, sigma_sq=0.25)
-        assert r.thm3_rhs is not None and r.thm4_rhs is not None
-        r = theorem_bounds(nonsmooth, cfg, sigma_sq=0.25)
-        assert r.thm1_rhs is None and r.thm4_rhs is None
-        assert r.thm3_rhs is not None
+        assert r["thm1_rhs"] is not None and r["thm2_rhs"] is not None
+        assert r["thm3_rhs"] is None and r["thm4_rhs"] is None
+        r = theorem_bounds(smooth, cfg, noise_bound=0.5)
+        assert r["thm3_rhs"] is not None and r["thm4_rhs"] is not None
+        r = theorem_bounds(nonsmooth, cfg, noise_bound=0.5)
+        assert r["thm1_rhs"] is None and r["thm4_rhs"] is None
+        assert r["thm3_rhs"] is not None
 
     def test_shape_value_plugin(self):
         p = make_problem("rps")
@@ -61,32 +61,37 @@ class TestTheoremBounds:
         r = theorem_bounds(p, cfg)
         G, D, L = p.g_bound, p.geom.diameter(), p.smoothness
         expected = (G * D + L * D * D + L * D * D * math.log(L * D / p.g_bound)) / T
-        assert r.thm1_rhs == pytest.approx(expected)
-        assert r.thm2_rhs == pytest.approx(G * D * math.sqrt(math.log(1 + T) / T))
+        assert r["thm1_rhs"] == pytest.approx(expected)
+        assert r["thm2_rhs"] == pytest.approx(G * D * math.sqrt(math.log(1 + T) / T))
 
     def test_monotone_decreasing_in_t(self):
         p = make_problem("rps")
+        keys = ("thm1_rhs", "thm2_rhs", "thm3_rhs", "thm4_rhs")
         prev = None
         for T in (1, 2, 3, 10, 100, 1000, 10000):
-            r = theorem_bounds(p, SolverConfig(iterations=T), sigma_sq=0.5)
-            values = (r.thm1_rhs, r.thm2_rhs, r.thm3_rhs, r.thm4_rhs)
+            r = theorem_bounds(p, SolverConfig(iterations=T), noise_bound=0.5)
+            values = [r[key] for key in keys]
             if prev is not None:
                 assert all(b < a for a, b in zip(prev, values))
             prev = values
 
     def test_thm2_weakly_increasing_in_g(self):
-        cfg = SolverConfig(iterations=100, g0=1.0)
+        # G = g_bound + noise_bound; from noise 0 to 4 it crosses G0 = 2.
+        cfg = SolverConfig(iterations=100, g0=2.0)
         p = make_problem("rps")
-        values = [
-            theorem_bounds(p, cfg, g_bound=G).thm2_rhs for G in (0.25, 0.5, 1.0, 2.0, 4.0)
-        ]
+        values = []
+        for noise in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0):
+            r = theorem_bounds(p, cfg, noise_bound=noise)
+            G = p.g_bound + noise
+            assert r["alpha"] == max(G / 2.0, 2.0 / G)
+            values.append(r["thm2_rhs"])
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_log_clamp_flag(self):
         p = make_problem("rps")  # L*D ~ 3.1
         r = theorem_bounds(p, SolverConfig(iterations=10, g0=100.0))
-        assert r.log_regime_clamped
-        assert r.thm1_rhs >= 0.0
+        assert r["log_regime_clamped"]
+        assert r["thm1_rhs"] >= 0.0
 
 
 class TestLemma4:

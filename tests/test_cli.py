@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -98,8 +99,9 @@ class TestRun:
         ({"mode": {"kind": "fixed-step", "eta": 1e-200}}, "whose square is nonzero"),
         ({"noise": {"bound": float("nan")}}, "noise bound must be finite"),
         ({"noise": {"bound": float("inf")}}, "noise bound must be finite"),
-        ({"noise": {"bound": 0.5, "sigma_sq": float("inf")}}, "sigma_sq must be finite"),
-        ({"noise": {"bound": 0.5, "sigma_sq": 0.01}}, "sigma_sq understates"),
+        # Its square, the variance bound of summary.json, used to overflow with a traceback.
+        ({"noise": {"bound": 1e200}}, "noise bound must be finite and nonnegative, with a "
+                                      "finite square, got 1e+200"),
         ({"T": 2.7}, "T must be an integer, got 2.7"),
         ({"T": True}, "T must be an integer, got True"),
         ({"seeds": [0.9]}, "seeds must be an integer, got 0.9"),
@@ -129,7 +131,6 @@ class TestRun:
         ({"mode": {"kind": "universal", "eta": 0.5}},
          "eta is only used in fixed-step mode, got eta=0.5 in universal mode"),
         ({"noise": {"bound": True}}, "noise bound must be a number, got True"),
-        ({"noise": {"bound": 0.5, "sigma_sq": True}}, "noise sigma_sq must be a number, got True"),
         ({"problem": {"name": "random-game", "params": {"d1": 2.5}}},
          "d1 must be an integer, got 2.5"),
         ({"problem": {"name": "random-game", "params": {"seed": True}}},
@@ -162,20 +163,24 @@ class TestRun:
         ({"mode": {"kind": "universal", "eta_": 2}},
          "unknown mode key 'eta_'; known keys: kind, eta"),
         ({"noise": {"bound": 0.1, "sigma": 3}},
-         "unknown noise key 'sigma'; known keys: bound, sigma_sq"),
+         "unknown noise key 'sigma'; known keys: bound"),
+        # The variance bound is derived from the noise bound, never configured.
+        ({"noise": {"bound": 0.5, "sigma_sq": 0.25}},
+         "unknown noise key 'sigma_sq'; known keys: bound"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
-            "noise-inf", "sigma-inf", "sigma-low", "T-fraction", "T-bool", "seed-fraction",
+            "noise-inf", "noise-square-overflows", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
             "seed-negative-noisy", "param-unknown", "params-not-object", "params-empty-list",
             "params-zero", "params-false", "params-empty-string",
             "l1-radius-diameter-underflows", "mode-string", "problem-string",
             "problem-name-list", "g0-bool", "g0-string", "g0-int-overflows", "eta-bool",
             "eta-in-universal-mode",
-            "noise-bool", "sigma-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
+            "noise-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
             "radius-int-overflows", "x0-object", "slopes-int-overflows", "offsets-without-slopes",
             "l1-radius-diameter-overflows", "box-upper-inf", "output-dir-null",
             "output-dir-bool", "output-dir-int", "output-dir-list", "config-key-unknown",
-            "problem-key-unknown", "mode-key-unknown", "noise-key-unknown"])
+            "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
+            "noise-sigma-sq-key"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
@@ -232,7 +237,7 @@ class TestRun:
             noise={"bound": 0.5}))
         assert config.solve == solver.SolverConfig(iterations=30, g0=2.0, mode="fixed-step",
                                                    eta=0.25, record_every=1, eval_every=10)
-        assert config.noise_sigma_sq == 0.25  # the checked variance bound, resolved
+        assert config.noise_bound == 0.5
         mirrored = {"iterations", "g0", "mode", "eta", "record_every", "eval_every"}
         assert not mirrored & {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 
@@ -616,6 +621,26 @@ class TestSeedLoop:
         else:
             assert cli.cmd_sweep(str(path), self.T_LIST) == 0
         assert calls == [(12, {2: None})]
+
+    def test_zero_noise_bound_solves_one_row(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        solve = solver.universal_mirror_prox
+
+        def counting(problem, config, oracle=None, **kwargs):
+            calls.append(kwargs["oracles"])
+            return solve(problem, config, oracle, **kwargs)
+
+        monkeypatch.setattr(solver, "universal_mirror_prox", counting)
+        game = {"name": "random-game", "params": {"d1": 4, "d2": 3, "seed": 1}}
+        path = write_config(tmp_path, problem=game, noise={"bound": 0}, seeds=[0, 1, 2])
+        assert cli.cmd_run(str(path)) == 0
+        assert calls == [{0: None}]
+        # sha256 of the files written while every seed was solved as its own row.
+        trace = "8b0398f3112e68a4936cc26066b961694c62fab883eb98780b1007810934d0d4"
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(tmp_path / "out").items()} == {
+            "summary.json": "81780b3923a48f1cd3c8e108df4a9d5f0040937f646a11491581ae7b05d5a9d4",
+            "trace_0.csv": trace, "trace_1.csv": trace, "trace_2.csv": trace}
 
 
 class TestNoisyEveryStep:

@@ -783,6 +783,30 @@ class TestSeedBatch:
                                   oracles={4: None, 8: None})
         assert (err.value.t, err.value.seed) == (1, 8)
 
+    @pytest.mark.parametrize("batched, seed", [(True, 4), (False, 8)],
+                             ids=["batched", "row-by-row"])
+    def test_saddle_block_shapes_checked_at_every_call(self, batched, seed):
+        # The right total length from the wrong blocks, from the third call of
+        # each gradient on: the build makes the first; row by row, the third
+        # is seed 8's hint at t = 1, and in a batch the loss stack at t = 1.
+        calls = []
+
+        def grad_u(u, v):
+            calls.append(1)
+            return u[..., :1] if len(calls) >= 3 else u
+
+        def grad_v(u, v):
+            return np.concatenate([v, v[..., :1]], axis=-1) if len(calls) >= 3 else v
+
+        ball = EuclideanBall(1.0, 2)
+        problem = saddle_problem(phi=lambda u, v: 0.0, grad_u=grad_u, grad_v=grad_v,
+                                 geom_u=ball, geom_v=ball, g_bound=10.0, batched=batched)
+        with pytest.raises(DivergenceError,
+                           match="operator value must be a finite vector of dimension 4") as err:
+            universal_mirror_prox(problem, SolverConfig(iterations=5),
+                                  oracles={4: None, 8: None})
+        assert (err.value.t, err.value.seed) == (1, seed)
+
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
     def test_abort_names_the_seed(self, batched):
         problem = self.nan_on_second_seed(batched)
