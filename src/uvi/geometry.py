@@ -2,9 +2,8 @@
 
 Each geometry couples a compact convex set K with a mirror map R that is
 1-strongly convex w.r.t. the set's primal norm, and exposes closed forms for
-everything the solver touches: Bregman divergence, prox (argmin) steps, the
-primal/dual norm pair, the R-minimizer, and the Bregman diameter
-D = sqrt(max_K R - min_K R).
+everything the solver touches: prox (argmin) steps, the primal/dual norm
+pair, the R-minimizer, and the Bregman diameter D = sqrt(max_K R - min_K R).
 
 Supported sets: Euclidean balls and boxes (squared-distance mirror map,
 l2/l2 norm pair), the probability simplex under either the squared-distance
@@ -103,9 +102,6 @@ class Geometry:
     def diameter(self) -> float:
         return math.sqrt(self.diameter_sq)
 
-    def bregman(self, x, y) -> float:
-        return self._bregman(self.check_point(x), self.check_point(y))
-
     def prox_step(self, anchor, direction, eta) -> np.ndarray:
         anchor = self.check_point(anchor)
         direction = self.check_point(direction)
@@ -139,9 +135,6 @@ class Geometry:
 
     def _check_anchor(self, anchor) -> None:
         """Raise GeometryError where the mirror-map gradient is undefined."""
-
-    def _bregman(self, x, y) -> float:
-        raise NotImplementedError
 
     def _prox_base(self, anchor):
         """What the prox step needs of its anchor; the anchor itself by default."""
@@ -181,10 +174,6 @@ def _require_diameter(geom: Geometry, what: str) -> None:
 
 class _EuclideanGeometry(Geometry):
     """Shared closed forms for R(x) = ||x - center||^2 / 2 geometries."""
-
-    def _bregman(self, x, y) -> float:
-        d = x - y
-        return 0.5 * float(d @ d)
 
     def _prox_from(self, anchor, direction, eta) -> np.ndarray:
         return self.project(anchor - eta * direction)
@@ -321,17 +310,6 @@ class EntropicSimplex(_SimplexSet):
             raise GeometryError("simplex needs dimension >= 2")
         super().__init__(dim, math.log(dim))
 
-    def _bregman(self, x, y) -> float:
-        if float(np.min(x)) < -1e-9:
-            raise GeometryError("bregman: first argument is outside the simplex")
-        if float(np.min(y)) <= 0.0:
-            raise GeometryError(
-                "bregman: second argument must be interior (all coordinates > 0)"
-            )
-        xp = np.maximum(x, 0.0)
-        terms = np.where(xp > 0.0, xp * np.log(np.maximum(xp, 1e-300) / y), 0.0)
-        return float(terms.sum())
-
     def _check_anchor(self, anchor) -> None:
         if float(np.min(anchor)) <= 0.0:
             raise GeometryError("prox anchor must be interior (all coordinates > 0)")
@@ -394,14 +372,6 @@ class ProductGeometry(Geometry):
     def _pair(self, x):
         """The (..., 2, d') view of a twin product's point."""
         return x.reshape(x.shape[:-1] + (2, self.u.dim))
-
-    def _bregman(self, x, y) -> float:
-        xu, xv = self._split(x)
-        yu, yv = self._split(y)
-        return (
-            self.u._bregman(xu, yu) / self.u.diameter_sq
-            + self.v._bregman(xv, yv) / self.v.diameter_sq
-        )
 
     def _check_anchor(self, anchor) -> None:
         au, av = self._split(anchor)

@@ -77,10 +77,8 @@ class VIProblem:
     ``g_bound`` is a bound on the dual norm of F over K (and of any oracle
     sample); ``smoothness`` is the dual-norm Lipschitz constant of F when it
     exists; ``dual_gap_eval`` evaluates the exact duality gap when one is
-    registered; ``gap_tolerance`` records the accuracy of the reference
-    minimum used by that evaluator (0 for closed forms). ``params`` is
-    empty but for a matrix game's, which holds its payoff array under
-    ``"matrix"``.
+    registered. ``params`` is empty but for a matrix game's, which holds
+    its payoff array under ``"matrix"``.
 
     ``operator_eval`` maps an (S, d) stack of points to a new (S, d) array
     whose row s is bitwise its value at row s alone, and ``dual_gap_eval``
@@ -97,7 +95,6 @@ class VIProblem:
     smoothness: Optional[float] = None
     dual_gap_eval: Optional[Callable[[np.ndarray], float]] = None
     known_solution: Optional[np.ndarray] = None
-    gap_tolerance: float = 0.0
     params: dict = field(default_factory=dict)
 
     def operator(self, x) -> np.ndarray:
@@ -106,46 +103,6 @@ class VIProblem:
     def gap(self, x, y) -> float:
         check = self.geom.check_point
         return float(self.gap_eval(check(x), check(y)))
-
-
-def _reference_minimum(f, geom: Geometry) -> tuple[float, float]:
-    """High-accuracy inner solve for min_K f when no closed form is supplied.
-
-    Multi-start SLSQP with the feasible set expressed as constraints; the
-    returned tolerance is recorded on the problem as ``gap_tolerance``.
-    """
-    from scipy.optimize import minimize
-
-    bounds = None
-    constraints = ()
-    if isinstance(geom, EuclideanBall):
-        r2 = geom.radius * geom.radius
-        constraints = ({"type": "ineq", "fun": lambda x: r2 - float(x @ x)},)
-    elif isinstance(geom, EuclideanBox):
-        bounds = list(zip(geom.lower, geom.upper))
-    elif isinstance(geom, (EntropicSimplex,)) or geom.kind == "euclidean-simplex":
-        bounds = [(0.0, None)] * geom.dim
-        constraints = ({"type": "eq", "fun": lambda x: float(x.sum()) - 1.0},)
-    else:
-        raise GeometryError(
-            f"no reference-minimum solver for geometry kind {geom.kind!r}"
-        )
-
-    rng = np.random.default_rng(0)
-    starts = [geom.min_point()] + [geom.sample(rng) for _ in range(8)]
-    best = math.inf
-    for x0 in starts:
-        res = minimize(
-            lambda x: float(f(x)),
-            x0,
-            method="SLSQP",
-            bounds=bounds,
-            constraints=constraints,
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        if res.fun < best:
-            best = float(res.fun)
-    return best, 1e-8
 
 
 def _by_row(f, shape):
@@ -167,25 +124,22 @@ def convex_min_problem(
     geom: Geometry,
     *,
     g_bound: float,
+    min_value: float,
     smoothness: Optional[float] = None,
     name: str = "convex-min",
-    min_value: Optional[float] = None,
     minimizer=None,
     batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex objective to the gap-function interface.
 
     Delta(x, y) = f(x) - f(y) and F = grad; the duality gap is
-    f(x) - min_K f, with the minimum taken from ``min_value`` when the
-    closed form is known and from a cached inner solve otherwise. Set
-    ``batched`` when ``grad`` takes a stack of points, one per row (see
-    ``VIProblem``); else it is called row by row. ``f`` takes one point,
-    and the duality gap maps it over the rows of a stack.
+    f(x) - min_K f, with min_K f the caller's ``min_value``, taken as
+    given: a wrong one shifts every gap by the same amount. Set ``batched``
+    when ``grad`` takes a stack of points, one per row (see ``VIProblem``);
+    else it is called row by row. ``f`` takes one point, and the duality
+    gap maps it over the rows of a stack.
     """
-    if min_value is None:
-        min_value, gap_tol = _reference_minimum(f, geom)
-    else:
-        min_value, gap_tol = float(min_value), 0.0
+    min_value = float(min_value)
 
     def gap_eval(x, y):
         return float(f(x) - f(y))
@@ -200,7 +154,6 @@ def convex_min_problem(
         smoothness=smoothness,
         dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value, ()),
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
-        gap_tolerance=gap_tol,
     )
 
 
@@ -490,7 +443,7 @@ def _real(key: str, value) -> float:
 
 
 def _array(key: str, value, ndim: int) -> np.ndarray:
-    """A float array of ``ndim`` (1 or 2) dimensions."""
+    """A finite float array of ``ndim`` (1 or 2) dimensions."""
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, OverflowError):
@@ -498,6 +451,8 @@ def _array(key: str, value, ndim: int) -> np.ndarray:
     if x.ndim != ndim:
         raise ValueError(f"{key} must be a {ndim}-D {('vector', 'matrix')[ndim - 1]}, "
                          f"got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{key} must have finite entries, got {value!r}")
     return x
 
 
@@ -581,7 +536,7 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
     The default target is interior, so the iterates keep straddling the
     kinks instead of settling in a smooth region. Zero coordinates of the
     residual take subgradient component 0 (deterministic, minimal norm).
-    The reference minimum is exact for every target (``gap_tolerance`` 0).
+    The reference minimum is exact for every target (``_l1_min_on_ball``).
     """
     x0, radius = _array("x0", x0, 1), _real("radius", radius)
     geom = EuclideanBall(radius, x0.size)
@@ -630,7 +585,7 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"reference LP for piecewise-max failed: {res.message}")
+        raise ValueError(f"reference LP for piecewise-max failed: {res.message}")
     return convex_min_problem(
         f=f,
         grad=grad,
@@ -645,8 +600,9 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
 
 def builtin_problems() -> dict:
     """Catalog of named problem factories addressable from run configs; each
-    raises ValueError on a param that is not a number, integer or array of
-    the kind it takes."""
+    raises ValueError on a param that is not a number, integer or finite
+    array of the kind it takes, and ``piecewise-max`` also when its
+    reference LP fails."""
     return {
         "rps": _make_rps,
         "random-game": _make_random_game,

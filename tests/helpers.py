@@ -34,7 +34,7 @@ def interiorize(geom, point, floor=1e-9):
 
 
 def bregman_batch(geom, X, y):
-    """Row-wise Bregman divergence D_R(X[i], y), independent of geom.bregman."""
+    """Row-wise Bregman divergence D_R(X[i], y) of each geometry's mirror map."""
     kind = geom.kind
     if kind in ("euclidean-ball", "euclidean-box", "euclidean-simplex"):
         diff = X - y

@@ -150,6 +150,14 @@ class TestRun:
          "ball radius 1e+200 too large, squared diameter overflows"),
         ({"problem": {"name": "piecewise-max", "params": {"upper": float("inf")}}},
          "box widths too large, squared diameter overflows"),
+        # The LP failure used to exit 1 with a traceback, the non-finite targets 3 after solving.
+        ({"problem": {"name": "piecewise-max", "params": {"slopes": [[1e160, 0], [0, 1]],
+                                                          "offsets": [0, 0]}}},
+         "reference LP for piecewise-max failed"),
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": [float("nan"), 0]}}},
+         "x0 must have finite entries, got [nan, 0]"),
+        ({"problem": {"name": "l1-ball", "params": {"x0": [float("inf"), 0]}}},
+         "x0 must have finite entries, got [inf, 0]"),
         # str() used to turn these into directories named None, True, 5, ...
         ({"output_dir": None}, "output_dir must be a string, got None"),
         ({"output_dir": True}, "output_dir must be a string, got True"),
@@ -177,7 +185,8 @@ class TestRun:
             "eta-in-universal-mode",
             "noise-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
             "radius-int-overflows", "x0-object", "slopes-int-overflows", "offsets-without-slopes",
-            "l1-radius-diameter-overflows", "box-upper-inf", "output-dir-null",
+            "l1-radius-diameter-overflows", "box-upper-inf", "piecewise-lp-fails",
+            "x0-nan", "x0-inf", "output-dir-null",
             "output-dir-bool", "output-dir-int", "output-dir-list", "config-key-unknown",
             "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
             "noise-sigma-sq-key"])
@@ -722,6 +731,15 @@ class TestSummaryBounds:
     @pytest.mark.parametrize("problem", ["rps", "quadratic-ball", "l1-ball"])
     def test_bounds_unchanged(self, tmp_path, capsys, problem, noise):
         assert summary_bounds(tmp_path, problem, noise) == self.FIXTURE[problem][str(noise)]
+
+    def test_overflowing_bounds_are_null(self, tmp_path, capsys):
+        # alpha = 1e160, so alpha**2 overflows; it used to raise after the solve,
+        # leaving trace_0.csv without a summary.json.
+        path = write_config(tmp_path, T=5, g0=1e-60, noise={"bound": 1e100}, eval_every=OMIT)
+        assert cli.cmd_run(str(path)) == 0
+        bounds = json.loads((tmp_path / "out" / "summary.json").read_text())["bounds"]
+        assert bounds["thm1_rhs"] is None and bounds["thm4_rhs"] is None
+        assert math.isfinite(bounds["thm2_rhs"]) and bounds["thm3_rhs"] == bounds["thm2_rhs"]
 
 
 class TestVerify:

@@ -67,20 +67,6 @@ class TestConvexMinAdapter:
         np.testing.assert_allclose(p.operator(x), [1.0, -1.0])
         assert float(p.operator(x) @ (x - y)) == pytest.approx(1.0)
 
-    def test_reference_minimum_inner_solve(self):
-        # No closed form supplied: the cached solve must land on the true
-        # minimum 0.5*(1.5-1)^2 = 0.125 for a target outside the ball.
-        x0 = np.array([1.5, 0.0])
-        p = convex_min_problem(
-            f=lambda x: 0.5 * float((x - x0) @ (x - x0)),
-            grad=lambda x: x - x0,
-            geom=EuclideanBall(1.0, 2),
-            g_bound=2.5,
-            smoothness=1.0,
-        )
-        assert p.gap_tolerance > 0
-        assert uvi.dual_gap(p, np.array([1.0, 0.0])) == pytest.approx(0.0, abs=1e-7)
-
 
 class TestSaddleAdapter:
     def test_rps_uniform_is_stationary(self):
@@ -559,7 +545,6 @@ class TestCatalog:
 
     def test_l1_ball_exterior_exact_minimum(self):
         p = make_problem("l1-ball", x0=(1.5, 1.0, 0.0))
-        assert p.gap_tolerance == 0.0
         np.testing.assert_allclose(p.known_solution, np.array([1.0, 1.0, 0.0]) / math.sqrt(2),
                                    rtol=0, atol=1e-15)
         # dual_gap of the minimizer is f(x*) - min, exact to rounding
