@@ -181,46 +181,34 @@ def prop1_mc(
     n: int,
     trials: int,
     seed: int = 0,
-    *,
-    magnitude: float = 1.0,
-    adversarial: bool = True,
 ) -> dict:
     """Monte-Carlo check of the martingale-smoothing inner-product bound.
 
-    Draws n independent sign-noise vectors Z_i scaled to dual norm
-    ``magnitude``, lets X be the feasible maximizer of (sum_i Z_i).x (so X
-    depends on the whole sequence, the adversarial case the bound is made
-    for; with adversarial=False, X is a fixed extreme point), and compares
-    the sample mean of (sum_i Z_i).X against
+    Draws n independent sign-noise vectors Z_i of unit dual norm, lets X be
+    the feasible maximizer of (sum_i Z_i).x (so X depends on the whole
+    sequence, the adversarial case the bound is made for), and compares the
+    sample mean of (sum_i Z_i).X against
 
         rhs = D_sc * sqrt(sum_i E||Z_i||*^2),   D_sc = sqrt(2 (max R - min R)),
 
     where D_sc is the diameter in the convention R - min R <= D_sc^2 / 2
-    assumed by the bound, and E||Z_i||*^2 = magnitude^2 exactly under this
-    noise model. The bound's derivation optimizes D_sc^2/(2s) + (s/2) sum E
+    assumed by the bound, and E||Z_i||*^2 = 1 exactly under this noise
+    model. The bound's derivation optimizes D_sc^2/(2s) + (s/2) sum E
     over s, giving the D_sc * sqrt(.) value used here. Holds allows CLT
     slack 3/sqrt(trials).
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be >= 1")
-    if magnitude < 0:
-        raise ValueError("magnitude must be nonnegative")
     rng = np.random.default_rng(seed)
     d = geom.dim
-    unit = geom.dual_norm(np.ones(d))
-    scale = magnitude / unit
+    scale = 1.0 / geom.dual_norm(np.ones(d))
     signs = rng.integers(0, 2, size=(trials, n, d)) * 2 - 1
     sums = signs.sum(axis=1) * scale
-    if adversarial:
-        values = np.empty(trials)
-        for k in range(trials):
-            point, neg = geom.linear_minimize(-sums[k])
-            values[k] = -neg
-    else:
-        point, neg = geom.linear_minimize(-np.eye(d)[0])
-        values = sums @ point
+    values = np.empty(trials)
+    for k in range(trials):
+        values[k] = -geom.linear_minimize(-sums[k])[1]
     lhs = float(values.mean())
-    rhs = math.sqrt(2.0 * geom.diameter_sq) * math.sqrt(n) * magnitude
+    rhs = math.sqrt(2.0 * geom.diameter_sq) * math.sqrt(n)
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     holds = lhs <= rhs * (1.0 + 3.0 / math.sqrt(trials)) + _HOLD_TOL
     return {"lhs_estimate": lhs, "rhs": rhs, "stderr": stderr, "holds": holds}
@@ -310,7 +298,7 @@ def replay_steps(
         x = geom.prox_step(y_prev, m, rec.eta)
         g = evaluate(x)
         y = geom.prox_step(y_prev, g, rec.eta)
-        if not (geom.contains(x, tol=1e-10) and geom.contains(y, tol=1e-10)):
+        if not (geom.contains(x) and geom.contains(y)):
             raise GeometryError(f"iterate infeasible at t={rec.t}")
         yield ReplayedStep(rec, y_prev, m, x, g, y)
         y_prev = y
@@ -431,7 +419,7 @@ def solver_invariants(
         return False, f"movement ratio {ratio:.6g} > G"
     if trace.max_z_sq > trace.g_bound**2 + 1e-9:
         return False, f"Z^2 {trace.max_z_sq:.6g} > G^2"
-    if not problem.geom.contains(trace.x_avg, tol=1e-10):
+    if not problem.geom.contains(trace.x_avg):
         return False, "averaged output infeasible"
     # The loop's x_t, bitwise, with F(x_t) noise-free in a stochastic run too.
     pairs = ((step.x, problem.operator(step.x)) for step in replay_steps(problem, trace, oracle()))

@@ -191,10 +191,8 @@ def _write_trace_csv(path: Path, trace):
 def _json_safe(value):
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value

@@ -119,8 +119,9 @@ class Geometry:
     def dual_norm(self, v) -> float:
         return float(self._dual_norm(self.check_point(v)))
 
-    def contains(self, x, tol: float = 1e-10) -> bool:
-        return bool(self._contains(self.check_point(x), tol))
+    def contains(self, x) -> bool:
+        """Whether x lies in K up to 1e-10."""
+        return bool(self._contains(self.check_point(x), 1e-10))
 
     def linear_minimize(self, c) -> tuple[np.ndarray, float]:
         """Exact argmin/min of the linear function c.x over K."""

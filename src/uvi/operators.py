@@ -12,14 +12,15 @@ the standard cases:
 
 The stochastic oracle adds zero-mean sign noise whose dual norm is bounded
 almost surely, so the sampled operator stays norm-bounded as required by
-the solver's movement invariants.
+the solver's movement invariants; its bound is positive, and an exact
+operator is passed as no oracle.
 
 ``VIProblem.operator``/``gap`` and ``noisy_eval`` validate their points
 once, at this boundary; the operator and gap closures behind them take raw
 arrays of the right dimension unchecked. Every problem's operator and
 duality gap take an (S, d) stack of points, one per row, so the solver
 loop evaluates a batch of seeds in one call; the two adapters map a user's
-per-point callables over the rows of a stack (``batched=False``).
+per-point callables over the rows of a stack.
 
 A matrix game's operator and duality gap both need the two products A v
 and u A. When the payoff array holds at least 4 MiB (``_CONCURRENT_BYTES``;
@@ -169,15 +170,14 @@ def saddle_problem(
     name: str = "saddle",
     dual_gap_eval=None,
     known_solution=None,
-    batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex-concave function phi(u, v) to the gap-function interface.
 
     F(u, v) = (grad_u phi, -grad_v phi) and
     Delta((u, v), (u0, v0)) = phi(u, v0) - phi(u0, v), both over the scaled
-    product geometry of the two blocks. Set ``batched`` when ``grad_u`` and
-    ``grad_v``, and ``dual_gap_eval`` if given, take stacks of points, one
-    per row (see ``VIProblem``); else they are called row by row.
+    product geometry of the two blocks. ``grad_u`` and ``grad_v``, and
+    ``dual_gap_eval`` if given, take one point and are called row by row
+    of a stack (see ``VIProblem``).
     """
     geom = ProductGeometry(geom_u, geom_v)
     u0, v0 = geom_u.min_point(), geom_v.min_point()
@@ -196,18 +196,14 @@ def saddle_problem(
         return gu, gv
 
     operator_eval, gap_eval = _saddle_evals(geom, phi, grads)
-    if not batched:
-        operator_eval = _by_row(operator_eval, (geom.dim,))
-        if dual_gap_eval is not None:
-            dual_gap_eval = _by_row(dual_gap_eval, ())
     return VIProblem(
         name=name,
         geom=geom,
-        operator_eval=operator_eval,
+        operator_eval=_by_row(operator_eval, (geom.dim,)),
         gap_eval=gap_eval,
         g_bound=float(g_bound),
         smoothness=smoothness,
-        dual_gap_eval=dual_gap_eval,
+        dual_gap_eval=None if dual_gap_eval is None else _by_row(dual_gap_eval, ()),
         known_solution=known_solution,
     )
 
@@ -374,7 +370,8 @@ class StochasticOracle:
     dual_norm(zeta) = noise_bound almost surely and the second moment of
     the dual norm is exactly noise_bound^2: ``uvi.analysis.theorem_bounds``
     derives the variance bound sigma^2 from the noise bound alone.
-    ``noise_bound`` must be nonnegative with a finite square (ValueError).
+    ``noise_bound`` must be positive with a finite square (ValueError); an
+    exact operator is no oracle, not a zero bound.
     One oracle instance per run; the generator is PCG64 seeded from
     ``rng_seed``.
 
@@ -386,7 +383,7 @@ class StochasticOracle:
     evaluates the operator itself and takes each noisy seed's rows in slabs
     (see ``uvi.solver``), never more than its run still needs; so after a
     run of T steps the oracle's next row is the (2T + 1)-th of its stream,
-    however the run was batched. With noise_bound 0 nothing is drawn.
+    however the run was batched.
     """
 
     base: VIProblem
@@ -395,6 +392,8 @@ class StochasticOracle:
 
     def __post_init__(self):
         _check_noise_bound(self.noise_bound)
+        if self.noise_bound == 0:
+            raise ValueError("noise bound must be positive; pass no oracle for the exact operator")
         self._rng = np.random.default_rng(self.rng_seed)
         self._unit_dual = self.base.geom.dual_norm(np.ones(self.base.geom.dim))
 
@@ -414,10 +413,7 @@ def noisy_eval(oracle: StochasticOracle, x) -> np.ndarray:
     x = geom.check_point(x)
     if not geom._contains(x, 1e-8):
         raise GeometryError(f"noisy_eval: point is not feasible for {geom.kind}")
-    f = oracle.base.operator(x)
-    if oracle.noise_bound == 0.0:
-        return f
-    return f + oracle._noise(1)[0]
+    return oracle.base.operator(x) + oracle._noise(1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +476,21 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
     """
     x0, radius = _array("x0", x0, 1), _real("radius", radius)
     geom = EuclideanBall(radius, x0.size)
-    nrm = float(np.linalg.norm(x0))
+    with np.errstate(over="ignore"):  # an overflow is reported below, as a ValueError
+        nrm = float(np.linalg.norm(x0))
     if nrm <= radius:
         minimizer, min_value = x0.copy(), 0.0
     else:
         minimizer = x0 * (radius / nrm)
         min_value = 0.5 * (nrm - radius) ** 2
+    g_bound = radius + nrm
+    if not (math.isfinite(g_bound) and math.isfinite(min_value)):
+        raise ValueError(f"x0 and radius overflow the float range: ||x0|| = {nrm}")
     return convex_min_problem(
         f=lambda x: 0.5 * float((x - x0) @ (x - x0)),
         grad=lambda x: x - x0,
         geom=geom,
-        g_bound=radius + nrm,
+        g_bound=g_bound,
         smoothness=1.0,
         name="quadratic-ball",
         min_value=min_value,

@@ -31,9 +31,9 @@ Arguments are validated once, at the public entry points: the geometry's
 sample the oracle themselves) and ``dual_gap``. The loop calls the
 unchecked ``operator_eval`` and the geometry's unchecked prox and norm
 kernels on raw arrays, and adds each oracle's noise rows itself: the
-noisy seeds' rows sit in one (rows, k, d) stack, refilled slab by slab
+seeds' rows sit in one (rows, S, d) stack, refilled slab by slab
 from each seed's own ``_noise(rows)`` and never past the run's 2T draws,
-and each sample takes one slice of it; the loop alone sizes the slabs,
+and each sample adds one slice of it; the loop alone sizes the slabs,
 at about ``_NOISE_BLOCK_BYTES`` of a seed's rows. Prox outputs are
 feasible by construction, so the loop's query points need no feasibility
 check. Each of the three movement norms is computed once per step, and
@@ -41,11 +41,11 @@ both prox steps share one ``_prox_base`` of their anchor and one
 ``_steps`` of their step sizes, which a fixed-step solve builds once.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
-its oracle) as (S, d) arrays, one seed per row; a single solve is the
-S = 1 batch, a (1, d) stack. The kernels reduce row by row (see
-``uvi.geometry``), and the operator and gap evaluator take the whole stack
-and give each row bitwise its own value (see ``VIProblem``), so every
-seed's trace is bitwise the trace of its own solve. Each seed keeps its
+its oracle, all oracles or all None) as (S, d) arrays, one seed per row; a
+single solve is the S = 1 batch, a (1, d) stack. The kernels reduce row by
+row (see ``uvi.geometry``), and the operator and gap evaluator take the
+whole stack and give each row bitwise its own value (see ``VIProblem``), so
+every seed's trace is bitwise the trace of its own solve. Each seed keeps its
 own oracle and generator, and its step size, Z^2 sum, maxima and every
 guard stay per-seed Python floats; an abort names the seed. A batch
 returns a ``RunBatch``: one trace per seed, with ``iterations`` and
@@ -111,7 +111,7 @@ __all__ = [
 ]
 
 _MOVEMENT_TOL = 1e-9
-# Each noisy seed's rows are drawn in slabs of about this many bytes of float64.
+# Each seed's noise rows are drawn in slabs of about this many bytes of float64.
 _NOISE_BLOCK_BYTES = 65536
 
 
@@ -287,8 +287,9 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], seed
              samples: int):
     """F, plus each seed's noise row, at the loop's points (see ``_run_loop``).
 
-    The k noisy seeds' rows come from one (rows, k, d) stack, refilled slab
-    by slab from each seed's own ``_noise(rows)``; ``rows`` is about
+    Every seed has an oracle, or none has. The S seeds' noise rows come from
+    one (rows, S, d) stack, refilled slab by slab from each seed's own
+    ``_noise(rows)``, and each sample adds one slice; ``rows`` is about
     ``_NOISE_BLOCK_BYTES`` of a seed's rows and never exceeds what is left
     of the run's ``samples`` draws, so no oracle hands out a row the run
     does not use.
@@ -297,11 +298,8 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], seed
     first seed when the values are not an (S, d) stack, or the first seed
     whose value is not finite.
     """
-    n, dim = len(oracles), problem.geom.dim
+    dim = problem.geom.dim
     bad_value = f"operator value must be a finite vector of dimension {dim}"
-    noisy = [s for s, o in enumerate(oracles) if o is not None and o.noise_bound != 0.0]
-    streams = [oracles[s] for s in noisy]
-    every_row = len(noisy) == n
     slab_rows = max(1, _NOISE_BLOCK_BYTES // (8 * dim))
 
     def noise_rows():
@@ -310,19 +308,16 @@ def _sampler(problem: VIProblem, oracles: List[Optional[StochasticOracle]], seed
             rows = min(slab_rows, due)
             due -= rows
             # No name holds a slab, so it is freed before the next one is drawn.
-            yield from np.stack([o._noise(rows) for o in streams], axis=1)
+            yield from np.stack([o._noise(rows) for o in oracles], axis=1)
 
-    noise = noise_rows() if streams else None
+    noise = None if oracles[0] is None else noise_rows()
 
     def sample(points, t, etas):
         values = np.asarray(problem.operator_eval(points), dtype=float)
         if values.shape != points.shape:
             raise DivergenceError(t, etas[0], bad_value, seeds[0])
-        if every_row:
+        if noise is not None:
             values = values + next(noise)
-        elif noise is not None:
-            values = values.copy()
-            values[noisy] += next(noise)
         if not np.isfinite(values).all():
             s = int(np.argmin(np.isfinite(values).all(axis=1)))
             raise DivergenceError(t, etas[s], bad_value, seeds[s])
@@ -351,6 +346,8 @@ def _run_loop(
     for oracle in oracles:
         if oracle is not None and oracle.base is not problem:
             raise ValueError("oracle was built for a different problem instance")
+    if len({o is None for o in oracles}) > 1:
+        raise ValueError("oracles must be all StochasticOracles or all None, not a mix")
     g_caps = [problem.g_bound if o is None else o.g_bound for o in oracles]
     sample = _sampler(problem, oracles, seeds, 2 * config.iterations)
 
@@ -510,8 +507,9 @@ def universal_mirror_prox(
 
     Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
     Returns a RunTrace; with ``oracles``, a mapping from each seed to its
-    oracle (None for a deterministic seed), solves every seed in one batch
-    and returns a RunBatch whose trace for each seed is bitwise its own run.
+    oracle (all oracles, or all None for deterministic seeds), solves every
+    seed in one batch and returns a RunBatch whose trace for each seed is
+    bitwise its own run.
     """
     if config.mode != "universal":
         raise ValueError("config.mode must be 'universal'")

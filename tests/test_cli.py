@@ -158,6 +158,12 @@ class TestRun:
          "x0 must have finite entries, got [nan, 0]"),
         ({"problem": {"name": "l1-ball", "params": {"x0": [float("inf"), 0]}}},
          "x0 must have finite entries, got [inf, 0]"),
+        # ||x0||^2 overflows, so ||x0|| = inf (1e160^2 = 1e320 too): both used to exit 3
+        # after solving, with a duality gap of nan.
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": [1e200, 0]}}},
+         "x0 and radius overflow the float range: ||x0|| = inf"),
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": [1e160, 0]}}},
+         "x0 and radius overflow the float range: ||x0|| = inf"),
         # str() used to turn these into directories named None, True, 5, ...
         ({"output_dir": None}, "output_dir must be a string, got None"),
         ({"output_dir": True}, "output_dir must be a string, got True"),
@@ -186,9 +192,9 @@ class TestRun:
             "noise-bool", "d1-fraction", "game-seed-bool", "x0-matrix",
             "radius-int-overflows", "x0-object", "slopes-int-overflows", "offsets-without-slopes",
             "l1-radius-diameter-overflows", "box-upper-inf", "piecewise-lp-fails",
-            "x0-nan", "x0-inf", "output-dir-null",
-            "output-dir-bool", "output-dir-int", "output-dir-list", "config-key-unknown",
-            "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
+            "x0-nan", "x0-inf", "x0-1e200-norm-overflows", "x0-1e160-norm-overflows",
+            "output-dir-null", "output-dir-bool", "output-dir-int", "output-dir-list",
+            "config-key-unknown", "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
             "noise-sigma-sq-key"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):

@@ -101,7 +101,7 @@ class TestProxStep:
                 direction = rng.normal(size=geom.dim)
                 eta = float(rng.uniform(0.01, 3.0))
                 out = geom.prox_step(anchor, direction, eta)
-                assert geom.contains(out, tol=1e-10)
+                assert geom.contains(out)
 
     def test_prox_optimality_against_random_candidates(self):
         # The returned point must beat 100 random feasible candidates on the

@@ -347,13 +347,10 @@ class TestStochasticOracle:
             name="linear-simplex",
         )
 
-    def test_zero_noise_is_exact(self):
-        p = self._entropic_problem()
-        oracle = StochasticOracle(p, 0.0, rng_seed=0)
-        x = p.geom.min_point()
-        np.testing.assert_array_equal(noisy_eval(oracle, x), p.operator(x))
-        # nothing was drawn from the noise stream
-        assert oracle._rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    def test_zero_bound_is_refused(self):
+        # The exact operator is no oracle; a zero bound is not a second way to say so.
+        with pytest.raises(ValueError, match="noise bound must be positive; pass no oracle"):
+            StochasticOracle(self._entropic_problem(), 0.0, rng_seed=0)
 
     def test_consecutive_calls_differ(self):
         p = self._entropic_problem()
