@@ -29,8 +29,7 @@ from .solver import (
     SolverConfig,
     SolverError,
     compute_z_sq,
-    fixed_step_mirror_prox,
-    universal_mirror_prox,
+    mirror_prox,
     update_eta,
 )
 from .gap import GapError, dual_gap

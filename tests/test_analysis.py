@@ -1,9 +1,12 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
+import uvi.analysis as analysis
+import uvi.solver as solver
 from uvi.analysis import (
     lemma4_check,
     lemma5_check,
@@ -13,11 +16,12 @@ from uvi.analysis import (
     rate_fit,
     regret_bound_sides,
     replay_steps,
+    solver_invariants,
     theorem_bounds,
 )
 from uvi.geometry import EntropicSimplex, EuclideanBall
 from uvi.operators import make_problem, matrix_game
-from uvi.solver import SolverConfig, universal_mirror_prox
+from uvi.solver import SolverConfig, mirror_prox
 
 ASYM = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -253,7 +257,7 @@ class TestRegretBound:
     def test_sides_hold_on_prefixes(self, factory):
         problem = factory()
         cfg = SolverConfig(iterations=500, g0=problem.g_bound, record_every=1)
-        trace = universal_mirror_prox(problem, cfg, checkpoints=(100, 250))
+        trace = mirror_prox(problem, cfg, checkpoints=(100, 250))
         got = []
         for T in (100, 250, 500):
             lhs, rhs = regret_bound_sides(problem, trace.prefix(T))
@@ -265,7 +269,7 @@ class TestRegretBound:
     def test_streamed_lhs_equals_replayed_regret(self, factory):
         problem = factory()
         cfg = SolverConfig(iterations=500, g0=problem.g_bound, record_every=1)
-        trace = universal_mirror_prox(problem, cfg)
+        trace = mirror_prox(problem, cfg)
         steps = list(replay_steps(problem, trace))
         x_star, _ = problem.geom.linear_minimize(sum(step.g for step in steps))
         regret = sum(float(step.g @ (step.x - x_star)) for step in steps)
@@ -274,6 +278,124 @@ class TestRegretBound:
 
     def test_requires_full_trace(self):
         p = make_problem("rps")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=50, record_every=10))
+        trace = mirror_prox(p, SolverConfig(iterations=50, record_every=10))
         with pytest.raises(ValueError):
             regret_bound_sides(p, trace)
+
+
+def tamper_solves(monkeypatch, edit, call=1):
+    """Make the ``call``-th solve through ``solver.mirror_prox`` return its
+    trace after ``edit(trace)``."""
+    solve, calls = solver.mirror_prox, []
+
+    def tampered(*args, **kwargs):
+        trace = solve(*args, **kwargs)
+        calls.append(trace)
+        if len(calls) == call:
+            edit(trace)
+        return trace
+
+    monkeypatch.setattr(solver, "mirror_prox", tampered)
+
+
+class TestSolverInvariantRows:
+    """Each FAIL row of ``solver_invariants``, tripped on its own by a
+    tampered run of ``rps`` (G = 1.48)."""
+
+    def test_untampered_run_passes(self):
+        assert solver_invariants(make_problem("rps"), 42) == (True, "")
+
+    def test_increasing_eta(self, monkeypatch):
+        def edit(trace):
+            trace.records[-1].eta = 2.0 * trace.records[0].eta
+        tamper_solves(monkeypatch, edit)
+        assert solver_invariants(make_problem("rps"), 42) == (False, "eta not non-increasing")
+
+    def test_step_size_off_the_rule(self, monkeypatch):
+        def edit(trace):  # one ulp lower: still non-increasing
+            trace.records[3].eta = np.nextafter(trace.records[3].eta, 0.0)
+        tamper_solves(monkeypatch, edit)
+        problem = make_problem("rps")
+        # rps starts at its equilibrium, so every step is D / G0 with G0 = G.
+        want = problem.geom.diameter() / problem.g_bound
+        assert solver_invariants(problem, 42) == (False, f"eta at t=4 is "
+                                                  f"{np.nextafter(want, 0.0):.17g}, "
+                                                  f"the step rule gives {want:.17g}")
+
+    def test_movement_ratio_above_g(self, monkeypatch):
+        def edit(trace):
+            trace.max_yy_ratio = 1.5
+        tamper_solves(monkeypatch, edit)
+        assert solver_invariants(make_problem("rps"), 42) == (False, "movement ratio 1.5 > G")
+
+    def test_z_sq_above_g_sq(self, monkeypatch):
+        def edit(trace):
+            trace.max_z_sq = 2.25
+        tamper_solves(monkeypatch, edit)
+        assert solver_invariants(make_problem("rps"), 42) == (False, "Z^2 2.25 > G^2")
+
+    def test_infeasible_average(self, monkeypatch):
+        def edit(trace):
+            trace.x_avg = trace.x_avg + 1.0
+        tamper_solves(monkeypatch, edit)
+        assert solver_invariants(make_problem("rps"), 42) == (False, "averaged output infeasible")
+
+    def test_infeasible_replayed_iterate(self, monkeypatch):
+        problem = make_problem("rps")
+        checked = []
+
+        def contains(x):  # the average passes; the replay's first x_t does not
+            checked.append(x)
+            return len(checked) == 1
+        monkeypatch.setattr(problem.geom, "contains", contains)
+        assert solver_invariants(problem, 42) == (False, "iterate infeasible at t=1")
+
+    def test_regret_bound_violated(self, monkeypatch):
+        def edit(trace):
+            trace.gx_sum += 1e6
+        tamper_solves(monkeypatch, edit)
+        ok, detail = solver_invariants(make_problem("rps"), 42)
+        assert not ok and detail.startswith("regret bound violated: lhs=1e+06 rhs="), detail
+
+    def test_stochastic_rerun_differs(self, monkeypatch):
+        def edit(trace):
+            trace.x_avg = np.nextafter(trace.x_avg, 1.0)
+        tamper_solves(monkeypatch, edit, call=2)
+        assert solver_invariants(make_problem("rps"), 42, 0.25) == (
+            False, "stochastic rerun with same seed differs")
+
+
+SOLVER_ROWS = {"solver-rps", "solver-random-game", "solver-quadratic-ball", "solver-l1-ball",
+               "solver-rps-stochastic"}
+
+
+@pytest.mark.parametrize("mutant, failing, first_t", [
+    (None, set(), None),
+    # Deterministic rps starts at its equilibrium, where the step never moves.
+    (lambda update: lambda z, d, g0: d / g0, SOLVER_ROWS - {"solver-rps"}, 2),
+    (lambda update: lambda z, d, g0: update(z, 1.0, g0), SOLVER_ROWS, 1),
+    (lambda update: lambda z, d, g0: update(z, d, 1.0), SOLVER_ROWS, 1),
+], ids=["unmutated", "eta frozen at D/G0", "D replaced by 1", "G0 replaced by 1"])
+def test_invariant_checks_catch_step_rule_mutants(monkeypatch, mutant, failing, first_t):
+    """``invariant_checks`` fails a solver whose step size is not
+    D / sqrt(G0^2 + sum Z^2); each mutant replaces ``solver.update_eta``."""
+    if mutant is not None:
+        monkeypatch.setattr(solver, "update_eta", mutant(solver.update_eta))
+    failed = {name: detail for name, ok, detail in analysis.invariant_checks(42) if not ok}
+    assert set(failed) == failing
+    assert all(re.fullmatch(rf"eta at t={first_t} is \S+, the step rule gives \S+", detail)
+               for detail in failed.values()), failed
+
+
+def test_lemma_failure_names_its_instance(monkeypatch):
+    check, calls = analysis.lemma5_check, []
+
+    def fails_fourth(a0, seq, cap=None):
+        calls.append(a0)
+        return {**check(a0, seq, cap), "holds": len(calls) != 4}
+
+    monkeypatch.setattr(analysis, "lemma5_check", fails_fourth)
+    failed = {name: detail for name, ok, detail in analysis.lemma_oracle_checks(42) if not ok}
+    assert list(failed) == ["lemma5-random-1000"]
+    assert re.fullmatch(r"instance 3: n=\d+ a0=(\S+) a=\S+ lhs=\S+ rhs=\S+",
+                        failed["lemma5-random-1000"]).group(1) == f"{calls[3]:.6g}"

@@ -351,7 +351,7 @@ class TestRun:
         assert cli.cmd_run(str(path)) == 0
         lines = (tmp_path / "out" / "trace_0.csv").read_text().strip().splitlines()
         assert lines[0] == "t,eta,z_sq,gap_of_running_avg"
-        run = solver.universal_mirror_prox(
+        run = solver.mirror_prox(
             operators.make_problem("l1-ball"),
             solver.SolverConfig(iterations=20, record_every=1),
         )
@@ -621,6 +621,18 @@ class TestSeedLoop:
         assert_whole_output(tmp_path, self, command)
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_fixed_step_solves_through_the_timed_name(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        # bench/worker.py times every solve by wrapping solver.universal_mirror_prox.
+        solves = count_solves(monkeypatch)
+        path = write_config(tmp_path, **self.CONFIG, mode={"kind": "fixed-step", "eta": 0.3})
+        if command == "run":
+            assert cli.cmd_run(str(path)) == 0
+        else:
+            assert cli.cmd_sweep(str(path), self.T_LIST) == 0
+        assert solves == [1]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_deterministic_seeds_share_one_row(self, tmp_path, monkeypatch, capsys, command):
         calls = []
         solve = solver.universal_mirror_prox
@@ -772,8 +784,8 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if "FAIL" in line] == [
             "adapter-quadratic-ball  FAIL  G bound at sample 0",
-            "solver-quadratic-ball   FAIL  solver aborted: aborted at step t=1, eta=0.707107: "
-            "movement/eta ratio 1.41421 exceeds operator bound 0.5",
+            "solver-quadratic-ball   FAIL  solver aborted: aborted at step t=1, eta=1.41421: "
+            "movement/eta ratio 0.707107 exceeds operator bound 0.5",
             "VERIFY FAIL (2/10 checks failed)",
         ]
 

@@ -9,7 +9,7 @@ from uvi.analysis import gap_certificate, invariant_checks, regret_bound_sides, 
 from uvi.gap import GapError, _dual_gaps, dual_gap
 from uvi.operators import convex_min_problem, make_problem, matrix_game, saddle_problem
 from uvi.geometry import EntropicSimplex, EuclideanBall
-from uvi.solver import RunTrace, SolverConfig, StepRecord, universal_mirror_prox
+from uvi.solver import RunTrace, SolverConfig, StepRecord, mirror_prox
 
 from helpers import sample_batch
 
@@ -149,7 +149,7 @@ class TestStackedGaps:
                                grad=lambda x: x - target, geom=EuclideanBall(1.0, 2),
                                g_bound=2.0, min_value=0.0)
         with pytest.raises(uvi.GapCheckError, match="duality gap nan is not finite"):
-            universal_mirror_prox(p, SolverConfig(iterations=500, eval_every=50))
+            mirror_prox(p, SolverConfig(iterations=500, eval_every=50))
 
     def test_failing_row_is_named(self):
         p = make_problem("rps")
@@ -166,42 +166,42 @@ class TestGapSeries:
 
     def test_checkpoint_schedule(self):
         p = make_problem("rps")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=10, eval_every=5))
+        trace = mirror_prox(p, SolverConfig(iterations=10, eval_every=5))
         assert [t for t, _ in streamed_gaps(trace)] == [5, 10]
 
     def test_eval_every_beyond_horizon(self):
         p = make_problem("rps")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=10, eval_every=100))
+        trace = mirror_prox(p, SolverConfig(iterations=10, eval_every=100))
         assert [t for t, _ in streamed_gaps(trace)] == [10]
         assert trace.records[-1].gap == dual_gap(p, trace.x_avg)
 
     def test_constant_trace_at_solution(self):
         p = make_problem("quadratic-ball", x0=(0.0, 0.0))
-        trace = universal_mirror_prox(p, SolverConfig(iterations=20, eval_every=4))
+        trace = mirror_prox(p, SolverConfig(iterations=20, eval_every=4))
         assert [t for t, _ in streamed_gaps(trace)] == [4, 8, 12, 16, 20]
         assert all(g == 0.0 for _, g in streamed_gaps(trace))
 
     def test_running_average_gap_shrinks(self):
         p = matrix_game(ASYM, name="asym-2x2")
-        trace = universal_mirror_prox(
+        trace = mirror_prox(
             p, SolverConfig(iterations=2000, record_every=200, eval_every=200))
         by_step = dict(streamed_gaps(trace))
         assert by_step[2000] < by_step[200]
 
     def test_thinned_trace_matches_full(self):
         p = matrix_game(ASYM)
-        full = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=1,
-                                                     eval_every=50))
-        thin = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=50,
-                                                     eval_every=50))
+        full = mirror_prox(p, SolverConfig(iterations=300, record_every=1,
+                                           eval_every=50))
+        thin = mirror_prox(p, SolverConfig(iterations=300, record_every=50,
+                                           eval_every=50))
         assert streamed_gaps(full) == streamed_gaps(thin)
 
     def test_checkpoint_gap_stays_in_its_snapshot(self):
         # Step 7 is recorded but not an eval step: the run of 7 steps has its
         # gap there, the full run does not.
         p = make_problem("random-game", d1=4, d2=3)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=12, eval_every=5),
-                                      checkpoints=(7,))
+        trace = mirror_prox(p, SolverConfig(iterations=12, eval_every=5),
+                            checkpoints=(7,))
         assert [t for t, _ in streamed_gaps(trace)] == [5, 10, 12]
         assert [t for t, _ in streamed_gaps(trace.prefix(7))] == [5, 7]
         assert trace.records[6].gap is None
@@ -211,7 +211,7 @@ class TestGapSeries:
         p = saddle_problem(phi=lambda u, v: 0.0, grad_u=lambda u, v: 0.0 * u,
                            grad_v=lambda u, v: 0.0 * v, geom_u=EntropicSimplex(2),
                            geom_v=EntropicSimplex(2), g_bound=1.0)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=6, eval_every=2))
+        trace = mirror_prox(p, SolverConfig(iterations=6, eval_every=2))
         assert streamed_gaps(trace) == []
 
 
@@ -270,7 +270,7 @@ class TestGapCertificate:
 
     def test_holds_along_run(self):
         p = matrix_game(ASYM)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=300))
+        trace = mirror_prox(p, SolverConfig(iterations=300))
         pairs = ((step.x, step.g) for step in replay_steps(p, trace))
         assert gap_certificate(p, trace.x_avg, pairs) == (True, "")
 
@@ -278,7 +278,7 @@ class TestGapCertificate:
     def test_fails_on_the_average_of_the_y_t(self, name):
         # The mean of the y_t is not the point the certificate's sums speak for.
         p = make_problem(name)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=300, record_every=1))
+        trace = mirror_prox(p, SolverConfig(iterations=300, record_every=1))
         steps = list(replay_steps(p, trace))
         pairs = [(step.x, step.g) for step in steps]
         assert gap_certificate(p, trace.x_avg, pairs) == (True, "")

@@ -6,7 +6,7 @@ import pytest
 
 from uvi.gap import dual_gap
 from uvi.operators import StochasticOracle, matrix_game
-from uvi.solver import SolverConfig, universal_mirror_prox
+from uvi.solver import SolverConfig, mirror_prox
 
 T = 500
 A = np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 5))
@@ -16,8 +16,8 @@ def solve(matrix, g0=1.0, noise=0.0):
     """(problem, x_avg) of a T-step universal run on the game, oracle seed 1."""
     problem = matrix_game(matrix)
     oracle = StochasticOracle(problem, noise, rng_seed=1) if noise else None
-    trace = universal_mirror_prox(problem, SolverConfig(iterations=T, g0=g0, record_every=T),
-                                  oracle)
+    trace = mirror_prox(problem, SolverConfig(iterations=T, g0=g0, record_every=T),
+                        oracle)
     return problem, trace.x_avg
 
 

@@ -22,7 +22,7 @@ from uvi.operators import (
     noisy_eval,
     saddle_problem,
 )
-from uvi.solver import _NOISE_BLOCK_BYTES, SolverConfig, universal_mirror_prox
+from uvi.solver import _NOISE_BLOCK_BYTES, SolverConfig, mirror_prox
 from uvi.analysis import adapter_invariants
 from uvi.operators import _check_noise_bound, _l1_min_on_ball
 
@@ -211,7 +211,7 @@ def solve_bytes(problem):
     """Every recorded float of a short noisy every-step solve, as bytes."""
     oracle = StochasticOracle(problem, 0.5, rng_seed=4)
     config = SolverConfig(iterations=30, record_every=1, eval_every=1)
-    run = universal_mirror_prox(problem, config, oracle)
+    run = mirror_prox(problem, config, oracle)
     return run.x_avg.tobytes() + repr([dataclasses.astuple(r) for r in run.records]).encode()
 
 
@@ -620,6 +620,10 @@ class TestCatalog:
 
     @pytest.mark.parametrize("fields, label", [
         ({"operator_eval": lambda x: -x}, "monotonicity pair 0"),
+        # Delta(x, y) above F(x).(x - y), then Delta concave in x.
+        ({"gap_eval": lambda x, y: float(x @ (x - y)) + 1e-6}, "compatibility pair 0"),
+        ({"gap_eval": lambda x, y: 0.5 * float(x @ x - y @ y) - float((x - y) @ (x - y))},
+         "convexity triple 0"),
         ({"g_bound": 0.1}, "G bound at sample"),
         ({"smoothness": 0.5}, "L bound pair 0"),
         ({"dual_gap_eval": lambda x: np.full(len(x), -1.0)},

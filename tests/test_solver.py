@@ -31,8 +31,7 @@ from uvi.solver import (
     SolverError,
     SolverConfig,
     compute_z_sq,
-    fixed_step_mirror_prox,
-    universal_mirror_prox,
+    mirror_prox,
     update_eta,
 )
 
@@ -123,14 +122,14 @@ class TestOptimisticStep:
 class TestUniversalRuns:
     def test_start_at_optimum_stays(self):
         p = make_problem("quadratic-ball", x0=(0.0, 0.0))
-        trace = universal_mirror_prox(p, SolverConfig(iterations=50))
+        trace = mirror_prox(p, SolverConfig(iterations=50))
         np.testing.assert_array_equal(trace.x_avg, np.zeros(2))
         assert uvi.dual_gap(p, trace.x_avg) == 0.0
         assert trace.max_z_sq == 0.0
 
     def test_rps_single_step_hand_trace(self):
         p = make_problem("rps")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=1))
+        trace = mirror_prox(p, SolverConfig(iterations=1))
         np.testing.assert_allclose(trace.x_avg, np.full(6, 1.0 / 3.0), atol=1e-15)
         assert uvi.dual_gap(p, trace.x_avg) == pytest.approx(0.0, abs=1e-15)
 
@@ -138,7 +137,7 @@ class TestUniversalRuns:
         # Cross-checked against a from-the-formulas transcription of the
         # recursion; observed gap 4.886e-4 at T=2000 with g0=1.
         p = matrix_game(ASYM, name="asym-2x2")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=2000, record_every=2000))
+        trace = mirror_prox(p, SolverConfig(iterations=2000, record_every=2000))
         got = uvi.dual_gap(p, trace.x_avg)
         expected = reference_game_run(ASYM, 2000, 1.0)
         assert got == pytest.approx(expected, abs=1e-8)
@@ -146,7 +145,7 @@ class TestUniversalRuns:
 
     def test_eta_monotone_and_movement_bounds(self):
         p = make_problem("l1-ball")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=400))
+        trace = mirror_prox(p, SolverConfig(iterations=400))
         etas = [rec.eta for rec in trace.records]
         assert all(b <= a + 1e-15 for a, b in zip(etas, etas[1:]))
         assert trace.max_xy_ratio <= p.g_bound + 1e-9
@@ -155,7 +154,7 @@ class TestUniversalRuns:
 
     def test_iterates_feasible_and_average_exact(self):
         p = matrix_game(ASYM)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=300))
+        trace = mirror_prox(p, SolverConfig(iterations=300))
         steps = list(replay_steps(p, trace))
         for step in steps:
             if step.record.t % 23 == 1:
@@ -169,8 +168,8 @@ class TestUniversalRuns:
         # Every checkpoint's average and every step's gap come from the
         # loop's Kahan prefix sum; both are bitwise those of the replay.
         p = make_problem("quadratic-ball")
-        trace = universal_mirror_prox(p, SolverConfig(iterations=100, eval_every=1),
-                                      checkpoints=range(1, 101))
+        trace = mirror_prox(p, SolverConfig(iterations=100, eval_every=1),
+                            checkpoints=range(1, 101))
         xs = [step.x for step in replay_steps(p, trace)]
         for rec, prefix in zip(trace.records, kahan_prefixes(xs)):
             assert np.array_equal(trace.prefix(rec.t).x_avg, prefix / rec.t), rec.t
@@ -182,7 +181,7 @@ class TestUniversalRuns:
     def test_regret_sums_are_streamed_in_step_order(self, noise):
         p = make_problem("l1-ball")
         oracle = StochasticOracle(p, noise, rng_seed=8) if noise else None
-        trace = universal_mirror_prox(p, SolverConfig(iterations=200), oracle)
+        trace = mirror_prox(p, SolverConfig(iterations=200), oracle)
         twin = StochasticOracle(p, noise, rng_seed=8) if noise else None
         g_sum, gx_sum = np.zeros(p.geom.dim), 0.0
         for step in replay_steps(p, trace, twin):
@@ -193,8 +192,8 @@ class TestUniversalRuns:
 
     def test_trace_thinning_keeps_aggregates(self):
         p = matrix_game(ASYM)
-        full = universal_mirror_prox(p, SolverConfig(iterations=500, record_every=1))
-        thin = universal_mirror_prox(p, SolverConfig(iterations=500, record_every=100))
+        full = mirror_prox(p, SolverConfig(iterations=500, record_every=1))
+        thin = mirror_prox(p, SolverConfig(iterations=500, record_every=100))
         assert [rec.t for rec in thin.records] == [100, 200, 300, 400, 500]
         np.testing.assert_array_equal(full.x_avg, thin.x_avg)
         assert full.z_sq_total == thin.z_sq_total
@@ -202,32 +201,36 @@ class TestUniversalRuns:
         assert thin.g_sum is None and thin.gx_sum is None  # streamed at record_every=1 only
 
 
+def test_one_solver_under_every_name():
+    # The two old names stay only as aliases, for the benchmark's wrappers.
+    assert solver.universal_mirror_prox is solver.fixed_step_mirror_prox is solver.mirror_prox
+    assert uvi.mirror_prox is solver.mirror_prox
+    assert not hasattr(uvi, "universal_mirror_prox") and not hasattr(uvi, "fixed_step_mirror_prox")
+    assert "mirror_prox" in solver.__all__ and "universal_mirror_prox" not in solver.__all__
+
+
 class TestFixedStep:
     def test_rps_tuned_baseline_golden(self):
         p = make_problem("rps")
-        trace = fixed_step_mirror_prox(p, fixed(1000, 1.0 / p.smoothness, record_every=1000))
+        trace = mirror_prox(p, fixed(1000, 1.0 / p.smoothness, record_every=1000))
         assert uvi.dual_gap(p, trace.x_avg) <= 0.01
 
     def test_zero_eta_rejected(self):
         p = make_problem("rps")
         with pytest.raises(ValueError):
-            fixed_step_mirror_prox(p, fixed(10, 0.0))
+            mirror_prox(p, fixed(10, 0.0))
 
     def test_zero_game_stays_at_start(self):
         p = matrix_game(np.zeros((2, 2)))
-        trace = fixed_step_mirror_prox(p, fixed(25, 0.7))
+        trace = mirror_prox(p, fixed(25, 0.7))
         np.testing.assert_allclose(trace.x_avg, np.full(4, 0.5), atol=1e-12)
         assert p.dual_gap_eval(trace.x_avg) == pytest.approx(0.0, abs=1e-12)
 
     def test_movement_bound_holds_for_fixed_step(self):
         p = matrix_game(ASYM)
-        trace = fixed_step_mirror_prox(p, fixed(500, 1.0 / p.smoothness))
+        trace = mirror_prox(p, fixed(500, 1.0 / p.smoothness))
         assert trace.max_xy_ratio <= p.g_bound + 1e-9
         assert trace.max_yy_ratio <= p.g_bound + 1e-9
-
-    def test_universal_config_rejected(self):
-        with pytest.raises(ValueError, match="must be 'fixed-step'"):
-            fixed_step_mirror_prox(make_problem("rps"), SolverConfig(iterations=10))
 
     def test_eta_outside_fixed_step_rejected(self):
         # An eta the adaptive rule would ignore is a config error, not a no-op.
@@ -239,8 +242,8 @@ class TestStochasticRuns:
     def test_same_seed_bitwise_identical(self):
         p = matrix_game(ASYM)
         cfg = SolverConfig(iterations=200, eval_every=1)
-        t1 = universal_mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
-        t2 = universal_mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
+        t1 = mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
+        t2 = mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
         np.testing.assert_array_equal(t1.x_avg, t2.x_avg)
         for r1, r2 in zip(t1.records, t2.records):
             assert r1.eta == r2.eta and r1.z_sq == r2.z_sq
@@ -249,14 +252,14 @@ class TestStochasticRuns:
     def test_different_seeds_differ(self):
         p = matrix_game(ASYM)
         cfg = SolverConfig(iterations=200)
-        t1 = universal_mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
-        t2 = universal_mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=6))
+        t1 = mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=5))
+        t2 = mirror_prox(p, cfg, StochasticOracle(p, 0.3, rng_seed=6))
         assert not np.array_equal(t1.x_avg, t2.x_avg)
 
     def test_movement_bound_uses_noise_inflated_g(self):
         p = matrix_game(ASYM)
         oracle = StochasticOracle(p, 0.5, rng_seed=2)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=300), oracle)
+        trace = mirror_prox(p, SolverConfig(iterations=300), oracle)
         cap = p.g_bound + 0.5
         assert trace.g_bound == pytest.approx(cap)
         assert trace.max_xy_ratio <= cap + 1e-9
@@ -266,7 +269,7 @@ class TestStochasticRuns:
         p1, p2 = matrix_game(ASYM), matrix_game(ASYM)
         oracle = StochasticOracle(p1, 0.1, rng_seed=0)
         with pytest.raises(ValueError):
-            universal_mirror_prox(p2, SolverConfig(iterations=5), oracle)
+            mirror_prox(p2, SolverConfig(iterations=5), oracle)
 
 
 class TestOracleKernelInLoop:
@@ -279,8 +282,8 @@ class TestOracleKernelInLoop:
         monkeypatch.setattr(solver, "noisy_eval", refuse)
         monkeypatch.setattr(operators, "noisy_eval", refuse)
         p = matrix_game(ASYM)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=50),
-                                      StochasticOracle(p, 0.3, rng_seed=4))
+        trace = mirror_prox(p, SolverConfig(iterations=50),
+                            StochasticOracle(p, 0.3, rng_seed=4))
         assert trace.iterations == 50
 
     @pytest.mark.parametrize("name", ["random-game", "l1-ball"])
@@ -288,9 +291,9 @@ class TestOracleKernelInLoop:
         # The replay samples through the checked noisy_eval and prox_step; its
         # Kahan prefix and norms must be the records' at every step.
         p = make_problem(name)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=300, eval_every=1),
-                                      StochasticOracle(p, 0.5, rng_seed=9),
-                                      checkpoints=range(1, 301))
+        trace = mirror_prox(p, SolverConfig(iterations=300, eval_every=1),
+                            StochasticOracle(p, 0.5, rng_seed=9),
+                            checkpoints=range(1, 301))
         twin = StochasticOracle(p, 0.5, rng_seed=9)
         geom = p.geom
         sum_x, comp = np.zeros(geom.dim), np.zeros(geom.dim)
@@ -308,10 +311,10 @@ class TestOracleKernelInLoop:
 
     def test_replay_rejects_thinned_trace_and_foreign_oracle(self):
         p = matrix_game(ASYM)
-        thin = universal_mirror_prox(p, SolverConfig(iterations=10, record_every=5))
+        thin = mirror_prox(p, SolverConfig(iterations=10, record_every=5))
         with pytest.raises(ValueError, match="record_every=1"):
             next(replay_steps(p, thin))
-        full = universal_mirror_prox(p, SolverConfig(iterations=10))
+        full = mirror_prox(p, SolverConfig(iterations=10))
         with pytest.raises(ValueError, match="different problem"):
             next(replay_steps(p, full, StochasticOracle(matrix_game(ASYM), 0.1, rng_seed=0)))
 
@@ -332,8 +335,8 @@ class TestOracleKernelInLoop:
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_noisy_golden_values(self, name):
         p = make_problem(name)
-        trace = universal_mirror_prox(p, SolverConfig(iterations=2000, record_every=2000),
-                                      StochasticOracle(p, 0.5, rng_seed=3))
+        trace = mirror_prox(p, SolverConfig(iterations=2000, record_every=2000),
+                            StochasticOracle(p, 0.5, rng_seed=3))
         x_avg, z_sq_total = self.GOLDEN[name]
         assert [float(v).hex() for v in trace.x_avg] == x_avg
         assert trace.z_sq_total.hex() == z_sq_total
@@ -360,11 +363,9 @@ def assert_same_trace(got, want):
 def checkpoint_solve(problem, mode, noise, T, checkpoints=(), record_every=7):
     """A solve with a gap at every recorded step."""
     oracle = StochasticOracle(problem, noise, rng_seed=11) if noise else None
-    if mode == "universal":
-        config = SolverConfig(iterations=T, record_every=record_every, eval_every=record_every)
-        return universal_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
-    config = fixed(T, 0.2, record_every=record_every, eval_every=record_every)
-    return fixed_step_mirror_prox(problem, config, oracle, checkpoints=checkpoints)
+    config = SolverConfig(iterations=T, mode=mode, eta=0.2 if mode == "fixed-step" else None,
+                          record_every=record_every, eval_every=record_every)
+    return mirror_prox(problem, config, oracle, checkpoints=checkpoints)
 
 
 class TestCheckpoints:
@@ -418,7 +419,7 @@ class TestGuards:
             name="nan-grad",
         )
         with pytest.raises(DivergenceError) as err:
-            universal_mirror_prox(p, SolverConfig(iterations=5))
+            mirror_prox(p, SolverConfig(iterations=5))
         assert err.value.t == 1
         assert err.value.eta == pytest.approx(math.sqrt(0.5))
 
@@ -434,7 +435,7 @@ class TestGuards:
         p = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=geom,
                                g_bound=1.0, min_value=0.0, name="bad-grad")
         with pytest.raises(DivergenceError) as err:
-            universal_mirror_prox(p, SolverConfig(iterations=5))
+            mirror_prox(p, SolverConfig(iterations=5))
         assert err.value.t == 1
 
     @pytest.mark.parametrize("scale, g0, eta", [
@@ -446,7 +447,7 @@ class TestGuards:
     def test_step_size_out_of_range_aborts(self, scale, g0, eta):
         p = matrix_game(make_problem("rps").params["matrix"] * scale)
         with pytest.raises(DivergenceError) as err:
-            universal_mirror_prox(p, SolverConfig(iterations=20, g0=g0))
+            mirror_prox(p, SolverConfig(iterations=20, g0=g0))
         assert err.value.t == 1
         assert err.value.eta == eta
 
@@ -457,8 +458,8 @@ class TestGuards:
         p = matrix_game(make_problem("rps").params["matrix"] * 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="non-finite iterate") as err:
-                universal_mirror_prox(p, SolverConfig(iterations=5, g0=1e-10),
-                                      oracles={3: None, 9: None})
+                mirror_prox(p, SolverConfig(iterations=5, g0=1e-10),
+                            oracles={3: None, 9: None})
         assert (err.value.t, err.value.eta, err.value.seed) == (1, math.sqrt(2.0) * 1e10, 3)
         assert str(err.value) == ("aborted at step t=1, eta=1.41421e+10: "
                                   "non-finite iterate (seed 3)")
@@ -474,10 +475,10 @@ class TestGuards:
             with pytest.raises(ValueError):
                 SolverConfig(iterations=1, mode="fixed-step", eta=bad)
             with pytest.raises(ValueError):
-                fixed_step_mirror_prox(make_problem("rps"), fixed(5, bad))
+                mirror_prox(make_problem("rps"), fixed(5, bad))
         for bad in (1e-200, -0.1):
             with pytest.raises(ValueError, match="whose square is nonzero"):
-                fixed_step_mirror_prox(make_problem("rps"), fixed(5, bad))
+                mirror_prox(make_problem("rps"), fixed(5, bad))
         with pytest.raises(ValueError):
             SolverConfig(iterations=1, mode="fixed-step")
         with pytest.raises(ValueError):
@@ -487,12 +488,8 @@ class TestGuards:
         with pytest.raises(ValueError, match="eval_every must be a multiple of record_every"):
             SolverConfig(iterations=10, record_every=2, eval_every=7)
         with pytest.raises(ValueError, match="multiple of record_every"):
-            fixed_step_mirror_prox(make_problem("rps"),
-                                   fixed(10, 0.1, record_every=2, eval_every=3))
-        with pytest.raises(ValueError):
-            universal_mirror_prox(
-                make_problem("rps"), SolverConfig(iterations=1, mode="fixed-step", eta=0.1)
-            )
+            mirror_prox(make_problem("rps"),
+                        fixed(10, 0.1, record_every=2, eval_every=3))
 
 
 class TestStreamedGaps:
@@ -509,8 +506,8 @@ class TestStreamedGaps:
         def oracle(seed):
             return StochasticOracle(problem, noise, rng_seed=seed) if noise else None
 
-        batch = universal_mirror_prox(problem, SolverConfig(iterations=60, eval_every=1),
-                                      oracles={seed: oracle(seed) for seed in self.SEEDS})
+        batch = mirror_prox(problem, SolverConfig(iterations=60, eval_every=1),
+                            oracles={seed: oracle(seed) for seed in self.SEEDS})
         for seed, trace in batch.traces.items():
             xs = [step.x for step in replay_steps(problem, trace, oracle(seed))]
             for rec, prefix in zip(trace.records, kahan_prefixes(xs)):
@@ -535,11 +532,11 @@ class TestStreamedGaps:
         problem = self.negative_from_step(3, 1)
         oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
         with pytest.raises(GapCheckError) as err:
-            universal_mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
-                                  oracles=oracles)
+            mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
+                        oracles=oracles)
         plain = make_problem("l1-ball")
-        single = universal_mirror_prox(plain, SolverConfig(iterations=3),
-                                       StochasticOracle(plain, 0.3, rng_seed=8))
+        single = mirror_prox(plain, SolverConfig(iterations=3),
+                             StochasticOracle(plain, 0.3, rng_seed=8))
         eta = single.records[2].eta
         assert (err.value.t, err.value.eta, err.value.seed) == (3, eta, 8)
         assert str(err.value) == (f"aborted at step t=3, eta={eta:.6g}: running average: "
@@ -555,8 +552,8 @@ class TestTraceMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            trace = universal_mirror_prox(p, SolverConfig(iterations=2000, eval_every=1),
-                                          oracle)
+            trace = mirror_prox(p, SolverConfig(iterations=2000, eval_every=1),
+                                oracle)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -614,7 +611,7 @@ class TestGapCertificate:
     @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
     def test_average_gap_within_certificate(self, name, T):
         problem = BATCH_PROBLEMS[name]()
-        trace = universal_mirror_prox(problem, SolverConfig(iterations=T))
+        trace = mirror_prox(problem, SolverConfig(iterations=T))
         pairs = ((step.x, problem.operator(step.x)) for step in replay_steps(problem, trace))
         assert gap_certificate(problem, trace.x_avg, pairs) == (True, "")
 
@@ -636,14 +633,14 @@ class TestSeedBatch:
 
         config = SolverConfig(iterations=60, record_every=record_every,
                               eval_every=record_every)
-        batch = universal_mirror_prox(problem, config, checkpoints=self.BUDGETS,
-                                      oracles={seed: oracle(seed) for seed in self.SEEDS})
+        batch = mirror_prox(problem, config, checkpoints=self.BUDGETS,
+                            oracles={seed: oracle(seed) for seed in self.SEEDS})
         assert list(batch.traces) == list(self.SEEDS)
         assert batch.iterations == 60 * len(self.SEEDS)
         assert len(batch.records) == sum(len(t.records) for t in batch.traces.values())
         for seed in self.SEEDS:
-            single = universal_mirror_prox(problem, config, oracle(seed),
-                                           checkpoints=self.BUDGETS)
+            single = mirror_prox(problem, config, oracle(seed),
+                                 checkpoints=self.BUDGETS)
             got = batch.traces[seed]
             assert_same_trace(got, single)
             for T in self.BUDGETS:
@@ -656,10 +653,10 @@ class TestSeedBatch:
         problem = BATCH_PROBLEMS[name]()
         oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
         config = fixed(40, 0.2, record_every=1, eval_every=1)
-        batch = fixed_step_mirror_prox(problem, config, oracles=oracles)
+        batch = mirror_prox(problem, config, oracles=oracles)
         for seed in self.SEEDS:
-            single = fixed_step_mirror_prox(problem, config,
-                                            StochasticOracle(problem, 0.3, rng_seed=seed))
+            single = mirror_prox(problem, config,
+                                 StochasticOracle(problem, 0.3, rng_seed=seed))
             assert_same_trace(batch.traces[seed], single)
 
     def test_noise_stack_crosses_blocks(self):
@@ -679,10 +676,10 @@ class TestSeedBatch:
         T = 61
         config = SolverConfig(iterations=T, record_every=1, eval_every=1)
         batch_oracles = oracles()
-        batch = universal_mirror_prox(problem, config, oracles=batch_oracles)
+        batch = mirror_prox(problem, config, oracles=batch_oracles)
         fresh = oracles()
         for seed, oracle in oracles().items():
-            assert_same_trace(batch.traces[seed], universal_mirror_prox(problem, config, oracle))
+            assert_same_trace(batch.traces[seed], mirror_prox(problem, config, oracle))
             fresh[seed]._noise(2 * T)
             after = fresh[seed]._noise(1)[0]
             assert np.array_equal(batch_oracles[seed]._noise(1)[0], after), seed
@@ -692,12 +689,12 @@ class TestSeedBatch:
         problem = make_problem("rps")
         config = SolverConfig(iterations=5)
         with pytest.raises(ValueError, match="either oracle or oracles"):
-            universal_mirror_prox(problem, config, StochasticOracle(problem, 0.1),
-                                  oracles={0: None})
+            mirror_prox(problem, config, StochasticOracle(problem, 0.1),
+                        oracles={0: None})
         with pytest.raises(ValueError, match="at least one seed"):
-            universal_mirror_prox(problem, config, oracles={})
+            mirror_prox(problem, config, oracles={})
         with pytest.raises(ValueError, match="different problem"):
-            universal_mirror_prox(problem, config, oracles={
+            mirror_prox(problem, config, oracles={
                 0: None, 1: StochasticOracle(make_problem("rps"), 0.1)})
 
     def test_mixed_batch_is_refused(self):
@@ -706,7 +703,7 @@ class TestSeedBatch:
         for oracles in ({0: None, 1: StochasticOracle(problem, 0.1)},
                         {1: StochasticOracle(problem, 0.1), 0: None}):
             with pytest.raises(ValueError, match="all StochasticOracles or all None, not a mix"):
-                universal_mirror_prox(problem, SolverConfig(iterations=5), oracles=oracles)
+                mirror_prox(problem, SolverConfig(iterations=5), oracles=oracles)
 
     @staticmethod
     def nan_on_second_seed(batched):
@@ -734,8 +731,8 @@ class TestSeedBatch:
                                      g_bound=2.0, min_value=0.0, batched=batched)
         with pytest.raises(DivergenceError,
                            match="operator value must be a finite vector of dimension 2") as err:
-            universal_mirror_prox(problem, SolverConfig(iterations=10),
-                                  oracles={4: None, 8: None})
+            mirror_prox(problem, SolverConfig(iterations=10),
+                        oracles={4: None, 8: None})
         assert (err.value.t, err.value.seed) == (1, 4)
 
     @pytest.mark.parametrize("adapter", ["convex-min-grad", "saddle-dual-gap"])
@@ -766,8 +763,8 @@ class TestSeedBatch:
                                      dual_gap_eval=gap)
             error, message = GapCheckError, "running average: duality gap nan is not finite"
         with pytest.raises(error, match=message) as err:
-            universal_mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
-                                  oracles={4: None, 8: None})
+            mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
+                        oracles={4: None, 8: None})
         assert (err.value.t, err.value.seed) == (1, 8)
 
     def test_saddle_block_shapes_checked_at_every_call(self):
@@ -788,8 +785,8 @@ class TestSeedBatch:
                                  geom_u=ball, geom_v=ball, g_bound=10.0)
         with pytest.raises(DivergenceError,
                            match="operator value must be a finite vector of dimension 4") as err:
-            universal_mirror_prox(problem, SolverConfig(iterations=5),
-                                  oracles={4: None, 8: None})
+            mirror_prox(problem, SolverConfig(iterations=5),
+                        oracles={4: None, 8: None})
         assert (err.value.t, err.value.seed) == (1, 8)
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
@@ -797,9 +794,9 @@ class TestSeedBatch:
         problem = self.nan_on_second_seed(batched)
         oracles = {seed: None for seed in self.SEEDS}
         with pytest.raises(DivergenceError) as err:
-            universal_mirror_prox(problem, SolverConfig(iterations=10), oracles=oracles)
-        single = universal_mirror_prox(make_problem("quadratic-ball", x0=(0.5, 0.5)),
-                                       SolverConfig(iterations=3))
+            mirror_prox(problem, SolverConfig(iterations=10), oracles=oracles)
+        single = mirror_prox(make_problem("quadratic-ball", x0=(0.5, 0.5)),
+                             SolverConfig(iterations=3))
         eta = single.records[2].eta
         assert (err.value.t, err.value.eta, err.value.seed) == (3, eta, 5)
         message = str(err.value)
@@ -837,10 +834,10 @@ def per_point_golden_runs(name):
     and evaluated."""
     problem = PER_POINT_PROBLEMS[name]()
     config = SolverConfig(iterations=40, record_every=1, eval_every=1)
-    noisy = universal_mirror_prox(problem, config, oracles={
+    noisy = mirror_prox(problem, config, oracles={
         seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in (3, 8)})
     return {
-        "det": {"0": trace_hex(universal_mirror_prox(problem, config))},
+        "det": {"0": trace_hex(mirror_prox(problem, config))},
         "noisy": {str(seed): trace_hex(trace) for seed, trace in noisy.traces.items()},
     }
 
