@@ -620,15 +620,15 @@ class TestCatalog:
 
     @pytest.mark.parametrize("fields, label", [
         ({"operator_eval": lambda x: -x}, "monotonicity pair 0"),
-        # Delta(x, y) above F(x).(x - y), then Delta concave in x.
-        ({"gap_eval": lambda x, y: float(x @ (x - y)) + 1e-6}, "compatibility pair 0"),
-        ({"gap_eval": lambda x, y: 0.5 * float(x @ x - y @ y) - float((x - y) @ (x - y))},
-         "convexity triple 0"),
         ({"g_bound": 0.1}, "G bound at sample"),
         ({"smoothness": 0.5}, "L bound pair 0"),
         ({"dual_gap_eval": lambda x: np.full(len(x), -1.0)},
          "gap sample 0: duality gap -1.0 is negative"),
         ({"known_solution": np.array([0.5, 0.0])}, "known solution has positive gap"),
+        # Delta(x, y) above F(x).(x - y), then Delta concave in x.
+        ({"gap_eval": lambda x, y: float(x @ (x - y)) + 1e-6}, "compatibility pair 0"),
+        ({"gap_eval": lambda x, y: 0.5 * float(x @ x - y @ y) - float((x - y) @ (x - y))},
+         "convexity triple 0"),
     ])
     def test_adapter_invariants_flag_broken_problem(self, fields, label):
         assert adapter_invariants(quadratic_on_ball(), 0) == (True, "")
