@@ -75,10 +75,10 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A checked config: the solve settings, the noise bound, the seeds, and
-    the problem, built once."""
+    the problem, built once. Frozen, so it stays as checked."""
 
     problem_params: dict
     solve: solver.SolverConfig

@@ -38,7 +38,6 @@ __all__ = [
     "EuclideanSimplex",
     "EntropicSimplex",
     "ProductGeometry",
-    "project_simplex",
 ]
 
 
@@ -52,23 +51,6 @@ class GeometryError(ValueError):
     """Dimension mismatch, infeasible input, or invalid geometry parameter."""
 
 
-def project_simplex(z: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the standard simplex (sort-and-threshold),
-    row by row along the last axis.
-
-    Deterministic: ties in the sort resolve by numpy's stable ordering, and
-    the optimum is unique anyway (strictly convex objective).
-    """
-    u = np.sort(z, axis=-1)[..., ::-1]
-    css = np.cumsum(u, axis=-1)
-    ks = np.arange(1, z.shape[-1] + 1)
-    feasible = u + (1.0 - css) / ks > 0
-    # k is the last feasible index of each row.
-    k = z.shape[-1] - np.argmax(feasible[..., ::-1], axis=-1)
-    tau = (np.take_along_axis(css, (k - 1)[..., None], axis=-1) - 1.0) / k[..., None]
-    return np.maximum(z - tau, 0.0)
-
-
 class Geometry:
     """Base class; concrete geometries supply the closed forms as unchecked
     kernels (``_prox_from``, ``_primal_norm``, ...) on raw float arrays.
@@ -78,8 +60,8 @@ class Geometry:
     _steps(etas))`` on an (S, dim) stack with one step size per row: the two
     prox steps of one solver round share their anchor, so they share its
     ``_prox_base`` too (the logarithm, for the entropic map), and their step
-    sizes, so they share one ``_steps``, which a fixed-step solve builds
-    once. ``prox_step`` runs a point as the one-row stack.
+    sizes, so they share one ``_steps``. ``prox_step`` runs a point as the
+    one-row stack.
     """
 
     kind = "abstract"
@@ -257,8 +239,8 @@ class EuclideanBox(_EuclideanGeometry):
         return rng.uniform(self.lower, self.upper)
 
     def _linear_minimize(self, c):
-        x = np.where(c > 0, self.lower, np.where(c < 0, self.upper, self.lower))
-        return x.astype(float), float(c @ x)
+        x = np.where(c < 0, self.upper, self.lower)
+        return x, float(c @ x)
 
 
 class _SimplexSet(Geometry):
@@ -291,7 +273,16 @@ class EuclideanSimplex(_SimplexSet, _EuclideanGeometry):
         super().__init__(dim, 0.5 * (1.0 - 1.0 / dim))
 
     def project(self, z):
-        return project_simplex(z)
+        """Euclidean projection onto the simplex (sort-and-threshold), row by
+        row along the last axis; deterministic, as the optimum is unique."""
+        u = np.sort(z, axis=-1)[..., ::-1]
+        css = np.cumsum(u, axis=-1)
+        ks = np.arange(1, z.shape[-1] + 1)
+        feasible = u + (1.0 - css) / ks > 0
+        # k is the last feasible index of each row.
+        k = z.shape[-1] - np.argmax(feasible[..., ::-1], axis=-1)
+        tau = (np.take_along_axis(css, (k - 1)[..., None], axis=-1) - 1.0) / k[..., None]
+        return np.maximum(z - tau, 0.0)
 
 
 class EntropicSimplex(_SimplexSet):

@@ -21,9 +21,10 @@ Every step enforces the movement invariants ||x_t - y_{t-1}|| <= eta_t G and
 ||y_t - y_{t-1}|| <= eta_t G (hence Z_t <= G), where G bounds the dual norm
 of the sampled operator; a violation, a non-finite operator value or a
 non-finite iterate aborts the run with the step index and step size in the
-exception, and so does an adaptive step size that leaves the floating-point
-range (eta_t = 0 or inf, or eta_t^2 = 0) at extreme payoff scales or G0.
-``SolverConfig`` rejects a fixed step whose square underflows.
+exception, and so does a step size out of floating-point range (eta_t = 0
+or inf, or eta_t^2 = 0), which the adaptive rule reaches at extreme payoff
+scales or G0. The frozen ``SolverConfig`` rejects a fixed step whose square
+underflows.
 
 Arguments are validated once, at the public entry points: the geometry's
 ``prox_step``, ``VIProblem.operator`` (dimension of the query point),
@@ -38,7 +39,7 @@ at about ``_NOISE_BLOCK_BYTES`` of a seed's rows. Prox outputs are
 feasible by construction, so the loop's query points need no feasibility
 check. Each of the three movement norms is computed once per step, and
 both prox steps share one ``_prox_base`` of their anchor and one
-``_steps`` of their step sizes, which a fixed-step solve builds once.
+``_steps`` of their step sizes.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
 its oracle, all oracles or all None) as (S, d) arrays, one seed per row; a
@@ -138,7 +139,7 @@ class GapCheckError(SolverError):
     """The running average is infeasible or its duality gap not finite or below -1e-9."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget, step-size prior G0, mode, its fixed step ``eta``
     (fixed-step only), trace thinning, and the gap spacing: gaps at
@@ -367,21 +368,20 @@ def _run_loop(
     gx_sum = [0.0] * n if streamed else None
     eval_every = config.eval_every
     no_gaps = [None] * n
-    if fixed:
-        etas = [config.eta] * n  # range-checked by SolverConfig
-        step = geom._steps(etas)  # built once per solve
 
     for t in range(1, config.iterations + 1):
-        if not fixed:
+        if fixed:
+            etas = [config.eta] * n
+        else:
             etas = [update_eta(z, diameter, config.g0) for z in z_sq_accum]
-            for s, eta in enumerate(etas):
-                # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
-                if not (eta * eta > 0.0 and eta < math.inf):
-                    raise DivergenceError(
-                        t, eta, "step size out of floating-point range: eta_t must be "
-                        "positive and finite, with a nonzero square", seeds[s]
-                    )
-            step = geom._steps(etas)
+        for s, eta in enumerate(etas):
+            # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
+            if not (eta * eta > 0.0 and eta < math.inf):
+                raise DivergenceError(
+                    t, eta, "step size out of floating-point range: eta_t must be "
+                    "positive and finite, with a nonzero square", seeds[s]
+                )
+        step = geom._steps(etas)
         base = geom._prox_base(y_prev)  # shared by both prox steps from y_{t-1}
         m = sample(y_prev, t, etas)
         x = geom._prox_from(base, m, step)
@@ -403,17 +403,16 @@ def _run_loop(
             z_sq = compute_z_sq(xy_norm, xy_prev_norm, eta)
             ratio_x = xy_prev_norm / eta
             ratio_y = norms[2 * n + s] / eta
-            if math.isfinite(g_cap):
-                if ratio_x > g_cap + _MOVEMENT_TOL or ratio_y > g_cap + _MOVEMENT_TOL:
-                    raise InvariantError(
-                        t, eta, f"movement/eta ratio {max(ratio_x, ratio_y):.6g} "
-                        f"exceeds operator bound {g_cap:.6g}", seeds[s]
-                    )
-                if z_sq > g_cap * g_cap + _MOVEMENT_TOL:
-                    raise InvariantError(
-                        t, eta, f"Z^2 = {z_sq:.6g} exceeds G^2 = {g_cap * g_cap:.6g}",
-                        seeds[s]
-                    )
+            # An infinite or NaN G fails neither comparison.
+            if ratio_x > g_cap + _MOVEMENT_TOL or ratio_y > g_cap + _MOVEMENT_TOL:
+                raise InvariantError(
+                    t, eta, f"movement/eta ratio {max(ratio_x, ratio_y):.6g} "
+                    f"exceeds operator bound {g_cap:.6g}", seeds[s]
+                )
+            if z_sq > g_cap * g_cap + _MOVEMENT_TOL:
+                raise InvariantError(
+                    t, eta, f"Z^2 = {z_sq:.6g} exceeds G^2 = {g_cap * g_cap:.6g}", seeds[s]
+                )
             max_xy[s] = max(max_xy[s], ratio_x)
             max_yy[s] = max(max_yy[s], ratio_y)
             max_zsq[s] = max(max_zsq[s], z_sq)

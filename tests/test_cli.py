@@ -256,6 +256,14 @@ class TestRun:
         mirrored = {"iterations", "g0", "mode", "eta", "record_every", "eval_every"}
         assert not mirrored & {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
 
+    def test_config_is_frozen(self, tmp_path):
+        config = cli.ExperimentConfig.from_dict(json.loads(write_config(tmp_path).read_text()))
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.solve.iterations = 0
+
     def test_problem_without_gap_evaluator_exits_2(self, tmp_path, monkeypatch, capsys):
         rps = operators.make_problem("rps")
         bare = dataclasses.replace(rps, dual_gap_eval=None)

@@ -10,7 +10,6 @@ from uvi.geometry import (
     EuclideanSimplex,
     GeometryError,
     ProductGeometry,
-    project_simplex,
 )
 
 from helpers import bregman_batch, interiorize, prox_objective_batch, sample_batch
@@ -339,6 +338,17 @@ class TestLinearMinimize:
         assert value == pytest.approx(-10.0)
         np.testing.assert_allclose(point, [-1.2, -1.6])
 
+    def test_box_picks_lower_unless_negative(self):
+        # Only a negative coefficient picks the upper bound; 0.0, -0.0 and NaN
+        # pick the lower one, like a positive coefficient.
+        geom = EuclideanBox(np.array([-1.0, -2.0, -3.0, -4.0, -5.0]),
+                            np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        point, _ = geom.linear_minimize(np.array([0.0, -0.0, np.nan, 2.0, -2.0]))
+        assert point.dtype == np.float64
+        np.testing.assert_array_equal(point, [-1.0, -2.0, -3.0, -4.0, 5.0])
+        _, value = geom.linear_minimize(np.array([0.0, -0.0, 0.5, 2.0, -2.0]))
+        assert value == -1.5 - 8.0 - 10.0
+
     def test_beats_random_search(self):
         rng = np.random.default_rng(37)
         for geom in all_geometries():
@@ -374,7 +384,7 @@ class TestConstructionErrors:
         grid = None
         for _ in range(50):
             z = rng.normal(size=3) * 2
-            out = project_simplex(z)
+            out = EuclideanSimplex(3).project(z)
             assert abs(out.sum() - 1.0) < 1e-10 and np.all(out >= 0)
             if grid is None:
                 ticks = np.linspace(0, 1, 101)

@@ -464,6 +464,49 @@ class TestGuards:
         assert str(err.value) == ("aborted at step t=1, eta=1.41421e+10: "
                                   "non-finite iterate (seed 3)")
 
+    def test_movement_ratio_above_g_aborts_naming_the_seed(self):
+        p = dataclasses.replace(make_problem("quadratic-ball"), g_bound=0.5)
+        with pytest.raises(solver.InvariantError) as err:
+            mirror_prox(p, SolverConfig(iterations=5, g0=0.5), oracles={3: None, 9: None})
+        assert str(err.value) == ("aborted at step t=1, eta=1.41421: movement/eta ratio "
+                                  "0.707107 exceeds operator bound 0.5 (seed 3)")
+
+    def test_z_sq_above_g_squared_aborts(self, monkeypatch):
+        # Z^2 divided by 4 eta^2, not 5: the row invariant_checks reports for
+        # that mutant.
+        monkeypatch.setattr(solver, "compute_z_sq",
+                            lambda a, b, eta: (a * a + b * b) / (4.0 * eta * eta))
+        with pytest.raises(solver.InvariantError) as err:
+            mirror_prox(make_problem("l1-ball"),
+                        SolverConfig(iterations=300, g0=math.sqrt(3), record_every=1))
+        assert (err.value.t, err.value.seed) == (221, None)
+        assert str(err.value) == ("aborted at step t=221, eta=0.0318465: "
+                                  "Z^2 = 3.75 exceeds G^2 = 3")
+
+    def test_infinite_g_bound_trips_no_movement_guard(self):
+        p = dataclasses.replace(make_problem("quadratic-ball"), g_bound=math.inf)
+        trace = mirror_prox(p, SolverConfig(iterations=50))
+        assert trace.g_bound == math.inf
+        assert trace.max_xy_ratio == pytest.approx(math.sqrt(2.0))
+
+    def test_config_is_frozen(self):
+        configs = [SolverConfig(iterations=5), fixed(5, 0.5, record_every=5, eval_every=5)]
+        for config in configs:
+            for f in dataclasses.fields(config):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(config, f.name, 0)
+            # replace() builds a new config and checks it again.
+            with pytest.raises(ValueError, match="iterations must be >= 1"):
+                dataclasses.replace(config, iterations=0)
+
+    def test_fixed_step_meets_the_step_size_guard(self):
+        # Both step rules run the loop's one range guard; a zero fixed step
+        # forced past the frozen config aborts there, not in compute_z_sq.
+        config = fixed(5, 0.5)
+        object.__setattr__(config, "eta", 0.0)
+        with pytest.raises(DivergenceError, match="step size out of floating-point range"):
+            mirror_prox(make_problem("rps"), config)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(iterations=0)
@@ -648,8 +691,8 @@ class TestSeedBatch:
 
     @pytest.mark.parametrize("name", sorted(BATCH_PROBLEMS))
     def test_fixed_step_batch_equals_separate_solves(self, name):
-        # The step array is prepared once per solve, on the twin product path
-        # (rps) and the split one (the other games and saddles) too.
+        # Both the twin product path (rps) and the split one (the other games
+        # and saddles).
         problem = BATCH_PROBLEMS[name]()
         oracles = {seed: StochasticOracle(problem, 0.3, rng_seed=seed) for seed in self.SEEDS}
         config = fixed(40, 0.2, record_every=1, eval_every=1)
