@@ -10,7 +10,8 @@ Subcommands:
   checkpoint of that run (see ``uvi.solver``), so each ``T_<T>/``
   directory is byte-identical to a separate ``uvi run`` with that T. The
   T list may be unsorted and hold duplicates; the ``T=`` lines and
-  ``sweep_summary.json`` follow it as given.
+  ``sweep_summary.json`` follow it as given, and the rate fit takes each
+  distinct budget once.
 * ``uvi verify --suite {lemmas,invariants,all} --seed N`` - prints the
   pass/fail table of the inequality oracles and the invariant sweeps, as
   ``uvi.analysis`` computes them for the tests too.
@@ -52,6 +53,7 @@ before anything is solved), 3 numeric abort.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import math
@@ -59,7 +61,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -78,12 +80,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A checked config: the solve settings, the noise bound, the seeds, and
-    the problem, built once. Frozen, so it stays as checked."""
+    the problem, built once. Frozen, on a tuple of seeds and its own copy of
+    the params, so it stays as checked."""
 
     problem_params: dict
     solve: solver.SolverConfig
     noise_bound: Optional[float]
-    seeds: List[int]
+    seeds: Tuple[int, ...]
     output_dir: str
     problem: operators.VIProblem = field(repr=False)
 
@@ -113,7 +116,10 @@ class ExperimentConfig:
             if noise is not None:
                 _object("noise", noise, ("bound",))
             noise_bound = None if noise is None else _real("noise bound", noise["bound"])
-            seeds = [_integer("seeds", s) for s in doc.get("seeds", [0])]
+            seeds = doc.get("seeds", [0])
+            if not isinstance(seeds, list):
+                raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+            seeds = [_integer("seeds", s) for s in seeds]
             eval_every = _optional(_integer, "eval_every", doc.get("eval_every"))
             record_every = _integer("record_every", doc.get("record_every", 1))
             output_dir = doc.get("output_dir", "uvi-out")
@@ -146,8 +152,9 @@ class ExperimentConfig:
         built = operators.make_problem(name, **params)
         if built.dual_gap_eval is None:
             raise ConfigError(f"problem {name!r} has no duality-gap evaluator")
-        return cls(problem_params=params, solve=solve, noise_bound=noise_bound,
-                   seeds=seeds, output_dir=output_dir, problem=built)
+        return cls(problem_params=copy.deepcopy(params), solve=solve,
+                   noise_bound=noise_bound, seeds=tuple(seeds), output_dir=output_dir,
+                   problem=built)
 
 
 # The catalog's number rules: 1e3 is an integer; bools and strings are not numbers.
@@ -360,7 +367,8 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     sweep_summary = {"t_values": [int(t) for t, _ in points],
                      "mean_final_gaps": [g for _, g in points]}
     try:
-        fit = analysis.rate_fit(points)
+        # One point per distinct budget: a repeated T is not more data.
+        fit = analysis.rate_fit(list(mean_gaps.items()))
         sweep_summary["rate_fit"] = fit
         print(f"rate fit: exponent {fit['exponent']:.4f}, r2 {fit['r2']:.4f}")
     except ValueError as exc:

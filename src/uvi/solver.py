@@ -31,14 +31,11 @@ Arguments are validated once, at the public entry points: the geometry's
 ``noisy_eval`` (dimension and feasibility, the boundary for callers that
 sample the oracle themselves) and ``dual_gap``. The loop calls the
 unchecked ``operator_eval`` and the geometry's unchecked prox and norm
-kernels on raw arrays, and adds each oracle's noise rows itself: the
-seeds' rows sit in one (rows, S, d) stack, refilled slab by slab
-from each seed's own ``_noise(rows)`` and never past the run's 2T draws,
-and each sample adds one slice of it; the loop alone sizes the slabs,
-at about ``_NOISE_BLOCK_BYTES`` of a seed's rows. Prox outputs are
-feasible by construction, so the loop's query points need no feasibility
-check. Each of the three movement norms is computed once per step, and
-both prox steps share one ``_prox_base`` of their anchor and one
+kernels on raw arrays, and adds each oracle's noise rows itself, from
+slabs it alone sizes and never past the run's 2T draws (see ``_sampler``).
+Prox outputs are feasible by construction, so the loop's query points need
+no feasibility check. Each of the three movement norms is computed once per
+step, and both prox steps share one ``_prox_base`` of their anchor and one
 ``_steps`` of their step sizes.
 
 One loop solves a batch of seeds (``oracles=``, a mapping from each seed to
@@ -47,10 +44,12 @@ single solve is the S = 1 batch, a (1, d) stack. The kernels reduce row by
 row (see ``uvi.geometry``), and the operator and gap evaluator take the
 whole stack and give each row bitwise its own value (see ``VIProblem``), so
 every seed's trace is bitwise the trace of its own solve. Each seed keeps its
-own oracle and generator, and its step size, Z^2 sum, maxima and every
-guard stay per-seed Python floats; an abort names the seed. A batch
-returns a ``RunBatch``: one trace per seed, with ``iterations`` and
-``records`` over all seeds.
+own oracle and generator, and its own running ``RunTrace`` inside the loop:
+its Z^2 sum, maxima, gx_sum and records, updated in place, and its step
+size, all per-seed Python floats, as is every guard; an abort names the
+seed. The running traces never leave the loop; only their snapshots are
+returned. A batch returns a ``RunBatch``: one trace per seed, with
+``iterations`` and ``records`` over all seeds.
 
 A recorded step (``StepRecord``) keeps scalars only: the ones the step
 rule and the Lemma 3 regret bound are built from, ||x_t - y_t||,
@@ -73,12 +72,13 @@ vectors themselves.
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. ``mirror_prox``
 takes ``checkpoints``, budgets in ``1..iterations``: at each one the loop
-snapshots what a run with ``iterations=T`` would return (``x_avg`` from the
-same Kahan sum, ``eta_final``, ``z_sq_total``, the three maxima, the two
-regret sums, and the records ``t % record_every == 0 or t == T``, the last
-one with its gap), available as ``trace.prefix(T)`` and bitwise equal to
-that separate run. The returned trace itself is the full run; its records
-hold no extra checkpoint rows or gaps.
+snapshots each seed's running trace as what a run with ``iterations=T``
+would return (``x_avg`` from the same Kahan sum, ``eta_final``,
+``z_sq_total``, the three maxima, the two regret sums, and the records
+``t % record_every == 0 or t == T``, the last one with its gap), available
+as ``trace.prefix(T)`` and bitwise equal to that separate run. The
+returned trace itself is the snapshot at the full budget; its records hold
+no extra checkpoint rows or gaps.
 """
 
 from __future__ import annotations
@@ -208,6 +208,9 @@ class StepRecord:
 @dataclass
 class RunTrace:
     """Recorded steps plus exact aggregates of a single run.
+
+    The loop updates each seed's running trace in place and returns only
+    snapshots of it, which share no list, array or dict with each other.
 
     With every step recorded (record_every=1), g_sum = sum_t g_t, summed in
     step order, and gx_sum = sum_t g_t.x_t are the streamed sums the
@@ -348,24 +351,22 @@ def _run_loop(
             raise ValueError("oracle was built for a different problem instance")
     if len({o is None for o in oracles}) > 1:
         raise ValueError("oracles must be all StochasticOracles or all None, not a mix")
-    g_caps = [problem.g_bound if o is None else o.g_bound for o in oracles]
     sample = _sampler(problem, oracles, seeds, 2 * config.iterations)
 
     y_prev = np.tile(geom.min_point(), (n, 1))
     sum_x = np.zeros((n, dim))
     comp = np.zeros((n, dim))
-    records: List[List[StepRecord]] = [[] for _ in range(n)]
-    snapshots: List[Dict[int, RunTrace]] = [{} for _ in range(n)]
-    # Each seed's step size, Z^2 sum and maxima stay Python floats.
-    z_sq_accum = [0.0] * n
-    max_xy = [0.0] * n
-    max_yy = [0.0] * n
-    max_zsq = [0.0] * n
-    z_sqs = [0.0] * n
     # The regret sums are streamed only where every step is recorded.
     streamed = config.record_every == 1
     g_sum = np.zeros((n, dim)) if streamed else None
-    gx_sum = [0.0] * n if streamed else None
+    # Each seed's running trace: its Z^2 sum, maxima, gx_sum and records,
+    # updated in place as Python floats; every checkpoint snapshots it.
+    runs = [RunTrace(iterations=0, record_every=config.record_every,
+                     g_bound=problem.g_bound if o is None else o.g_bound, records=[],
+                     x_avg=None, eta_final=math.nan, z_sq_total=0.0, max_xy_ratio=0.0,
+                     max_yy_ratio=0.0, max_z_sq=0.0, gx_sum=0.0 if streamed else None)
+            for o in oracles]
+    z_sqs = [0.0] * n
     eval_every = config.eval_every
     no_gaps = [None] * n
 
@@ -373,7 +374,7 @@ def _run_loop(
         if fixed:
             etas = [config.eta] * n
         else:
-            etas = [update_eta(z, diameter, config.g0) for z in z_sq_accum]
+            etas = [update_eta(run.z_sq_total, diameter, config.g0) for run in runs]
         for s, eta in enumerate(etas):
             # Z_t^2 divides by eta_t^2, so the square must not underflow to 0 either.
             if not (eta * eta > 0.0 and eta < math.inf):
@@ -397,8 +398,8 @@ def _run_loop(
             if not finite.all():
                 s = int(np.argmin(finite))
                 raise DivergenceError(t, etas[s], "non-finite iterate", seeds[s])
-        for s in range(n):
-            eta, g_cap = etas[s], g_caps[s]
+        for s, run in enumerate(runs):
+            eta, g_cap = etas[s], run.g_bound
             xy_norm, xy_prev_norm = norms[s], norms[n + s]
             z_sq = compute_z_sq(xy_norm, xy_prev_norm, eta)
             ratio_x = xy_prev_norm / eta
@@ -413,10 +414,10 @@ def _run_loop(
                 raise InvariantError(
                     t, eta, f"Z^2 = {z_sq:.6g} exceeds G^2 = {g_cap * g_cap:.6g}", seeds[s]
                 )
-            max_xy[s] = max(max_xy[s], ratio_x)
-            max_yy[s] = max(max_yy[s], ratio_y)
-            max_zsq[s] = max(max_zsq[s], z_sq)
-            z_sq_accum[s] += z_sq
+            run.max_xy_ratio = max(run.max_xy_ratio, ratio_x)
+            run.max_yy_ratio = max(run.max_yy_ratio, ratio_y)
+            run.max_z_sq = max(run.max_z_sq, z_sq)
+            run.z_sq_total += z_sq
             z_sqs[s] = z_sq
 
         # Kahan-compensated running sum keeps the average exact to ~1e-16.
@@ -445,39 +446,28 @@ def _run_loop(
                         raise GapCheckError(
                             t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
                         ) from exc
-            for s in range(n):
+            for s, run in enumerate(runs):
                 if streamed:
-                    gx_sum[s] += gx[s]
+                    run.gx_sum += gx[s]
                 rec = StepRecord(t=t, eta=etas[s], z_sq=z_sqs[s], xy_norm=norms[s],
                                  xy_prev_norm=norms[n + s], gm_dual_norm=gm_norms[s],
                                  gap=gaps[s] if eval_step else None)
                 if on_schedule:
-                    records[s].append(rec)
+                    run.records.append(rec)
                 if at_budget:
                     # A run of t steps also records its last step, with its gap,
                     # off either schedule; that row belongs to this snapshot only.
                     last = rec if eval_step else dataclasses.replace(rec, gap=gaps[s])
-                    kept = records[s][:-1] if on_schedule else records[s]
-                    snapshots[s][t] = RunTrace(
-                        iterations=t,
-                        record_every=config.record_every,
-                        g_bound=g_caps[s],
-                        records=kept + [last],
-                        x_avg=x_avg[s].copy(),
-                        eta_final=etas[s],
-                        z_sq_total=z_sq_accum[s],
-                        max_xy_ratio=max_xy[s],
-                        max_yy_ratio=max_yy[s],
-                        max_z_sq=max_zsq[s],
-                        g_sum=None if g_sum is None else g_sum[s].copy(),
-                        gx_sum=None if gx_sum is None else gx_sum[s],
-                    )
+                    kept = run.records[:-1] if on_schedule else run.records
+                    run.checkpoints[t] = dataclasses.replace(
+                        run, iterations=t, records=kept + [last], x_avg=x_avg[s].copy(),
+                        eta_final=etas[s], g_sum=None if g_sum is None else g_sum[s].copy(),
+                        checkpoints={})
 
-    traces = []
-    for seed_snapshots in snapshots:
-        trace = seed_snapshots.pop(config.iterations)
-        trace.checkpoints = seed_snapshots
-        traces.append(trace)
+    # Each seed returns its last snapshot, holding the earlier ones.
+    traces = [run.checkpoints.pop(config.iterations) for run in runs]
+    for trace, run in zip(traces, runs):
+        trace.checkpoints = run.checkpoints
     return traces
 
 

@@ -181,6 +181,9 @@ class TestRun:
         # The variance bound is derived from the noise bound, never configured.
         ({"noise": {"bound": 0.5, "sigma_sq": 0.25}},
          "unknown noise key 'sigma_sq'; known keys: bound"),
+        # These used to read "'int' object is not iterable" and "got '1'".
+        ({"seeds": 5}, "seeds must be a list of integers, got 5"),
+        ({"seeds": "12"}, "seeds must be a list of integers, got '12'"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "noise-square-overflows", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
@@ -195,7 +198,7 @@ class TestRun:
             "x0-nan", "x0-inf", "x0-1e200-norm-overflows", "x0-1e160-norm-overflows",
             "output-dir-null", "output-dir-bool", "output-dir-int", "output-dir-list",
             "config-key-unknown", "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
-            "noise-sigma-sq-key"])
+            "noise-sigma-sq-key", "seeds-int", "seeds-string"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
@@ -263,6 +266,18 @@ class TestRun:
                 setattr(config, f.name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.solve.iterations = 0
+        with pytest.raises(AttributeError):
+            config.seeds.append(1)
+
+    def test_config_owns_its_inputs(self, tmp_path):
+        ball = {"name": "quadratic-ball", "params": {"radius": 1.0, "x0": [2.0, 0.0]}}
+        doc = json.loads(write_config(tmp_path, problem=ball, seeds=[0, 1]).read_text())
+        config = cli.ExperimentConfig.from_dict(doc)
+        doc["problem"]["params"]["radius"] = 9.0
+        doc["problem"]["params"]["x0"].append(1.0)
+        doc["seeds"].append(2)
+        assert config.problem_params == {"radius": 1.0, "x0": [2.0, 0.0]}
+        assert config.seeds == (0, 1)
 
     def test_problem_without_gap_evaluator_exits_2(self, tmp_path, monkeypatch, capsys):
         rps = operators.make_problem("rps")
@@ -407,6 +422,22 @@ class TestSweep:
         assert doc["rate_fit"]["exponent"] < 0
         for T in (100, 200, 400):
             assert (tmp_path / "out" / f"T_{T}" / "summary.json").exists()
+
+    def test_repeated_budget_is_one_fit_point(self, tmp_path, capsys):
+        path = write_config(tmp_path, problem={"name": "l1-ball", "params": {}}, eval_every=OMIT)
+        assert cli.main(["sweep", str(path), "--T", "50,50,50"]) == 0
+        out = capsys.readouterr().out
+        assert "rate fit skipped" in out and out.count("T=50:") == 3
+        doc = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert doc["t_values"] == [50, 50, 50] and doc["rate_fit"] is None
+
+        def fit(t_list):
+            assert cli.main(["sweep", str(path), "--T", t_list]) == 0
+            return json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+
+        repeated, distinct = fit("30,10,20,10"), fit("30,10,20")
+        assert repeated["t_values"] == [30, 10, 20, 10]
+        assert repeated["rate_fit"] == distinct["rate_fit"] is not None
 
     def test_sweep_bad_config(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "bogus", "params": {}})

@@ -35,7 +35,7 @@ def test_readme_config_runs(tmp_path, monkeypatch, capsys, mode):
     if mode is not None:
         doc["mode"] = json.loads(mode)
     config = cli.ExperimentConfig.from_dict(doc)
-    assert (config.solve.iterations, config.seeds) == (doc["T"], doc["seeds"])
+    assert (config.solve.iterations, config.seeds) == (doc["T"], tuple(doc["seeds"]))
     # A shorter budget, written under the test's own directory.
     doc.update(T=200, output_dir=str(tmp_path / "out"))
     path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -394,6 +395,27 @@ class TestCheckpoints:
             assert prefix.eta_final == prefix.records[-1].eta
             assert_same_trace(prefix,
                               checkpoint_solve(problem, "universal", 0.4, T, record_every=1))
+
+    @pytest.mark.parametrize("mutated", [20, 40, 60])
+    def test_checkpoint_traces_share_nothing(self, mutated):
+        def solve():
+            full = checkpoint_solve(make_problem("l1-ball"), "universal", 0.4, 60, (20, 40),
+                                    record_every=1)
+            return {T: full.prefix(T) for T in (20, 40, 60)}
+
+        traces, fresh = solve(), solve()
+        for a, b in itertools.combinations(traces.values(), 2):
+            assert a.records is not b.records and a.checkpoints is not b.checkpoints
+            assert not np.shares_memory(a.x_avg, b.x_avg)
+            assert not np.shares_memory(a.g_sum, b.g_sum)
+        trace = traces[mutated]
+        trace.records.append(trace.records[0])
+        trace.x_avg += 1.0
+        trace.g_sum += 1.0
+        trace.checkpoints[0] = trace
+        for T in traces.keys() - {mutated}:
+            assert_same_trace(traces[T], fresh[T])
+            assert traces[T].checkpoints.keys() == fresh[T].checkpoints.keys()
 
     def test_unrequested_budget_has_no_prefix(self):
         trace = checkpoint_solve(make_problem("l1-ball"), "universal", 0.0, 20, (5,))
