@@ -339,8 +339,11 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
 
     Per pair: monotonicity of F, compatibility Delta(x, y) <= F(x).(x - y),
     convexity of Delta in x, ||F(x)||* <= G and, when the problem states
-    one, ||F(x) - F(y)||* <= L ||x - y||. Then the exact gap must be
-    non-negative at 100 random points and zero at ``known_solution``.
+    one, ||F(x) - F(y)||* <= L ||x - y||. Then at 100 random points x, each
+    with a fresh y, the stated gap must be finite, non-negative and within
+    Delta(x, y) <= gap(x) <= F(x).x - min_K F(x).y, the supremum of the
+    compatibility bound, both to 1e-9; and it must be zero at
+    ``known_solution``.
     """
     rng = np.random.default_rng(seed)
     geom = problem.geom
@@ -363,10 +366,19 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
             if geom.dual_norm(fx - fy) > lips * geom.primal_norm(x - y) * (1 + 1e-6) + 1e-12:
                 return False, f"L bound pair {i}"
     for i in range(100):
+        x, y = geom.sample(rng), geom.sample(rng)
         try:
-            gap.dual_gap(problem, geom.sample(rng))
+            value = gap.dual_gap(problem, x)
         except gap.GapError as exc:  # a gap that is not finite or below -1e-9
             return False, f"gap sample {i}: {exc}"
+        lower = problem.gap(x, y)
+        if value < lower - 1e-9:
+            return False, f"gap sample {i} below Delta(x, y) = {lower:.6g}: gap {value:.6g}"
+        fx = problem.operator(x)
+        upper = float(fx @ x) - geom.linear_minimize(fx)[1]
+        if value > upper + 1e-9:
+            return False, (f"gap sample {i} above F(x).x - min_K F(x).y = {upper:.6g}: "
+                           f"gap {value:.6g}")
     if problem.known_solution is not None:
         if gap.dual_gap(problem, problem.known_solution) > 1e-9:
             return False, "known solution has positive gap"

@@ -19,8 +19,8 @@ __all__ = ["GapError", "dual_gap"]
 
 
 class GapError(ValueError):
-    """Infeasible query point, missing duality-gap evaluator, or a gap not
-    finite or below -1e-9; ``row`` is the failing row of a stacked evaluation."""
+    """Infeasible query point, or a gap not of one value per row, not finite
+    or below -1e-9; ``row`` is the failing row of a stacked evaluation."""
 
     def __init__(self, message: str, row: int = 0):
         super().__init__(message)
@@ -28,7 +28,7 @@ class GapError(ValueError):
 
 
 def dual_gap(problem: VIProblem, x) -> float:
-    """Exact duality gap at a feasible point via the registered evaluator."""
+    """Exact duality gap at a feasible point via the problem's evaluator."""
     return _dual_gaps(problem, problem.geom.check_point(x)[None])[0]
 
 
@@ -44,10 +44,7 @@ def _dual_gaps(problem: VIProblem, points: np.ndarray) -> List[float]:
     feasible = geom._contains(points, 1e-8)
     if not feasible.all():
         raise GapError(f"point is not feasible for {geom.kind}", int(np.argmin(feasible)))
-    evaluate = problem.dual_gap_eval
-    if evaluate is None:
-        raise GapError(f"problem {problem.name!r} has no registered duality-gap evaluator")
-    values = np.asarray(evaluate(points), dtype=float)
+    values = np.asarray(problem.dual_gap_eval(points), dtype=float)
     if values.shape != (len(points),):
         raise GapError(f"duality-gap evaluator must return one value per row, "
                        f"got shape {values.shape}")

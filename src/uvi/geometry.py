@@ -87,8 +87,8 @@ class Geometry:
     def prox_step(self, anchor, direction, eta) -> np.ndarray:
         anchor = self.check_point(anchor)
         direction = self.check_point(direction)
-        if not eta > 0:
-            raise GeometryError(f"prox step size must be positive, got {eta}")
+        if not 0 < eta < math.inf:
+            raise GeometryError(f"prox step size must be positive and finite, got {eta}")
         if not np.all(np.isfinite(direction)):
             raise GeometryError("prox direction has non-finite components")
         self._check_anchor(anchor)

@@ -75,11 +75,12 @@ class UnknownProblemError(ValueError):
 class VIProblem:
     """A monotone operator with a compatible gap function over a feasible set.
 
-    ``g_bound`` is a bound on the dual norm of F over K (and of any oracle
-    sample); ``smoothness`` is the dual-norm Lipschitz constant of F when it
-    exists; ``dual_gap_eval`` evaluates the exact duality gap when one is
-    registered. ``params`` is empty but for a matrix game's, which holds
-    its payoff array under ``"matrix"``.
+    ``dual_gap_eval`` evaluates the exact duality gap, which every problem
+    states; a value that is not callable raises TypeError. ``g_bound`` is a
+    bound on the dual norm of F over K (and of any oracle sample);
+    ``smoothness`` is the dual-norm Lipschitz constant of F when it exists.
+    ``params`` is empty but for a matrix game's, which holds its payoff
+    array under ``"matrix"``.
 
     ``operator_eval`` maps an (S, d) stack of points to a new (S, d) array
     whose row s is bitwise its value at row s alone, and ``dual_gap_eval``
@@ -92,11 +93,16 @@ class VIProblem:
     geom: Geometry
     operator_eval: Callable[[np.ndarray], np.ndarray]
     gap_eval: Callable[[np.ndarray, np.ndarray], float]
+    dual_gap_eval: Callable[[np.ndarray], np.ndarray]
     g_bound: float
     smoothness: Optional[float] = None
-    dual_gap_eval: Optional[Callable[[np.ndarray], float]] = None
     known_solution: Optional[np.ndarray] = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not callable(self.dual_gap_eval):
+            raise TypeError(f"problem {self.name!r}: dual_gap_eval must be callable, "
+                            f"got {self.dual_gap_eval!r}")
 
     def operator(self, x) -> np.ndarray:
         return np.asarray(self.operator_eval(self.geom.check_point(x)[None]), dtype=float)[0]
@@ -151,9 +157,9 @@ def convex_min_problem(
         operator_eval=((lambda x: np.asarray(grad(x), dtype=float)) if batched
                        else _by_row(grad, (geom.dim,))),
         gap_eval=gap_eval,
+        dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value, ()),
         g_bound=float(g_bound),
         smoothness=smoothness,
-        dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value, ()),
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
     )
 
@@ -165,19 +171,20 @@ def saddle_problem(
     geom_u: Geometry,
     geom_v: Geometry,
     *,
+    dual_gap_eval,
     g_bound: float,
     smoothness: Optional[float] = None,
     name: str = "saddle",
-    dual_gap_eval=None,
     known_solution=None,
 ) -> VIProblem:
     """Adapt a convex-concave function phi(u, v) to the gap-function interface.
 
     F(u, v) = (grad_u phi, -grad_v phi) and
     Delta((u, v), (u0, v0)) = phi(u, v0) - phi(u0, v), both over the scaled
-    product geometry of the two blocks. ``grad_u`` and ``grad_v``, and
-    ``dual_gap_eval`` if given, take one point and are called row by row
-    of a stack (see ``VIProblem``).
+    product geometry of the two blocks. ``dual_gap_eval`` is the caller's
+    exact duality gap max_{v'} phi(u, v') - min_{u'} phi(u', v), taken as
+    given. ``grad_u``, ``grad_v`` and ``dual_gap_eval`` take one point and
+    are called row by row of a stack (see ``VIProblem``).
     """
     geom = ProductGeometry(geom_u, geom_v)
     u0, v0 = geom_u.min_point(), geom_v.min_point()
@@ -201,9 +208,9 @@ def saddle_problem(
         geom=geom,
         operator_eval=_by_row(operator_eval, (geom.dim,)),
         gap_eval=gap_eval,
+        dual_gap_eval=_by_row(dual_gap_eval, ()),
         g_bound=float(g_bound),
         smoothness=smoothness,
-        dual_gap_eval=None if dual_gap_eval is None else _by_row(dual_gap_eval, ()),
         known_solution=known_solution,
     )
 
@@ -347,9 +354,9 @@ def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
         geom=geom,
         operator_eval=operator_eval,
         gap_eval=gap_eval,
+        dual_gap_eval=dual_gap_eval,
         g_bound=g_bound,
         smoothness=smoothness,
-        dual_gap_eval=dual_gap_eval,
         params={"matrix": A},
     )
 

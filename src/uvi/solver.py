@@ -58,13 +58,12 @@ running average x_bar_t = (x_1 + ... + x_t) / t where one is due. Gaps are
 due at every multiple of ``SolverConfig.eval_every`` and at the last step
 of every checkpoint, and the loop evaluates them in place, for all seeds
 in one call through the checked ``uvi.gap`` path (feasibility to 1e-8, a
-finite gap no lower than -1e-9); a failure aborts the run. A problem without a
-duality-gap evaluator records no gaps. So a trace holds no d-vector per
-step, only its O(d) aggregates. With every step recorded, the loop also streams the two sums the
-hindsight regret needs, sum_t g_t and sum_t g_t.x_t, into the trace
-(``g_sum``, ``gx_sum``), and ``uvi.analysis.replay_steps`` re-runs the
-steps through the public checked methods wherever a check needs the
-vectors themselves.
+finite gap no lower than -1e-9); a failure aborts the run. So a trace
+holds no d-vector per step, only its O(d) aggregates. With every step
+recorded, the loop also streams the two sums the hindsight regret needs,
+sum_t g_t and sum_t g_t.x_t, into the trace (``g_sum``, ``gx_sum``), and
+``uvi.analysis.replay_steps`` re-runs the steps through the public checked
+methods wherever a check needs the vectors themselves.
 
 ``mirror_prox`` takes every solve setting from one ``SolverConfig``, whose
 ``mode`` names the step rule.
@@ -85,7 +84,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
@@ -139,12 +138,22 @@ class GapCheckError(SolverError):
     """The running average is infeasible or its duality gap not finite or below -1e-9."""
 
 
+def _as_integer(key: str, value) -> int:
+    """``value`` as an int if it is an integer, numpy's included; a bool or a
+    float is not one (ValueError)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Iteration budget, step-size prior G0, mode, its fixed step ``eta``
     (fixed-step only), trace thinning, and the gap spacing: gaps at
     multiples of ``eval_every`` (a multiple of ``record_every``) and at each
-    checkpoint's last step, or at the checkpoints only when it is None."""
+    checkpoint's last step, or at the checkpoints only when it is None.
+    ``iterations``, ``record_every`` and ``eval_every`` are integers; a bool
+    or a float, even an integral one, raises ValueError."""
 
     iterations: int
     g0: float = 1.0
@@ -154,6 +163,10 @@ class SolverConfig:
     eval_every: Optional[int] = None
 
     def __post_init__(self):
+        _as_integer("iterations", self.iterations)
+        _as_integer("record_every", self.record_every)
+        if self.eval_every is not None:
+            _as_integer("eval_every", self.eval_every)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (self.g0 > 0 and math.isfinite(self.g0)):
@@ -279,7 +292,7 @@ def compute_z_sq(xy_norm: float, xy_prev_norm: float, eta_t: float) -> float:
 
 
 def _checkpoint_set(checkpoints: Iterable[int], iterations: int) -> set:
-    budgets = {operator.index(T) for T in checkpoints}
+    budgets = {_as_integer("checkpoint", T) for T in checkpoints}
     bad = sorted(T for T in budgets if not 1 <= T <= iterations)
     if bad:
         raise ValueError(f"checkpoints must lie in 1..{iterations}, got {bad}")
@@ -368,7 +381,6 @@ def _run_loop(
             for o in oracles]
     z_sqs = [0.0] * n
     eval_every = config.eval_every
-    no_gaps = [None] * n
 
     for t in range(1, config.iterations + 1):
         if fixed:
@@ -436,33 +448,30 @@ def _run_loop(
             gm_norms = geom._dual_norm(g - m).tolist()
             # eval_every is a multiple of record_every, so an eval step is on schedule.
             eval_step = eval_every is not None and t % eval_every == 0
-            gaps = no_gaps
             if eval_step or at_budget:
                 x_avg = sum_x / t
-                if problem.dual_gap_eval is not None:
-                    try:
-                        gaps = _dual_gaps(problem, x_avg)
-                    except GapError as exc:
-                        raise GapCheckError(
-                            t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
-                        ) from exc
+                try:
+                    gaps = _dual_gaps(problem, x_avg)
+                except GapError as exc:
+                    raise GapCheckError(
+                        t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
+                    ) from exc
             for s, run in enumerate(runs):
                 if streamed:
                     run.gx_sum += gx[s]
                 rec = StepRecord(t=t, eta=etas[s], z_sq=z_sqs[s], xy_norm=norms[s],
                                  xy_prev_norm=norms[n + s], gm_dual_norm=gm_norms[s],
                                  gap=gaps[s] if eval_step else None)
-                if on_schedule:
-                    run.records.append(rec)
                 if at_budget:
                     # A run of t steps also records its last step, with its gap,
                     # off either schedule; that row belongs to this snapshot only.
-                    last = rec if eval_step else dataclasses.replace(rec, gap=gaps[s])
-                    kept = run.records[:-1] if on_schedule else run.records
                     run.checkpoints[t] = dataclasses.replace(
-                        run, iterations=t, records=kept + [last], x_avg=x_avg[s].copy(),
-                        eta_final=etas[s], g_sum=None if g_sum is None else g_sum[s].copy(),
-                        checkpoints={})
+                        run, iterations=t,
+                        records=run.records + [dataclasses.replace(rec, gap=gaps[s])],
+                        x_avg=x_avg[s].copy(), eta_final=etas[s],
+                        g_sum=None if g_sum is None else g_sum[s].copy(), checkpoints={})
+                if on_schedule:
+                    run.records.append(rec)
 
     # Each seed returns its last snapshot, holding the earlier ones.
     traces = [run.checkpoints.pop(config.iterations) for run in runs]

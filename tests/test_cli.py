@@ -279,14 +279,6 @@ class TestRun:
         assert config.problem_params == {"radius": 1.0, "x0": [2.0, 0.0]}
         assert config.seeds == (0, 1)
 
-    def test_problem_without_gap_evaluator_exits_2(self, tmp_path, monkeypatch, capsys):
-        rps = operators.make_problem("rps")
-        bare = dataclasses.replace(rps, dual_gap_eval=None)
-        monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bare)
-        assert cli.cmd_run(str(write_config(tmp_path))) == 2
-        assert "'rps' has no duality-gap evaluator" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     def test_numeric_abort_exits_3(self, tmp_path, monkeypatch, capsys):
         bad = convex_min_problem(
             f=lambda x: 0.5 * float(x @ x),

@@ -77,16 +77,19 @@ class TestDualGap:
         assert probed >= 0.5 * exact  # the search does get within range
 
     def test_missing_evaluator(self):
-        p = saddle_problem(
-            phi=lambda u, v: float(u @ u) / 2 - float(v @ v) / 2,
-            grad_u=lambda u, v: u,
-            grad_v=lambda u, v: -v,
-            geom_u=EntropicSimplex(2),
-            geom_v=EntropicSimplex(2),
-            g_bound=2.0,
-        )
-        with pytest.raises(GapError):
-            dual_gap(p, p.geom.min_point())
+        # Every problem states its exact gap: the saddle adapter requires it,
+        # and a problem cannot be rebuilt without one.
+        with pytest.raises(TypeError, match="dual_gap_eval"):
+            saddle_problem(
+                phi=lambda u, v: float(u @ u) / 2 - float(v @ v) / 2,
+                grad_u=lambda u, v: u,
+                grad_v=lambda u, v: -v,
+                geom_u=EntropicSimplex(2),
+                geom_v=EntropicSimplex(2),
+                g_bound=2.0,
+            )
+        with pytest.raises(TypeError, match="'rps': dual_gap_eval must be callable, got None"):
+            dataclasses.replace(make_problem("rps"), dual_gap_eval=None)
 
 
 def streamed_gaps(trace):
@@ -207,13 +210,6 @@ class TestGapSeries:
         assert trace.records[6].gap is None
         assert trace.prefix(7).records[-1].gap == dual_gap(p, trace.prefix(7).x_avg)
 
-    def test_no_evaluator_records_no_gaps(self):
-        p = saddle_problem(phi=lambda u, v: 0.0, grad_u=lambda u, v: 0.0 * u,
-                           grad_v=lambda u, v: 0.0 * v, geom_u=EntropicSimplex(2),
-                           geom_v=EntropicSimplex(2), g_bound=1.0)
-        trace = mirror_prox(p, SolverConfig(iterations=6, eval_every=2))
-        assert streamed_gaps(trace) == []
-
 
 class TestRegret:
     def _simplex_problem(self):
@@ -299,6 +295,10 @@ class TestGapCertificate:
             catalog[name] = doubled(catalog[name])
         monkeypatch.setattr(operators, "builtin_problems", lambda: catalog)
         failed = {name: detail for name, ok, detail in invariant_checks(42) if not ok}
-        # Deterministic rps sits at its equilibrium, where the doubled gap is still 0.
-        assert sorted(failed) == ["solver-random-game", "solver-rps-stochastic"]
-        assert all("exceeds its certificate" in detail for detail in failed.values())
+        # Deterministic rps sits at its equilibrium, where the doubled gap is still 0;
+        # a game's gap equals sup_y F(x).(x - y), so the adapter rows catch the double.
+        assert sorted(failed) == ["adapter-random-game", "adapter-rps",
+                                  "solver-random-game", "solver-rps-stochastic"]
+        for name, detail in failed.items():
+            expected = "above F(x).x" if name.startswith("adapter") else "exceeds its certificate"
+            assert expected in detail, (name, detail)

@@ -91,6 +91,12 @@ class TestProxStep:
             geom.prox_step([0.0, 0.0], [1.0, 0.0], 0.0)
         with pytest.raises(GeometryError):
             geom.prox_step([0.0, 0.0], [np.nan, 0.0], 1.0)
+        # An infinite or NaN step would give a NaN point, not an error.
+        for geom in all_geometries():
+            anchor = geom.min_point()
+            for eta in (math.inf, math.nan, -math.inf):
+                with pytest.raises(GeometryError, match="must be positive and finite"):
+                    geom.prox_step(anchor, np.ones(geom.dim), eta)
 
     def test_outputs_feasible(self):
         rng = np.random.default_rng(11)

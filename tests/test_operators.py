@@ -97,6 +97,8 @@ class TestSaddleAdapter:
                 grad_v=lambda u, v: -2 * v,
                 geom_u=EntropicSimplex(3),
                 geom_v=EntropicSimplex(3),
+                # max_v' phi - min_u' phi, with min ||.||^2 = 1/3 on each simplex.
+                dual_gap_eval=lambda x: float(x @ x) - 2.0 / 3.0,
                 g_bound=1.0,
             )
 
@@ -485,6 +487,8 @@ class TestPointDimensionChecked:
             grad_v=lambda u, v: u,
             geom_u=EuclideanBall(1.0, 2),
             geom_v=EuclideanBall(1.0, 2),
+            # max_v' u.v' - min_u' u'.v over the unit balls.
+            dual_gap_eval=lambda x: float(np.linalg.norm(x[:2]) + np.linalg.norm(x[2:])),
             g_bound=2.0,
             name="bilinear-balls",
         )
@@ -629,6 +633,11 @@ class TestCatalog:
         ({"gap_eval": lambda x, y: float(x @ (x - y)) + 1e-6}, "compatibility pair 0"),
         ({"gap_eval": lambda x, y: 0.5 * float(x @ x - y @ y) - float((x - y) @ (x - y))},
          "convexity triple 0"),
+        # A stated gap above sup_y F(x).(x - y), which is at most 2 on the unit
+        # ball, then one below Delta(x, y).
+        ({"dual_gap_eval": lambda x: 0.5 * np.vecdot(x, x) + 2.0},
+         "gap sample 0 above F(x).x - min_K F(x).y"),
+        ({"dual_gap_eval": lambda x: np.zeros(len(x))}, "gap sample 0 below Delta(x, y)"),
     ])
     def test_adapter_invariants_flag_broken_problem(self, fields, label):
         assert adapter_invariants(quadratic_on_ball(), 0) == (True, "")

@@ -423,9 +423,10 @@ class TestCheckpoints:
         with pytest.raises(KeyError):
             trace.prefix(6)
 
-    @pytest.mark.parametrize("bad", [0, -3, 21])
+    @pytest.mark.parametrize("bad", [0, -3, 21, 5.0, True, "5"])
     @pytest.mark.parametrize("mode", ["universal", "fixed-step"])
     def test_out_of_range_checkpoint_rejected(self, mode, bad):
+        # A budget that is not an integer is a ValueError too, as is one out of range.
         with pytest.raises(ValueError):
             checkpoint_solve(make_problem("l1-ball"), mode, 0.0, 20, (5, bad))
 
@@ -555,6 +556,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="multiple of record_every"):
             mirror_prox(make_problem("rps"),
                         fixed(10, 0.1, record_every=2, eval_every=3))
+        # The budgets are integers: no float, even an integral one, no bool, no string.
+        for key, bad in (("iterations", 2.5), ("iterations", 10.0), ("iterations", "10"),
+                         ("iterations", True), ("record_every", 2.5),
+                         ("eval_every", 5.0), ("eval_every", True)):
+            kwargs = {"iterations": 12, key: bad}
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got {bad!r}"):
+                SolverConfig(**kwargs)
+        config = SolverConfig(iterations=np.int64(12), record_every=np.int32(2),
+                              eval_every=np.int64(4))
+        assert [rec.t for rec in mirror_prox(make_problem("rps"), config).records] == [
+            2, 4, 6, 8, 10, 12]
 
 
 class TestStreamedGaps:
@@ -847,7 +859,8 @@ class TestSeedBatch:
 
         ball = EuclideanBall(1.0, 2)
         problem = saddle_problem(phi=lambda u, v: 0.0, grad_u=grad_u, grad_v=grad_v,
-                                 geom_u=ball, geom_v=ball, g_bound=10.0)
+                                 geom_u=ball, geom_v=ball, g_bound=10.0,
+                                 dual_gap_eval=lambda x: 0.0)
         with pytest.raises(DivergenceError,
                            match="operator value must be a finite vector of dimension 4") as err:
             mirror_prox(problem, SolverConfig(iterations=5),
