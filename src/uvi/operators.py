@@ -76,9 +76,10 @@ class VIProblem:
     """A monotone operator with a compatible gap function over a feasible set.
 
     ``dual_gap_eval`` evaluates the exact duality gap, which every problem
-    states; a value that is not callable raises TypeError. ``g_bound`` is a
-    bound on the dual norm of F over K (and of any oracle sample);
-    ``smoothness`` is the dual-norm Lipschitz constant of F when it exists.
+    states. ``g_bound`` is a bound on the dual norm of F over K (and of any
+    oracle sample); ``smoothness`` is the dual-norm Lipschitz constant of F
+    when it exists. An evaluator that is not callable raises TypeError, and
+    a NaN or negative ``g_bound`` or ``smoothness`` raises ValueError.
     ``params`` is empty but for a matrix game's, which holds its payoff
     array under ``"matrix"``.
 
@@ -100,9 +101,16 @@ class VIProblem:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not callable(self.dual_gap_eval):
-            raise TypeError(f"problem {self.name!r}: dual_gap_eval must be callable, "
-                            f"got {self.dual_gap_eval!r}")
+        for key in ("operator_eval", "gap_eval", "dual_gap_eval"):
+            value = getattr(self, key)
+            if not callable(value):
+                raise TypeError(f"problem {self.name!r}: {key} must be callable, got {value!r}")
+        # ``not x >= 0`` also refuses NaN; an infinite bound passes.
+        if not self.g_bound >= 0:
+            raise ValueError(f"problem {self.name!r}: g_bound must be >= 0, got {self.g_bound}")
+        if self.smoothness is not None and not self.smoothness >= 0:
+            raise ValueError(f"problem {self.name!r}: smoothness must be None or >= 0, "
+                             f"got {self.smoothness}")
 
     def operator(self, x) -> np.ndarray:
         return np.asarray(self.operator_eval(self.geom.check_point(x)[None]), dtype=float)[0]
@@ -141,12 +149,15 @@ def convex_min_problem(
 
     Delta(x, y) = f(x) - f(y) and F = grad; the duality gap is
     f(x) - min_K f, with min_K f the caller's ``min_value``, taken as
-    given: a wrong one shifts every gap by the same amount. Set ``batched``
-    when ``grad`` takes a stack of points, one per row (see ``VIProblem``);
-    else it is called row by row. ``f`` takes one point, and the duality
-    gap maps it over the rows of a stack.
+    given: a wrong one shifts every gap by the same amount, and one that is
+    not finite raises ValueError. Set ``batched`` when ``grad`` takes a
+    stack of points, one per row (see ``VIProblem``); else it is called row
+    by row. ``f`` takes one point, and the duality gap maps it over the rows
+    of a stack.
     """
     min_value = float(min_value)
+    if not math.isfinite(min_value):
+        raise ValueError(f"problem {name!r}: min_value must be finite, got {min_value}")
 
     def gap_eval(x, y):
         return float(f(x) - f(y))

@@ -90,6 +90,10 @@ class TestDualGap:
             )
         with pytest.raises(TypeError, match="'rps': dual_gap_eval must be callable, got None"):
             dataclasses.replace(make_problem("rps"), dual_gap_eval=None)
+        # Nor without its operator or its gap function.
+        for key in ("operator_eval", "gap_eval"):
+            with pytest.raises(TypeError, match=f"'rps': {key} must be callable, got None"):
+                dataclasses.replace(make_problem("rps"), **{key: None})
 
 
 def streamed_gaps(trace):

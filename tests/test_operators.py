@@ -250,6 +250,14 @@ class TestConcurrentProducts:
         self.assert_bitwise(matrix_game(RPS))
         assert calls == []
 
+    def test_solve_below_threshold_starts_no_thread(self):
+        # 700x700 (3.7 MiB) is the largest square game run in turn.
+        p = make_problem("random-game", d1=700, d2=700, seed=8)
+        assert p.params["matrix"].nbytes < operators._CONCURRENT_BYTES
+        before = set(threading.enumerate())
+        mirror_prox(p, SolverConfig(iterations=3))
+        assert set(threading.enumerate()) == before
+
     @staticmethod
     def assert_bitwise(problem):
         A = problem.params["matrix"]
@@ -510,6 +518,27 @@ class TestPointDimensionChecked:
             with pytest.raises(GeometryError):
                 p.gap(good, bad)
         assert p.operator(good).shape == good.shape
+
+
+class TestProblemValues:
+    """A problem's bounds and reference minimum are checked when it is built."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"g_bound": math.nan}, "g_bound must be >= 0, got nan"),
+        ({"g_bound": -1.0}, "g_bound must be >= 0, got -1.0"),
+        ({"smoothness": math.nan}, "smoothness must be None or >= 0, got nan"),
+        ({"smoothness": -1.0}, "smoothness must be None or >= 0, got -1.0"),
+    ], ids=["g-nan", "g-negative", "L-nan", "L-negative"])
+    def test_bad_bound_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=f"'rps': {message}"):
+            dataclasses.replace(make_problem("rps"), **fields)
+
+    @pytest.mark.parametrize("min_value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_min_value_rejected(self, min_value):
+        message = f"'convex-min': min_value must be finite, got {min_value}"
+        with pytest.raises(ValueError, match=message):
+            convex_min_problem(f=lambda x: 0.0, grad=lambda x: np.zeros(2),
+                               geom=EuclideanBall(1.0, 2), g_bound=1.0, min_value=min_value)
 
 
 class TestCatalog:
