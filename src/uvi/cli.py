@@ -132,10 +132,18 @@ class ExperimentConfig:
         if not isinstance(params, dict):
             raise ConfigError(f"problem {name!r}: params must be an object, got {params!r}")
 
-        # SolverConfig checks T, g0, the mode, eta, record_every and
-        # eval_every; the oracle's rule checks the noise bound.
+        # The mode's kind decides whether eta is set; SolverConfig checks T,
+        # g0, eta, record_every and eval_every, the oracle's rule the noise bound.
         try:
-            solve = solver.SolverConfig(iterations=iterations, g0=g0, mode=kind, eta=eta,
+            if kind not in ("universal", "fixed-step"):
+                raise ConfigError(f"unknown mode {kind!r}")
+            if kind == "universal" and eta is not None:
+                raise ConfigError(f"eta is only used in fixed-step mode, got eta={eta} "
+                                  f"in universal mode")
+            if kind == "fixed-step" and eta is None:
+                raise ConfigError("fixed-step mode requires a finite eta > 0 whose square "
+                                  "is nonzero, got None")
+            solve = solver.SolverConfig(iterations=iterations, g0=g0, eta=eta,
                                         record_every=record_every, eval_every=eval_every)
             if noise_bound is not None:
                 operators._check_noise_bound(noise_bound)
@@ -228,7 +236,7 @@ def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
         "seed": seed,
         # The gap the solver evaluated at step T, that of x_avg.
         "final_gap": trace.records[-1].gap,
-        "eta_final": trace.eta_final,
+        "eta_final": trace.records[-1].eta,
         "max_xy_ratio": trace.max_xy_ratio,
         "max_yy_ratio": trace.max_yy_ratio,
         "max_z_sq": trace.max_z_sq,
@@ -249,7 +257,7 @@ def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
     """
     rows = config.seeds if config.noise_bound else config.seeds[:1]
     oracles = {seed: _oracle_for_seed(config, seed) for seed in rows}
-    # Every mode goes through the name bench/worker.py wraps to time each solve.
+    # Both step rules go through the name bench/worker.py wraps to time each solve.
     traces = solver.universal_mirror_prox(config.problem, budgets[max(budgets)],
                                           oracles=oracles, checkpoints=budgets).traces
     return {T: [_seed_entry(config, seed, traces.get(seed, traces[rows[0]]).prefix(T), outs[T])
@@ -289,7 +297,7 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
             # minimum is a closed form or an exact LP.
             "gap_tolerance": 0.0,
         },
-        "mode": solve.mode,
+        "mode": "universal" if solve.eta is None else "fixed-step",
         "eta": solve.eta,
         "T": solve.iterations,
         "g0": solve.g0,
@@ -316,7 +324,7 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
 def cmd_run(config_path: str) -> int:
     try:
         config = ExperimentConfig.from_file(config_path)
-    except (ConfigError, operators.UnknownProblemError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -345,7 +353,7 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
         base_out = _output_dir(config)
         outs = {T: base_out / f"T_{T}" for T in budgets}
         _make_dirs(outs.values())
-    except (ConfigError, operators.UnknownProblemError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

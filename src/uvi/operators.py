@@ -529,6 +529,8 @@ def _l1_min_on_ball(x0: np.ndarray, radius: float) -> tuple[float, np.ndarray]:
     is dual feasible, so the best candidate over k is the optimum.
     """
     nrm = float(np.linalg.norm(x0))
+    if not math.isfinite(nrm):
+        raise ValueError(f"x0 overflows the float range: ||x0|| = {nrm}")
     if nrm <= radius:
         return 0.0, x0.copy()
     a = np.abs(x0)
@@ -558,7 +560,8 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
     """
     x0, radius = _array("x0", x0, 1), _real("radius", radius)
     geom = EuclideanBall(radius, x0.size)
-    min_value, minimizer = _l1_min_on_ball(x0, radius)
+    with np.errstate(over="ignore"):  # an overflow is reported as a ValueError
+        min_value, minimizer = _l1_min_on_ball(x0, radius)
     return convex_min_problem(
         f=lambda x: float(np.abs(x - x0).sum()),
         grad=lambda x: np.sign(x - x0),

@@ -44,11 +44,13 @@ single solve is the S = 1 batch, a (1, d) stack. The kernels reduce row by
 row (see ``uvi.geometry``), and the operator and gap evaluator take the
 whole stack and give each row bitwise its own value (see ``VIProblem``), so
 every seed's trace is bitwise the trace of its own solve. Each seed keeps its
-own oracle and generator, and its own running ``RunTrace`` inside the loop:
-its Z^2 sum, maxima, gx_sum and records, updated in place, and its step
-size, all per-seed Python floats, as is every guard; an abort names the
-seed. The running traces never leave the loop; only their snapshots are
-returned. A batch returns a ``RunBatch``: one trace per seed, with
+own oracle and generator, its step size and its own running ``RunTrace``
+inside the loop (Z^2 sum, maxima, gx_sum and records), all per-seed Python
+floats, as is every guard; an abort names the seed. After each step's
+kernels and a recorded step's gaps (so a failed gap check comes before a
+failed movement guard), one pass over the seeds runs the guards and
+updates, records and snapshots each running trace, which never leaves the
+loop. A batch returns a ``RunBatch``: one trace per seed, with
 ``iterations`` and ``records`` over all seeds.
 
 A recorded step (``StepRecord``) keeps scalars only: the ones the step
@@ -66,14 +68,14 @@ sum_t g_t and sum_t g_t.x_t, into the trace (``g_sum``, ``gx_sum``), and
 methods wherever a check needs the vectors themselves.
 
 ``mirror_prox`` takes every solve setting from one ``SolverConfig``, whose
-``mode`` names the step rule.
+``eta`` names the step rule: None is adaptive, a number a fixed step.
 
 No step depends on the budget T, so a run of T steps is an exact prefix of
 any longer run on the same problem, oracle seed and step rule. ``mirror_prox``
 takes ``checkpoints``, budgets in ``1..iterations``: at each one the loop
 snapshots each seed's running trace as what a run with ``iterations=T``
-would return (``x_avg`` from the same Kahan sum, ``eta_final``,
-``z_sq_total``, the three maxima, the two regret sums, and the records
+would return (``x_avg`` from the same Kahan sum, ``z_sq_total``, the
+three maxima, the two regret sums, and the records
 ``t % record_every == 0 or t == T``, the last one with its gap), available
 as ``trace.prefix(T)`` and bitwise equal to that separate run. The
 returned trace itself is the snapshot at the full budget; its records hold
@@ -148,16 +150,16 @@ def _as_integer(key: str, value) -> int:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, step-size prior G0, mode, its fixed step ``eta``
-    (fixed-step only), trace thinning, and the gap spacing: gaps at
-    multiples of ``eval_every`` (a multiple of ``record_every``) and at each
-    checkpoint's last step, or at the checkpoints only when it is None.
+    """Iteration budget, step-size prior G0, the step rule ``eta`` (None for
+    the adaptive step, else the fixed step), trace thinning, and the gap
+    spacing: gaps at multiples of ``eval_every`` (a multiple of
+    ``record_every``) and at each checkpoint's last step, or at the
+    checkpoints only when it is None.
     ``iterations``, ``record_every`` and ``eval_every`` are integers; a bool
     or a float, even an integral one, raises ValueError."""
 
     iterations: int
     g0: float = 1.0
-    mode: str = "universal"
     eta: Optional[float] = None
     record_every: int = 1
     eval_every: Optional[int] = None
@@ -171,20 +173,11 @@ class SolverConfig:
             raise ValueError("iterations must be >= 1")
         if not (self.g0 > 0 and math.isfinite(self.g0)):
             raise ValueError(f"g0 must be positive and finite, got {self.g0}")
-        if self.mode not in ("universal", "fixed-step"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         # Z_t^2 divides by eta^2, so the square must not underflow to 0.
-        if self.mode == "fixed-step" and not (
-            self.eta is not None and self.eta > 0 and self.eta * self.eta > 0
-            and math.isfinite(self.eta)
-        ):
-            raise ValueError(
-                f"fixed-step mode requires a finite eta > 0 whose square is "
-                f"nonzero, got {self.eta}"
-            )
-        if self.mode != "fixed-step" and self.eta is not None:
-            raise ValueError(f"eta is only used in fixed-step mode, got eta={self.eta} "
-                             f"in {self.mode} mode")
+        eta = self.eta
+        if eta is not None and not (eta > 0 and eta * eta > 0 and math.isfinite(eta)):
+            raise ValueError(f"fixed-step mode requires a finite eta > 0 whose square is "
+                             f"nonzero, got {eta}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.eval_every is not None:
@@ -220,7 +213,8 @@ class StepRecord:
 
 @dataclass
 class RunTrace:
-    """Recorded steps plus exact aggregates of a single run.
+    """Recorded steps plus exact aggregates of a single run. The last step is
+    always recorded: ``records[-1]`` holds the final step size and the gap.
 
     The loop updates each seed's running trace in place and returns only
     snapshots of it, which share no list, array or dict with each other.
@@ -236,7 +230,6 @@ class RunTrace:
     g_bound: float
     records: List[StepRecord]
     x_avg: np.ndarray
-    eta_final: float
     z_sq_total: float
     max_xy_ratio: float
     max_yy_ratio: float
@@ -349,16 +342,11 @@ def _run_loop(
     seeds: list,
     checkpoints: Iterable[int],
 ) -> List[RunTrace]:
-    """One trace per seed, seed s solved with ``oracles[s]``.
-
-    The iterates of the n seeds are one (n, d) array, row s for seed s; a
-    single seed is the (1, d) stack.
-    """
+    """One trace per seed, seed s solved with ``oracles[s]`` as row s of each (n, d) stack."""
     budgets = _checkpoint_set(checkpoints, config.iterations)
     geom = problem.geom
     n, dim = len(oracles), geom.dim
     diameter = geom.diameter()
-    fixed = config.mode == "fixed-step"
     for oracle in oracles:
         if oracle is not None and oracle.base is not problem:
             raise ValueError("oracle was built for a different problem instance")
@@ -372,18 +360,15 @@ def _run_loop(
     # The regret sums are streamed only where every step is recorded.
     streamed = config.record_every == 1
     g_sum = np.zeros((n, dim)) if streamed else None
-    # Each seed's running trace: its Z^2 sum, maxima, gx_sum and records,
-    # updated in place as Python floats; every checkpoint snapshots it.
+    # Each seed's running trace, updated in place; every checkpoint snapshots it.
     runs = [RunTrace(iterations=0, record_every=config.record_every,
                      g_bound=problem.g_bound if o is None else o.g_bound, records=[],
-                     x_avg=None, eta_final=math.nan, z_sq_total=0.0, max_xy_ratio=0.0,
-                     max_yy_ratio=0.0, max_z_sq=0.0, gx_sum=0.0 if streamed else None)
+                     x_avg=None, z_sq_total=0.0, max_xy_ratio=0.0, max_yy_ratio=0.0,
+                     max_z_sq=0.0, gx_sum=0.0 if streamed else None)
             for o in oracles]
-    z_sqs = [0.0] * n
-    eval_every = config.eval_every
 
     for t in range(1, config.iterations + 1):
-        if fixed:
+        if config.eta is not None:
             etas = [config.eta] * n
         else:
             etas = [update_eta(run.z_sq_total, diameter, config.g0) for run in runs]
@@ -410,6 +395,34 @@ def _run_loop(
             if not finite.all():
                 s = int(np.argmin(finite))
                 raise DivergenceError(t, etas[s], "non-finite iterate", seeds[s])
+
+        # Kahan-compensated running sum keeps the average exact to ~1e-16.
+        incr = x - comp
+        total = sum_x + incr
+        comp = (total - sum_x) - incr
+        sum_x = total
+        y_prev = y
+
+        # A recorded step's values over the whole stack, before the per-seed pass.
+        on_schedule = t % config.record_every == 0
+        at_budget = t in budgets
+        recorded = on_schedule or at_budget
+        if recorded:
+            if streamed:
+                g_sum += g
+                gx = np.vecdot(g, x).tolist()
+            gm_norms = geom._dual_norm(g - m).tolist()
+            # eval_every is a multiple of record_every, so an eval step is on schedule.
+            eval_step = config.eval_every is not None and t % config.eval_every == 0
+            if eval_step or at_budget:
+                x_avg = sum_x / t
+                try:
+                    gaps = _dual_gaps(problem, x_avg)
+                except GapError as exc:
+                    raise GapCheckError(
+                        t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
+                    ) from exc
+
         for s, run in enumerate(runs):
             eta, g_cap = etas[s], run.g_bound
             xy_norm, xy_prev_norm = norms[s], norms[n + s]
@@ -430,48 +443,23 @@ def _run_loop(
             run.max_yy_ratio = max(run.max_yy_ratio, ratio_y)
             run.max_z_sq = max(run.max_z_sq, z_sq)
             run.z_sq_total += z_sq
-            z_sqs[s] = z_sq
-
-        # Kahan-compensated running sum keeps the average exact to ~1e-16.
-        incr = x - comp
-        total = sum_x + incr
-        comp = (total - sum_x) - incr
-        sum_x = total
-        y_prev = y
-
-        on_schedule = t % config.record_every == 0
-        at_budget = t in budgets
-        if on_schedule or at_budget:
+            if not recorded:
+                continue
             if streamed:
-                g_sum += g
-                gx = np.vecdot(g, x).tolist()
-            gm_norms = geom._dual_norm(g - m).tolist()
-            # eval_every is a multiple of record_every, so an eval step is on schedule.
-            eval_step = eval_every is not None and t % eval_every == 0
-            if eval_step or at_budget:
-                x_avg = sum_x / t
-                try:
-                    gaps = _dual_gaps(problem, x_avg)
-                except GapError as exc:
-                    raise GapCheckError(
-                        t, etas[exc.row], f"running average: {exc}", seeds[exc.row]
-                    ) from exc
-            for s, run in enumerate(runs):
-                if streamed:
-                    run.gx_sum += gx[s]
-                rec = StepRecord(t=t, eta=etas[s], z_sq=z_sqs[s], xy_norm=norms[s],
-                                 xy_prev_norm=norms[n + s], gm_dual_norm=gm_norms[s],
-                                 gap=gaps[s] if eval_step else None)
-                if at_budget:
-                    # A run of t steps also records its last step, with its gap,
-                    # off either schedule; that row belongs to this snapshot only.
-                    run.checkpoints[t] = dataclasses.replace(
-                        run, iterations=t,
-                        records=run.records + [dataclasses.replace(rec, gap=gaps[s])],
-                        x_avg=x_avg[s].copy(), eta_final=etas[s],
-                        g_sum=None if g_sum is None else g_sum[s].copy(), checkpoints={})
-                if on_schedule:
-                    run.records.append(rec)
+                run.gx_sum += gx[s]
+            rec = StepRecord(t=t, eta=eta, z_sq=z_sq, xy_norm=xy_norm,
+                             xy_prev_norm=xy_prev_norm, gm_dual_norm=gm_norms[s],
+                             gap=gaps[s] if eval_step else None)
+            if at_budget:
+                # A run of t steps also records its last step, with its gap,
+                # off either schedule; that row belongs to this snapshot only.
+                run.checkpoints[t] = dataclasses.replace(
+                    run, iterations=t,
+                    records=run.records + [dataclasses.replace(rec, gap=gaps[s])],
+                    x_avg=x_avg[s].copy(),
+                    g_sum=None if g_sum is None else g_sum[s].copy(), checkpoints={})
+            if on_schedule:
+                run.records.append(rec)
 
     # Each seed returns its last snapshot, holding the earlier ones.
     traces = [run.checkpoints.pop(config.iterations) for run in runs]
@@ -488,8 +476,8 @@ def mirror_prox(
     checkpoints: Iterable[int] = (),
     oracles: Optional[Mapping[Hashable, Optional[StochasticOracle]]] = None,
 ):
-    """Run mirror-prox with the step rule ``config.mode`` names: the adaptive
-    step, or the constant ``config.eta`` as a tuned baseline. Pass an oracle
+    """Run mirror-prox with the step rule ``config.eta`` names: the adaptive
+    step when it is None, or that constant step as a tuned baseline. Pass an oracle
     for the stochastic setting.
 
     Each budget in ``checkpoints`` is readable afterwards as ``prefix(T)``.

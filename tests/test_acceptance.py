@@ -208,7 +208,7 @@ def test_criterion_07_inequality_oracles():
 
 def test_criterion_08_universal_vs_tuned_baseline(game, det_sweeps):
     baseline = mirror_prox(game, SolverConfig(
-        iterations=4000, mode="fixed-step", eta=1.0 / game.smoothness, record_every=4000))
+        iterations=4000, eta=1.0 / game.smoothness, record_every=4000))
     base_gap = uvi.dual_gap(game, baseline.x_avg)
     uni_gap = dict(det_sweeps["game"]["points"])[4000]
     ok = uni_gap <= 10.0 * base_gap

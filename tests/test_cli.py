@@ -184,6 +184,16 @@ class TestRun:
         # These used to read "'int' object is not iterable" and "got '1'".
         ({"seeds": 5}, "seeds must be a list of integers, got 5"),
         ({"seeds": "12"}, "seeds must be a list of integers, got '12'"),
+        # ||x0|| overflows (1e160^2 = 1e320 too): both used to end in a bare overflow
+        # RuntimeWarning under -W error, and to report a mean final gap of 0 without it.
+        ({"problem": {"name": "l1-ball", "params": {"x0": [1e200, 0]}}},
+         "x0 overflows the float range: ||x0|| = inf"),
+        ({"problem": {"name": "l1-ball", "params": {"x0": [1e160, 0]}}},
+         "x0 overflows the float range: ||x0|| = inf"),
+        # With eta-in-universal-mode, the CLI's checks of the mode's kind.
+        ({"mode": {"kind": "warp"}}, "error: unknown mode 'warp'\n"),
+        ({"mode": {"kind": "fixed-step"}}, "error: fixed-step mode requires a finite eta > 0 "
+                                           "whose square is nonzero, got None\n"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "noise-square-overflows", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
@@ -198,7 +208,8 @@ class TestRun:
             "x0-nan", "x0-inf", "x0-1e200-norm-overflows", "x0-1e160-norm-overflows",
             "output-dir-null", "output-dir-bool", "output-dir-int", "output-dir-list",
             "config-key-unknown", "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
-            "noise-sigma-sq-key", "seeds-int", "seeds-string"])
+            "noise-sigma-sq-key", "seeds-int", "seeds-string", "l1-x0-1e200-norm-overflows",
+            "l1-x0-1e160-norm-overflows", "mode-kind-unknown", "fixed-step-without-eta"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
@@ -253,8 +264,8 @@ class TestRun:
         config = cli.ExperimentConfig.from_file(write_config(
             tmp_path, mode={"kind": "fixed-step", "eta": 0.25}, T=30, g0=2.0,
             noise={"bound": 0.5}))
-        assert config.solve == solver.SolverConfig(iterations=30, g0=2.0, mode="fixed-step",
-                                                   eta=0.25, record_every=1, eval_every=10)
+        assert config.solve == solver.SolverConfig(iterations=30, g0=2.0, eta=0.25,
+                                                   record_every=1, eval_every=10)
         assert config.noise_bound == 0.5
         mirrored = {"iterations", "g0", "mode", "eta", "record_every", "eval_every"}
         assert not mirrored & {f.name for f in dataclasses.fields(cli.ExperimentConfig)}

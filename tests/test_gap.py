@@ -35,7 +35,6 @@ def synthetic_trace(geom, xs, gs, record_every=1):
         g_bound=np.inf,
         records=records,
         x_avg=prefix / len(xs),
-        eta_final=1.0,
         z_sq_total=0.0,
         max_xy_ratio=0.0,
         max_yy_ratio=0.0,

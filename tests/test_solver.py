@@ -43,7 +43,7 @@ ASYM = [[0.0, -1.0], [1.0, 0.0]]
 
 def fixed(iterations, eta, **kwargs):
     """The config of a fixed-step solve with step ``eta``."""
-    return SolverConfig(iterations=iterations, mode="fixed-step", eta=eta, **kwargs)
+    return SolverConfig(iterations=iterations, eta=eta, **kwargs)
 
 
 def kahan_prefixes(xs):
@@ -233,11 +233,6 @@ class TestFixedStep:
         assert trace.max_xy_ratio <= p.g_bound + 1e-9
         assert trace.max_yy_ratio <= p.g_bound + 1e-9
 
-    def test_eta_outside_fixed_step_rejected(self):
-        # An eta the adaptive rule would ignore is a config error, not a no-op.
-        with pytest.raises(ValueError, match="eta is only used in fixed-step mode"):
-            SolverConfig(iterations=10, eta=0.5)
-
 
 class TestStochasticRuns:
     def test_same_seed_bitwise_identical(self):
@@ -345,7 +340,7 @@ class TestOracleKernelInLoop:
 
 def assert_same_trace(got, want):
     """Field-for-field bitwise equality of two RunTraces (checkpoints aside)."""
-    for name in ("iterations", "record_every", "g_bound", "eta_final", "z_sq_total",
+    for name in ("iterations", "record_every", "g_bound", "z_sq_total",
                  "max_xy_ratio", "max_yy_ratio", "max_z_sq", "gx_sum"):
         assert getattr(got, name) == getattr(want, name), name
     assert np.array_equal(got.x_avg, want.x_avg)
@@ -364,7 +359,7 @@ def assert_same_trace(got, want):
 def checkpoint_solve(problem, mode, noise, T, checkpoints=(), record_every=7):
     """A solve with a gap at every recorded step."""
     oracle = StochasticOracle(problem, noise, rng_seed=11) if noise else None
-    config = SolverConfig(iterations=T, mode=mode, eta=0.2 if mode == "fixed-step" else None,
+    config = SolverConfig(iterations=T, eta=0.2 if mode == "fixed-step" else None,
                           record_every=record_every, eval_every=record_every)
     return mirror_prox(problem, config, oracle, checkpoints=checkpoints)
 
@@ -392,7 +387,6 @@ class TestCheckpoints:
         for T in (10, 25):
             prefix = full.prefix(T)
             assert prefix.z_sq_total == sum(rec.z_sq for rec in prefix.records)
-            assert prefix.eta_final == prefix.records[-1].eta
             assert_same_trace(prefix,
                               checkpoint_solve(problem, "universal", 0.4, T, record_every=1))
 
@@ -487,10 +481,13 @@ class TestGuards:
         assert str(err.value) == ("aborted at step t=1, eta=1.41421e+10: "
                                   "non-finite iterate (seed 3)")
 
-    def test_movement_ratio_above_g_aborts_naming_the_seed(self):
+    # With eval_every=1 the aborting step also evaluates every seed's gap first.
+    @pytest.mark.parametrize("eval_every", [None, 1], ids=["gap-at-T", "gap-every-step"])
+    def test_movement_ratio_above_g_aborts_naming_the_seed(self, eval_every):
         p = dataclasses.replace(make_problem("quadratic-ball"), g_bound=0.5)
+        config = SolverConfig(iterations=5, g0=0.5, eval_every=eval_every)
         with pytest.raises(solver.InvariantError) as err:
-            mirror_prox(p, SolverConfig(iterations=5, g0=0.5), oracles={3: None, 9: None})
+            mirror_prox(p, config, oracles={3: None, 9: None})
         assert str(err.value) == ("aborted at step t=1, eta=1.41421: movement/eta ratio "
                                   "0.707107 exceeds operator bound 0.5 (seed 3)")
 
@@ -539,16 +536,12 @@ class TestGuards:
             with pytest.raises(ValueError):
                 SolverConfig(iterations=1, g0=bad)
             with pytest.raises(ValueError):
-                SolverConfig(iterations=1, mode="fixed-step", eta=bad)
+                SolverConfig(iterations=1, eta=bad)
             with pytest.raises(ValueError):
                 mirror_prox(make_problem("rps"), fixed(5, bad))
         for bad in (1e-200, -0.1):
             with pytest.raises(ValueError, match="whose square is nonzero"):
                 mirror_prox(make_problem("rps"), fixed(5, bad))
-        with pytest.raises(ValueError):
-            SolverConfig(iterations=1, mode="fixed-step")
-        with pytest.raises(ValueError):
-            SolverConfig(iterations=1, mode="bogus")
         with pytest.raises(ValueError, match="eval_every must be >= 1"):
             SolverConfig(iterations=10, eval_every=0)
         with pytest.raises(ValueError, match="eval_every must be a multiple of record_every"):
@@ -892,8 +885,9 @@ def trace_hex(trace):
         "records": [[rec.t] + [hexed(getattr(rec, name)) for name in
                                ("eta", "z_sq", "xy_norm", "xy_prev_norm", "gm_dual_norm", "gap")]
                     for rec in trace.records],
-        "aggregates": [hexed(getattr(trace, name)) for name in
-                       ("eta_final", "z_sq_total", "max_xy_ratio", "max_yy_ratio", "max_z_sq")],
+        "aggregates": [hexed(trace.records[-1].eta)] + [
+            hexed(getattr(trace, name))
+            for name in ("z_sq_total", "max_xy_ratio", "max_yy_ratio", "max_z_sq")],
         "x_avg": [hexed(v) for v in trace.x_avg],
         "g_sum": [hexed(v) for v in trace.g_sum],
         "gx_sum": hexed(trace.gx_sum),
