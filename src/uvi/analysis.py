@@ -11,9 +11,9 @@ chosen feasible point. ``regret_bound_sides`` computes both sides of the
 optimistic-update regret bound along an actual run from the sums and norms
 the solver loop streams; its left-hand side is the hindsight regret, and
 ``gap_certificate`` bounds the exact gap of a run's average by its accuracy
-certificate. ``replay_steps`` recomputes the vectors of an every-step run
-for the checks that need them. The invariant sweeps below are the one copy
-of every check that ``uvi verify`` runs and the tests assert.
+certificate. ``replay_steps`` recomputes an every-step run's vectors, and
+``solver_invariants`` checks them against its records bitwise. The suites
+of ``SUITES`` are the one copy of every check ``uvi verify`` and tests run.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "gap_certificate",
     "solver_invariants",
     "invariant_checks",
+    "SUITES",
 ]
 
 _HOLD_TOL = 1e-12
@@ -219,6 +220,8 @@ def rate_fit(points: Sequence[Tuple[float, float]]) -> dict:
     kept = [(float(t), float(g)) for t, g in points if g > 0]
     if len(kept) < 3:
         raise ValueError("rate fit needs at least 3 positive gap values")
+    if len({t for t, _ in kept}) < 2:  # a slope needs two distinct log T
+        raise ValueError("rate fit needs positive gap values at 2 or more distinct T")
     x = np.log([t for t, _ in kept])
     y = np.log([g for _, g in kept])
     slope, intercept = np.polyfit(x, y, 1)
@@ -405,19 +408,20 @@ def solver_invariants(
     problem: VIProblem, seed: int, noise_bound: float = 0.0
 ) -> Tuple[bool, str]:
     """Invariants of one universal run of 300 steps at G0 = G with every step
-    recorded.
+    recorded, checked in one pass over its ``replay_steps``.
 
-    The run must not abort, eta_t must not increase and must be bitwise
-    D / sqrt(G0^2 + sum_{tau<t} Z_tau^2) of the recorded Z^2, the movement
-    ratios stay within G and Z_t^2 within G^2, the iterates and the average
-    are feasible, and the average meets ``gap_certificate`` on the replayed
-    x_t. A deterministic run must also satisfy the regret bound, whose left
-    side is then T cert; a stochastic one must rerun bitwise from the same seed.
+    The run must not abort (its guards bound the movement ratios by G and
+    Z_t^2 by G^2). At every step eta_t must be bitwise
+    D / sqrt(G0^2 + sum_{tau<t} Z_tau^2) of the recorded Z^2, x_t and y_t
+    feasible, and the replayed ||x_t - y_t||, ||x_t - y_{t-1}|| and
+    ||g_t - M_t||* bitwise the recorded norms; a stochastic replay draws from
+    a fresh oracle of the same seed. The average must be feasible and meet
+    ``gap_certificate`` on the x_t, and a deterministic run the regret bound.
     """
     g0 = problem.g_bound + noise_bound
     config = SolverConfig(iterations=300, g0=g0, record_every=1)
 
-    def oracle():  # a fresh one, or None, for the run, its replay and its rerun alike
+    def oracle():  # a fresh one, or None, for the run and its replay alike
         if noise_bound <= 0:
             return None
         return operators.StochasticOracle(problem, noise_bound, rng_seed=seed)
@@ -426,36 +430,28 @@ def solver_invariants(
         trace = solver.mirror_prox(problem, config, oracle())
     except solver.SolverError as exc:
         return False, f"solver aborted: {exc}"
-    etas = [rec.eta for rec in trace.records]
-    if any(b > a + 1e-15 for a, b in zip(etas, etas[1:])):
-        return False, "eta not non-increasing"
-    diameter, z = problem.geom.diameter(), 0.0
-    for rec in trace.records:  # the step rule, written out apart from solver.update_eta
-        want = diameter / math.sqrt(g0 * g0 + z)
-        if rec.eta != want:
-            return False, f"eta at t={rec.t} is {rec.eta:.17g}, the step rule gives {want:.17g}"
-        z += rec.z_sq
-    ratio = max(trace.max_xy_ratio, trace.max_yy_ratio)
-    if ratio > trace.g_bound + 1e-9:
-        return False, f"movement ratio {ratio:.6g} > G"
-    if trace.max_z_sq > trace.g_bound**2 + 1e-9:
-        return False, f"Z^2 {trace.max_z_sq:.6g} > G^2"
-    if not problem.geom.contains(trace.x_avg):
-        return False, "averaged output infeasible"
-    # The loop's x_t, bitwise, with F(x_t) noise-free in a stochastic run too.
-    pairs = ((step.x, problem.operator(step.x)) for step in replay_steps(problem, trace, oracle()))
+    geom, diameter, z = problem.geom, problem.geom.diameter(), 0.0
+    pairs = []  # the loop's x_t, with F(x_t) noise-free in a stochastic run too
     try:
-        certified = gap_certificate(problem, trace.x_avg, pairs)
+        for rec, y_prev, m, x, g, y in replay_steps(problem, trace, oracle()):
+            want = diameter / math.sqrt(g0 * g0 + z)  # the step rule, not solver.update_eta
+            if rec.eta != want:
+                return False, (f"eta at t={rec.t} is {rec.eta:.17g}, "
+                               f"the step rule gives {want:.17g}")
+            z += rec.z_sq
+            norms = geom.primal_norm(x - y), geom.primal_norm(x - y_prev), geom.dual_norm(g - m)
+            if norms != (rec.xy_norm, rec.xy_prev_norm, rec.gm_dual_norm):
+                return False, f"replayed step t={rec.t} differs from the run"
+            pairs.append((x, problem.operator(x)))
     except GeometryError as exc:  # a replayed iterate outside K
         return False, str(exc)
-    if noise_bound <= 0:
+    if not geom.contains(trace.x_avg):
+        return False, "averaged output infeasible"
+    if noise_bound <= 0:  # the regret bound, whose left side is then T cert
         lhs, rhs = regret_bound_sides(problem, trace)
         if lhs > rhs + 1e-6:
             return False, f"regret bound violated: lhs={lhs:.6g} rhs={rhs:.6g}"
-    elif not np.array_equal(trace.x_avg,
-                            solver.mirror_prox(problem, config, oracle()).x_avg):
-        return False, "stochastic rerun with same seed differs"
-    return certified
+    return gap_certificate(problem, trace.x_avg, pairs)
 
 
 def invariant_checks(seed: int) -> List[Tuple[str, bool, str]]:
@@ -468,3 +464,7 @@ def invariant_checks(seed: int) -> List[Tuple[str, bool, str]]:
                for name in ("rps", "random-game", "quadratic-ball", "l1-ball")]
     checks.append(("solver-rps-stochastic", *solver_invariants(make("rps"), seed, 0.25)))
     return checks
+
+
+# ``uvi verify``'s suites, in the order ``--suite all`` runs them.
+SUITES = {"lemmas": lemma_oracle_checks, "invariants": invariant_checks}

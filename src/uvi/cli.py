@@ -13,8 +13,8 @@ Subcommands:
   ``sweep_summary.json`` follow it as given, and the rate fit takes each
   distinct budget once.
 * ``uvi verify --suite {lemmas,invariants,all} --seed N`` - prints the
-  pass/fail table of the inequality oracles and the invariant sweeps, as
-  ``uvi.analysis`` computes them for the tests too.
+  pass/fail table of the inequality oracles, the invariant sweeps or both,
+  the suites of ``uvi.analysis.SUITES``, which the tests assert too.
 
 A config's seeds are solved together, in one batch (``oracles=`` in
 ``uvi.solver``); without noise, or with a noise bound of 0, every seed
@@ -384,14 +384,13 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
 
 
 def cmd_verify(suite: str, seed: int = 42) -> int:
-    if suite not in ("lemmas", "invariants", "all"):
+    if suite != "all" and suite not in analysis.SUITES:
         print(f"error: unknown suite {suite!r}", file=sys.stderr)
         return EXIT_CONFIG
     checks = []
-    if suite in ("lemmas", "all"):
-        checks.extend(analysis.lemma_oracle_checks(seed))
-    if suite in ("invariants", "all"):
-        checks.extend(analysis.invariant_checks(seed))
+    for name, run_suite in analysis.SUITES.items():
+        if suite in (name, "all"):
+            checks.extend(run_suite(seed))
 
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
@@ -437,7 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--suite", default="all",
-                          choices=["lemmas", "invariants", "all"])
+                          choices=[*analysis.SUITES, "all"])
     p_verify.add_argument("--seed", type=_parse_seed, default=42)
 
     args = parser.parse_args(argv)

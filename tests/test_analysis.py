@@ -1,11 +1,13 @@
 import inspect
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
 
 import uvi.analysis as analysis
+import uvi.operators as operators
 import uvi.solver as solver
 from uvi.analysis import (
     lemma4_check,
@@ -225,8 +227,10 @@ class TestRateFit:
         assert rate_fit(pts)["exponent"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            rate_fit([(100, 1.0), (200, 0.0), (400, -1.0)])
+        for points in ([(100, 1.0), (200, 0.0), (400, -1.0)],
+                       [(10, 0.1), (10, 0.2), (10, 0.3)]):  # one budget: no slope to fit
+            with pytest.raises(ValueError):
+                rate_fit(points)
 
 
 FACTORIES = [
@@ -283,24 +287,25 @@ class TestRegretBound:
             regret_bound_sides(p, trace)
 
 
-def tamper_solves(monkeypatch, edit, call=1):
-    """Make the ``call``-th solve through ``solver.mirror_prox`` return its
-    trace after ``edit(trace)``."""
+def tamper_solves(monkeypatch, edit):
+    """Make the first solve through ``solver.mirror_prox`` return its trace
+    after ``edit(trace)``; returns the list of every solve's trace."""
     solve, calls = solver.mirror_prox, []
 
     def tampered(*args, **kwargs):
         trace = solve(*args, **kwargs)
         calls.append(trace)
-        if len(calls) == call:
+        if len(calls) == 1:
             edit(trace)
         return trace
 
     monkeypatch.setattr(solver, "mirror_prox", tampered)
+    return calls
 
 
 class TestSolverInvariantRows:
     """Each FAIL row of ``solver_invariants``, tripped on its own by a
-    tampered run of ``rps`` (G = 1.48)."""
+    tampered run of ``rps`` (G = 1.48), or of ``l1-ball``, whose iterates move."""
 
     def test_untampered_run_passes(self):
         assert solver_invariants(make_problem("rps"), 42) == (True, "")
@@ -309,7 +314,10 @@ class TestSolverInvariantRows:
         def edit(trace):
             trace.records[-1].eta = 2.0 * trace.records[0].eta
         tamper_solves(monkeypatch, edit)
-        assert solver_invariants(make_problem("rps"), 42) == (False, "eta not non-increasing")
+        problem = make_problem("rps")
+        want = problem.geom.diameter() / problem.g_bound  # see test_step_size_off_the_rule
+        assert solver_invariants(problem, 42) == (False, f"eta at t=300 is {2.0 * want:.17g}, "
+                                                  f"the step rule gives {want:.17g}")
 
     def test_step_size_off_the_rule(self, monkeypatch):
         def edit(trace):  # one ulp lower: still non-increasing
@@ -322,18 +330,6 @@ class TestSolverInvariantRows:
                                                   f"{np.nextafter(want, 0.0):.17g}, "
                                                   f"the step rule gives {want:.17g}")
 
-    def test_movement_ratio_above_g(self, monkeypatch):
-        def edit(trace):
-            trace.max_yy_ratio = 1.5
-        tamper_solves(monkeypatch, edit)
-        assert solver_invariants(make_problem("rps"), 42) == (False, "movement ratio 1.5 > G")
-
-    def test_z_sq_above_g_sq(self, monkeypatch):
-        def edit(trace):
-            trace.max_z_sq = 2.25
-        tamper_solves(monkeypatch, edit)
-        assert solver_invariants(make_problem("rps"), 42) == (False, "Z^2 2.25 > G^2")
-
     def test_infeasible_average(self, monkeypatch):
         def edit(trace):
             trace.x_avg = trace.x_avg + 1.0
@@ -344,7 +340,7 @@ class TestSolverInvariantRows:
         problem = make_problem("rps")
         checked = []
 
-        def contains(x):  # the average passes; the replay's first x_t does not
+        def contains(x):  # the replay's x_1 passes; its y_1 does not
             checked.append(x)
             return len(checked) == 1
         monkeypatch.setattr(problem.geom, "contains", contains)
@@ -357,34 +353,90 @@ class TestSolverInvariantRows:
         ok, detail = solver_invariants(make_problem("rps"), 42)
         assert not ok and detail.startswith("regret bound violated: lhs=1e+06 rhs="), detail
 
-    def test_stochastic_rerun_differs(self, monkeypatch):
+    @pytest.mark.parametrize("field", ["xy_norm", "gm_dual_norm"])
+    @pytest.mark.parametrize("name, noise_bound", [("l1-ball", 0.0), ("rps", 0.25)])
+    def test_recorded_norm_one_ulp_off(self, monkeypatch, name, noise_bound, field):
         def edit(trace):
-            trace.x_avg = np.nextafter(trace.x_avg, 1.0)
-        tamper_solves(monkeypatch, edit, call=2)
-        assert solver_invariants(make_problem("rps"), 42, 0.25) == (
-            False, "stochastic rerun with same seed differs")
+            rec = trace.records[9]
+            setattr(rec, field, np.nextafter(getattr(rec, field), np.inf))
+        calls = tamper_solves(monkeypatch, edit)
+        assert solver_invariants(make_problem(name), 42, noise_bound) == (
+            False, "replayed step t=10 differs from the run")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("noise_bound", [0.0, 0.25])
+    def test_one_solve_per_row(self, monkeypatch, noise_bound):
+        # The stochastic row replays from a fresh oracle of the run's seed; no rerun.
+        calls = tamper_solves(monkeypatch, lambda trace: None)
+        assert solver_invariants(make_problem("rps"), 42, noise_bound) == (True, "")
+        assert len(calls) == 1
 
 
 SOLVER_ROWS = {"solver-rps", "solver-random-game", "solver-quadratic-ball", "solver-l1-ball",
                "solver-rps-stochastic"}
 
 
+def step_rule(mutant):
+    """Replace ``solver.update_eta`` by ``mutant(update_eta)``."""
+    return lambda monkeypatch: monkeypatch.setattr(solver, "update_eta",
+                                                   mutant(solver.update_eta))
+
+
+def source_edit(owner, name, old, new):
+    """Replace ``owner.name`` by its source with the one ``old`` made ``new``,
+    compiled against a copy of its module's globals, which the loop and
+    the oracle read at call time."""
+    def apply(monkeypatch):
+        func = getattr(owner, name)
+        source = textwrap.dedent(inspect.getsource(func))
+        assert source.count(old) == 1, old
+        namespace = dict(vars(inspect.getmodule(func)))
+        exec(compile(source.replace(old, new), inspect.getsourcefile(func), "exec"), namespace)
+        monkeypatch.setattr(owner, name, namespace[name])
+    return apply
+
+
 @pytest.mark.parametrize("mutant, failing, first_t", [
     (None, set(), None),
     # Deterministic rps starts at its equilibrium, where the step never moves.
-    (lambda update: lambda z, d, g0: d / g0, SOLVER_ROWS - {"solver-rps"}, 2),
-    (lambda update: lambda z, d, g0: update(z, 1.0, g0), SOLVER_ROWS, 1),
-    (lambda update: lambda z, d, g0: update(z, d, 1.0), SOLVER_ROWS, 1),
-], ids=["unmutated", "eta frozen at D/G0", "D replaced by 1", "G0 replaced by 1"])
+    (step_rule(lambda update: lambda z, d, g0: d / g0), SOLVER_ROWS - {"solver-rps"}, 2),
+    (step_rule(lambda update: lambda z, d, g0: update(z, 1.0, g0)), SOLVER_ROWS, 1),
+    (step_rule(lambda update: lambda z, d, g0: update(z, d, 1.0)), SOLVER_ROWS, 1),
+    # Loop, sampler and oracle mutants: each fails at least one solver row.
+    (source_edit(solver, "_sampler", "for o in oracles], axis=1)",
+                 "for o in oracles], axis=1).repeat(2, axis=0)"), None, None),
+    (source_edit(solver, "_run_loop", "m = sample(y_prev, t, etas)",
+                 "m = sample(x if t > 1 else y_prev, t, etas)"), None, None),
+    (source_edit(solver, "_run_loop", "run.z_sq_total += z_sq", "run.z_sq_total += 2 * z_sq"),
+     None, None),
+    (source_edit(solver, "_run_loop", "incr = x - comp", "incr = y - comp"), None, None),
+    (source_edit(solver, "_run_loop", "geom._dual_norm(g - m)", "geom._dual_norm(g + m)"),
+     None, None),
+    (source_edit(solver, "compute_z_sq", "(5.0 * eta_t * eta_t)", "(4.0 * eta_t * eta_t)"),
+     None, None),
+    # An oracle drawing from fresh OS entropy, not from its seed.
+    (source_edit(operators.StochasticOracle, "__post_init__",
+                 "np.random.default_rng(self.rng_seed)", "np.random.default_rng()"), None, None),
+], ids=["unmutated", "eta frozen at D/G0", "D replaced by 1", "G0 replaced by 1",
+        "same noise row for M_t and g_t", "M_t = F(x_{t-1})", "Z^2 added twice",
+        "average of y_t", "||g_t + M_t||* recorded", "Z^2 over 4 eta^2",
+        "oracle ignores its seed"])
 def test_invariant_checks_catch_step_rule_mutants(monkeypatch, mutant, failing, first_t):
-    """``invariant_checks`` fails a solver whose step size is not
-    D / sqrt(G0^2 + sum Z^2); each mutant replaces ``solver.update_eta``."""
+    """``invariant_checks``' solver rows, at seeds 42 and 7, fail a solver whose
+    step size is not D / sqrt(G0^2 + sum Z^2), each such mutant failing the
+    same rows with the step rule's message, and each loop, sampler and oracle
+    mutant too. No solver mutant reaches the adapter rows, so they are skipped."""
+    monkeypatch.setattr(analysis, "adapter_invariants", lambda problem, seed: (True, ""))
     if mutant is not None:
-        monkeypatch.setattr(solver, "update_eta", mutant(solver.update_eta))
-    failed = {name: detail for name, ok, detail in analysis.invariant_checks(42) if not ok}
-    assert set(failed) == failing
-    assert all(re.fullmatch(rf"eta at t={first_t} is \S+, the step rule gives \S+", detail)
-               for detail in failed.values()), failed
+        mutant(monkeypatch)
+    for seed in (42, 7):
+        failed = {name: detail for name, ok, detail in analysis.invariant_checks(seed) if not ok}
+        if failing is None:
+            assert failed, seed
+            continue
+        assert set(failed) == failing, seed
+        assert all(re.fullmatch(rf"eta at t={first_t} is \S+, the step rule gives \S+", detail)
+                   for detail in failed.values()), failed
 
 
 def test_lemma_failure_names_its_instance(monkeypatch):

@@ -802,20 +802,29 @@ class TestSummaryBounds:
         assert math.isfinite(bounds["thm2_rhs"]) and bounds["thm3_rhs"] == bounds["thm2_rhs"]
 
 
+def verify_rows(out):
+    """The (name, status) rows of ``uvi verify``'s stdout, and its last line."""
+    lines = out.splitlines()
+    return [tuple(line.split()) for line in lines[:-1]], lines[-1]
+
+
 class TestVerify:
+    # The stdout of ``uvi verify --suite all``, which CI diffs against a
+    # process run; while every row passes, it does not depend on the seed.
+    ALL_ROWS, _ = verify_rows((Path(__file__).parent / "fixtures" / "verify_all.txt").read_text())
+
     def test_malformed_suite_name(self):
         assert cli.cmd_verify("bogus") == 2
 
     def test_lemma_suite_passes(self, capsys):
         assert cli.cmd_verify("lemmas", seed=42) == 0
-        out = capsys.readouterr().out
-        assert "VERIFY PASS" in out
-        assert "lemma4-random-1000" in out
+        rows, last = verify_rows(capsys.readouterr().out)
+        assert (rows, last) == (self.ALL_ROWS[:6], "VERIFY PASS (6 checks)")
 
     def test_invariants_suite_passes(self, capsys):
         assert cli.cmd_verify("invariants", seed=42) == 0
-        out = capsys.readouterr().out
-        assert "adapter-rps" in out and "solver-l1-ball" in out
+        rows, last = verify_rows(capsys.readouterr().out)
+        assert (rows, last) == (self.ALL_ROWS[6:], "VERIFY PASS (10 checks)")
 
     def test_broken_catalog_problem_fails(self, monkeypatch, capsys):
         catalog = operators.builtin_problems()
