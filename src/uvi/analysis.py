@@ -340,7 +340,8 @@ def lemma_oracle_checks(seed: int) -> List[Tuple[str, bool, str]]:
 def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
     """The problem's stated properties over 1000 random pairs, then its gaps.
 
-    Per pair: monotonicity of F, compatibility Delta(x, y) <= F(x).(x - y),
+    Per pair: F is a finite vector at both points (``VIProblem.operator``),
+    monotonicity of F, compatibility Delta(x, y) <= F(x).(x - y),
     convexity of Delta in x, ||F(x)||* <= G and, when the problem states
     one, ||F(x) - F(y)||* <= L ||x - y||. Then at 100 random points x, each
     with a fresh y, the stated gap must be finite, non-negative and within
@@ -353,7 +354,10 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
     lips = problem.smoothness
     for i in range(1000):
         x, y = geom.sample(rng), geom.sample(rng)
-        fx, fy = problem.operator(x), problem.operator(y)
+        try:
+            fx, fy = problem.operator(x), problem.operator(y)
+        except ValueError as exc:  # a value that is not a finite vector of dimension d
+            return False, f"operator at sample {i}: {exc}"
         if float((x - y) @ (fx - fy)) < -1e-9:
             return False, f"monotonicity pair {i}"
         if problem.gap(x, y) > float(fx @ (x - y)) + 1e-9:
@@ -371,13 +375,13 @@ def adapter_invariants(problem: VIProblem, seed: int) -> Tuple[bool, str]:
     for i in range(100):
         x, y = geom.sample(rng), geom.sample(rng)
         try:
+            fx = problem.operator(x)
             value = gap.dual_gap(problem, x)
-        except gap.GapError as exc:  # a gap that is not finite or below -1e-9
+        except ValueError as exc:  # a bad F(x), or a gap not finite or below -1e-9
             return False, f"gap sample {i}: {exc}"
         lower = problem.gap(x, y)
         if value < lower - 1e-9:
             return False, f"gap sample {i} below Delta(x, y) = {lower:.6g}: gap {value:.6g}"
-        fx = problem.operator(x)
         upper = float(fx @ x) - geom.linear_minimize(fx)[1]
         if value > upper + 1e-9:
             return False, (f"gap sample {i} above F(x).x - min_K F(x).y = {upper:.6g}: "

@@ -149,7 +149,7 @@ class ExperimentConfig:
                 operators._check_noise_bound(noise_bound)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if noise_bound is not None and not seeds:
+        if noise_bound and not seeds:  # a bound of 0 runs as the exact operator
             raise ConfigError("stochastic mode requires a non-empty seed list")
         seeds = seeds or [0]
         if len(set(seeds)) != len(seeds):

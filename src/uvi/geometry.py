@@ -219,8 +219,9 @@ class EuclideanBox(_EuclideanGeometry):
             raise GeometryError("box bounds must be 1-D arrays of equal length")
         if not np.all(lower < upper):
             raise GeometryError("box requires lower < upper in every coordinate")
-        half = 0.5 * (upper - lower)
-        super().__init__(lower.size, 0.5 * float(half @ half))
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            half = 0.5 * (upper - lower)
+            super().__init__(lower.size, 0.5 * float(half @ half))
         _require_diameter(self, "box widths")
         self.lower = lower
         self.upper = upper

@@ -19,8 +19,9 @@ operator is passed as no oracle.
 once, at this boundary; the operator and gap closures behind them take raw
 arrays of the right dimension unchecked. Every problem's operator and
 duality gap take an (S, d) stack of points, one per row, so the solver
-loop evaluates a batch of seeds in one call; the two adapters map a user's
-per-point callables over the rows of a stack.
+loop evaluates a batch of seeds in one call. In both adapters the user's
+gradients and duality gap take the stack too; only the objectives f and
+phi take one point.
 
 A matrix game's operator and duality gap both need the two products A v
 and u A. When the payoff array holds at least 4 MiB (``_CONCURRENT_BYTES``;
@@ -113,24 +114,17 @@ class VIProblem:
                              f"got {self.smoothness}")
 
     def operator(self, x) -> np.ndarray:
-        return np.asarray(self.operator_eval(self.geom.check_point(x)[None]), dtype=float)[0]
+        """F at one point, which must be a finite vector of its dimension (ValueError)."""
+        x = self.geom.check_point(x)[None]
+        value = np.asarray(self.operator_eval(x), dtype=float)
+        if value.shape != x.shape or not np.isfinite(value).all():
+            raise ValueError(f"problem {self.name!r}: operator value must be a finite vector "
+                             f"of dimension {self.geom.dim}")
+        return value[0]
 
     def gap(self, x, y) -> float:
         check = self.geom.check_point
         return float(self.gap_eval(check(x), check(y)))
-
-
-def _by_row(f, shape):
-    """``f``, which takes one point, mapped over the rows of an (S, d) stack;
-    a value not of ``shape`` becomes a NaN row, which the finiteness checks
-    of the solver and of ``uvi.gap`` report with its seed."""
-    nan = np.full(shape, np.nan)
-
-    def rows(x):
-        values = (np.asarray(f(row), dtype=float) for row in x)
-        return np.stack([v if v.shape == shape else nan for v in values])
-
-    return rows
 
 
 def convex_min_problem(
@@ -143,17 +137,15 @@ def convex_min_problem(
     smoothness: Optional[float] = None,
     name: str = "convex-min",
     minimizer=None,
-    batched: bool = False,
 ) -> VIProblem:
     """Adapt a convex objective to the gap-function interface.
 
     Delta(x, y) = f(x) - f(y) and F = grad; the duality gap is
     f(x) - min_K f, with min_K f the caller's ``min_value``, taken as
     given: a wrong one shifts every gap by the same amount, and one that is
-    not finite raises ValueError. Set ``batched`` when ``grad`` takes a
-    stack of points, one per row (see ``VIProblem``); else it is called row
-    by row. ``f`` takes one point, and the duality gap maps it over the rows
-    of a stack.
+    not finite raises ValueError. ``grad`` takes a stack of points, one per
+    row, and is the operator (see ``VIProblem``); ``f`` takes one point, and
+    the duality gap maps it over the rows of a stack.
     """
     min_value = float(min_value)
     if not math.isfinite(min_value):
@@ -165,10 +157,9 @@ def convex_min_problem(
     return VIProblem(
         name=name,
         geom=geom,
-        operator_eval=((lambda x: np.asarray(grad(x), dtype=float)) if batched
-                       else _by_row(grad, (geom.dim,))),
+        operator_eval=grad,
         gap_eval=gap_eval,
-        dual_gap_eval=_by_row(lambda x: float(f(x)) - min_value, ()),
+        dual_gap_eval=lambda x: np.array([float(f(row)) - min_value for row in x]),
         g_bound=float(g_bound),
         smoothness=smoothness,
         known_solution=None if minimizer is None else np.asarray(minimizer, float),
@@ -177,8 +168,7 @@ def convex_min_problem(
 
 def saddle_problem(
     phi,
-    grad_u,
-    grad_v,
+    grads,
     geom_u: Geometry,
     geom_v: Geometry,
     *,
@@ -194,52 +184,43 @@ def saddle_problem(
     Delta((u, v), (u0, v0)) = phi(u, v0) - phi(u0, v), both over the scaled
     product geometry of the two blocks. ``dual_gap_eval`` is the caller's
     exact duality gap max_{v'} phi(u, v') - min_{u'} phi(u', v), taken as
-    given. ``grad_u``, ``grad_v`` and ``dual_gap_eval`` take one point and
-    are called row by row of a stack (see ``VIProblem``).
+    given. ``grads(u, v)`` maps the blocks of a stack of points to the pair
+    (grad_u phi, grad_v phi) and ``dual_gap_eval`` takes the stack; ``phi``
+    takes one point. A pair of the wrong shapes raises GeometryError at the
+    build and is a NaN value later, which the solver loop reports.
     """
     geom = ProductGeometry(geom_u, geom_v)
-    u0, v0 = geom_u.min_point(), geom_v.min_point()
-    gu = np.asarray(grad_u(u0, v0), dtype=float)
-    gv = np.asarray(grad_v(u0, v0), dtype=float)
-    if gu.shape != (geom_u.dim,) or gv.shape != (geom_v.dim,):
+    x0 = np.concatenate([geom_u.min_point(), geom_v.min_point()])[None]
+    gu, gv = (np.asarray(g, dtype=float) for g in grads(*geom._split(x0)))
+    if gu.shape != (1, geom_u.dim) or gv.shape != (1, geom_v.dim):
         raise GeometryError(
             f"block-dimension mismatch: gradients have shapes {gu.shape}/{gv.shape}, "
             f"geometry blocks have dims {geom_u.dim}/{geom_v.dim}"
         )
 
-    def grads(u, v):  # a block of the wrong shape becomes NaN, as in ``_by_row``
-        gu, gv = np.asarray(grad_u(u, v), dtype=float), np.asarray(grad_v(u, v), dtype=float)
-        if gu.shape != u.shape or gv.shape != v.shape:
-            return np.full(u.shape, np.nan), np.full(v.shape, np.nan)
-        return gu, gv
-
-    operator_eval, gap_eval = _saddle_evals(geom, phi, grads)
-    return VIProblem(
-        name=name,
-        geom=geom,
-        operator_eval=_by_row(operator_eval, (geom.dim,)),
-        gap_eval=gap_eval,
-        dual_gap_eval=_by_row(dual_gap_eval, ()),
-        g_bound=float(g_bound),
-        smoothness=smoothness,
-        known_solution=known_solution,
-    )
-
-
-def _saddle_evals(geom: ProductGeometry, phi, grads):
-    """The operator and gap closures of phi(u, v) over ``geom``, where
-    ``grads(u, v)`` returns the pair (grad_u phi, grad_v phi)."""
-
     def operator_eval(x):
-        gu, gv = grads(*geom._split(x))
-        return np.concatenate([np.asarray(gu, float), -np.asarray(gv, float)], axis=-1)
+        u, v = geom._split(x)
+        gu, gv = grads(u, v)
+        gu, gv = np.asarray(gu, dtype=float), np.asarray(gv, dtype=float)
+        if gu.shape != u.shape or gv.shape != v.shape:
+            return np.full(x.shape, np.nan)
+        return np.concatenate([gu, -gv], axis=-1)
 
     def gap_eval(x, x0):
         u, v = geom._split(x)
         u0, v0 = geom._split(x0)
         return float(phi(u, v0) - phi(u0, v))
 
-    return operator_eval, gap_eval
+    return VIProblem(
+        name=name,
+        geom=geom,
+        operator_eval=operator_eval,
+        gap_eval=gap_eval,
+        dual_gap_eval=dual_gap_eval,
+        g_bound=float(g_bound),
+        smoothness=smoothness,
+        known_solution=known_solution,
+    )
 
 
 # A payoff matrix of at least this many bytes runs its two products at once,
@@ -315,7 +296,8 @@ def _concurrently(first, second):
 
 
 def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
-    """Bilinear zero-sum game phi(u, v) = u.A.v over two entropic simplices.
+    """Bilinear zero-sum game phi(u, v) = u.A.v over two entropic simplices,
+    built by ``saddle_problem``.
 
     The operator bound comes from max_ij |A_ij| through the product dual
     norm, and the smoothness constant uses the cross-block Lipschitz
@@ -358,18 +340,11 @@ def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
         av, ua = products(x[..., :d1], x[..., d1:])
         return np.max(ua, axis=-1) - np.min(av, axis=-1)
 
-    geom = ProductGeometry(geom_u, geom_v)
-    operator_eval, gap_eval = _saddle_evals(geom, lambda u, v: float(u @ A @ v), products)
-    return VIProblem(
-        name=name,
-        geom=geom,
-        operator_eval=operator_eval,
-        gap_eval=gap_eval,
-        dual_gap_eval=dual_gap_eval,
-        g_bound=g_bound,
-        smoothness=smoothness,
-        params={"matrix": A},
-    )
+    problem = saddle_problem(lambda u, v: float(u @ A @ v), products, geom_u, geom_v,
+                             dual_gap_eval=dual_gap_eval, g_bound=g_bound,
+                             smoothness=smoothness, name=name)
+    problem.params["matrix"] = A
+    return problem
 
 
 def _check_noise_bound(noise_bound: float) -> None:
@@ -481,6 +456,11 @@ def _make_rps() -> VIProblem:
 
 def _make_random_game(d1: int = 3, d2: int = 3, seed: int = 0) -> VIProblem:
     d1, d2, seed = _integer("d1", d1), _integer("d2", d2), _integer("seed", seed)
+    for key, value in (("d1", d1), ("d2", d2)):
+        if value < 1:
+            raise ValueError(f"{key} must be a positive integer, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     return matrix_game(rng.uniform(-1.0, 1.0, size=(d1, d2)), name="random-game")
 
@@ -513,7 +493,6 @@ def _make_quadratic_ball(radius: float = 1.0, x0=(1.5, 0.0)) -> VIProblem:
         name="quadratic-ball",
         min_value=min_value,
         minimizer=minimizer,
-        batched=True,
     )
 
 
@@ -570,13 +549,14 @@ def _make_l1_ball(radius: float = 1.0, x0=(-0.16, -0.6, 0.4)) -> VIProblem:
         name="l1-ball",
         min_value=min_value,
         minimizer=minimizer,
-        batched=True,
     )
 
 
 def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIProblem:
     """f(x) = max_i (a_i.x + b_i) over a box; the reference minimum is an LP."""
-    if slopes is None and offsets is None:
+    if (slopes is None) != (offsets is None):
+        raise ValueError("slopes and offsets must be given together")
+    if slopes is None:
         slopes = [[1.0, 1.0], [-1.0, 0.3], [0.2, -1.0]]
         offsets = [-0.5, 0.0, -0.1]
     a, b = _array("slopes", slopes, 2), _array("offsets", offsets, 1)
@@ -615,7 +595,6 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
         name="piecewise-max",
         min_value=float(res.fun),
         minimizer=np.asarray(res.x[:d], float),
-        batched=True,
     )
 
 

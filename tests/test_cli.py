@@ -145,7 +145,7 @@ class TestRun:
                                                           "offsets": [0]}}},
          "slopes must hold numbers in the float range"),
         ({"problem": {"name": "piecewise-max", "params": {"offsets": [0, 0, 0]}}},
-         "slopes must be a 2-D matrix, got shape ()"),
+         "slopes and offsets must be given together"),
         ({"problem": {"name": "l1-ball", "params": {"radius": 1e200}}},
          "ball radius 1e+200 too large, squared diameter overflows"),
         ({"problem": {"name": "piecewise-max", "params": {"upper": float("inf")}}},
@@ -194,6 +194,21 @@ class TestRun:
         ({"mode": {"kind": "warp"}}, "error: unknown mode 'warp'\n"),
         ({"mode": {"kind": "fixed-step"}}, "error: fixed-step mode requires a finite eta > 0 "
                                            "whose square is nonzero, got None\n"),
+        # Finite widths whose squared sum overflows: under -W error this used to
+        # end in a bare overflow RuntimeWarning from the box's diameter.
+        ({"problem": {"name": "piecewise-max", "params": {
+            "slopes": [[1.0, 0.0]], "offsets": [0.0], "lower": 1e308, "upper": 1.7e308}}},
+         "box widths too large, squared diameter overflows"),
+        # These used to read numpy's "expected non-negative integer", "negative
+        # dimensions are not allowed" and "offsets must be a 1-D vector".
+        ({"problem": {"name": "random-game", "params": {"seed": -1}}},
+         "seed must be a non-negative integer, got -1"),
+        ({"problem": {"name": "random-game", "params": {"d1": -1}}},
+         "d1 must be a positive integer, got -1"),
+        ({"problem": {"name": "random-game", "params": {"d2": 0}}},
+         "d2 must be a positive integer, got 0"),
+        ({"problem": {"name": "piecewise-max", "params": {"slopes": [[1.0, 0.0]]}}},
+         "slopes and offsets must be given together"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "noise-square-overflows", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
@@ -209,7 +224,9 @@ class TestRun:
             "output-dir-null", "output-dir-bool", "output-dir-int", "output-dir-list",
             "config-key-unknown", "problem-key-unknown", "mode-key-unknown", "noise-key-unknown",
             "noise-sigma-sq-key", "seeds-int", "seeds-string", "l1-x0-1e200-norm-overflows",
-            "l1-x0-1e160-norm-overflows", "mode-kind-unknown", "fixed-step-without-eta"])
+            "l1-x0-1e160-norm-overflows", "mode-kind-unknown", "fixed-step-without-eta",
+            "box-widths-square-overflows", "game-seed-negative", "d1-negative", "d2-zero",
+            "slopes-without-offsets"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
@@ -370,6 +387,17 @@ class TestRun:
         assert (det_dir / "trace_0.csv").read_bytes() == (
             noise_dir / "trace_0.csv"
         ).read_bytes()
+
+    def test_zero_noise_without_seeds_runs_as_the_exact_operator(self, tmp_path):
+        # A bound of 0 is no noise, and with no noise an empty seed list is [0].
+        exact = write_config(tmp_path, name="a.json", T=5, eval_every=OMIT,
+                             output_dir=str(tmp_path / "exact"))
+        zero = write_config(tmp_path, name="b.json", T=5, eval_every=OMIT, seeds=[],
+                            output_dir=str(tmp_path / "zero"), noise={"bound": 0})
+        assert cli.cmd_run(str(exact)) == 0
+        assert cli.cmd_run(str(zero)) == 0
+        assert (tmp_path / "zero" / "trace_0.csv").read_bytes() == (
+            tmp_path / "exact" / "trace_0.csv").read_bytes()
 
     def test_csv_round_trips_17_digits(self, tmp_path):
         path = write_config(tmp_path, T=20, eval_every=5,
@@ -597,7 +625,7 @@ class TestAnytimeSweep:
             return out
 
         bad = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
-                                 g_bound=2.0, min_value=0.0, name="nan-batch", batched=True)
+                                 g_bound=2.0, min_value=0.0, name="nan-batch")
         monkeypatch.setattr(operators, "make_problem", lambda name, **kw: bad)
         # Noisy, so that each seed is a row of its own.
         path = write_config(tmp_path, seeds=[3, 1, 8], record_every=5, eval_every=10,

@@ -81,8 +81,7 @@ class TestDualGap:
         with pytest.raises(TypeError, match="dual_gap_eval"):
             saddle_problem(
                 phi=lambda u, v: float(u @ u) / 2 - float(v @ v) / 2,
-                grad_u=lambda u, v: u,
-                grad_v=lambda u, v: -v,
+                grads=lambda u, v: (u, -v),
                 geom_u=EntropicSimplex(2),
                 geom_v=EntropicSimplex(2),
                 g_bound=2.0,
@@ -219,7 +218,7 @@ class TestRegret:
         c = np.array([0.0, 0.0])
         return convex_min_problem(
             f=lambda x: float(c @ x),
-            grad=lambda x: c,
+            grad=lambda x: np.broadcast_to(c, x.shape),
             geom=EntropicSimplex(2),
             g_bound=1.0,
             min_value=0.0,
@@ -245,7 +244,7 @@ class TestRegret:
     def test_ball_closed_form_minimization(self):
         geom = EuclideanBall(2.0, 2)
         p = convex_min_problem(
-            f=lambda x: 0.0, grad=lambda x: np.zeros(2), geom=geom,
+            f=lambda x: 0.0, grad=np.zeros_like, geom=geom,
             g_bound=1.0, min_value=0.0, name="flat-ball",
         )
         gs = [[1.0, 0.0], [0.0, 1.0]]
@@ -260,7 +259,8 @@ class TestGapCertificate:
         # f(x) = c.x on the 2-simplex, but the recorded loss is F(x_1) = 0, so
         # the certificate is 0 while the gap of x_avg = x_1 = (1, 0) is 1.
         c = np.array([1.0, 0.0])
-        p = convex_min_problem(f=lambda x: float(c @ x), grad=lambda x: c,
+        p = convex_min_problem(f=lambda x: float(c @ x),
+                               grad=lambda x: np.broadcast_to(c, x.shape),
                                geom=EntropicSimplex(2), g_bound=1.0, min_value=0.0,
                                name="linear")
         x_1 = np.array([1.0, 0.0])

@@ -93,12 +93,11 @@ class TestSaddleAdapter:
         with pytest.raises(GeometryError):
             saddle_problem(
                 phi=lambda u, v: float(u @ u) - float(v @ v),
-                grad_u=lambda u, v: np.zeros(5),
-                grad_v=lambda u, v: -2 * v,
+                grads=lambda u, v: (np.zeros(u.shape[:-1] + (5,)), -2 * v),
                 geom_u=EntropicSimplex(3),
                 geom_v=EntropicSimplex(3),
                 # max_v' phi - min_u' phi, with min ||.||^2 = 1/3 on each simplex.
-                dual_gap_eval=lambda x: float(x @ x) - 2.0 / 3.0,
+                dual_gap_eval=lambda x: np.vecdot(x, x) - 2.0 / 3.0,
                 g_bound=1.0,
             )
 
@@ -237,7 +236,7 @@ class TestConcurrentProducts:
         calls = count_concurrent_calls(monkeypatch)
         A = np.random.default_rng(6).uniform(-1.0, 1.0, size=shape)
         self.assert_bitwise(matrix_game(A))
-        assert len(calls) == 4
+        assert len(calls) == 5  # the build's block check, then the four above
 
     def test_1000x1000_game_at_default_threshold_is_bitwise(self, monkeypatch, game_1000):
         assert game_1000.params["matrix"].nbytes >= operators._CONCURRENT_BYTES
@@ -350,7 +349,7 @@ class TestStochasticOracle:
         c = np.array([0.3, -0.7, 0.2])
         return convex_min_problem(
             f=lambda x: float(c @ x),
-            grad=lambda x: c,
+            grad=lambda x: np.broadcast_to(c, x.shape),
             geom=EntropicSimplex(3),
             g_bound=0.7,
             min_value=-0.7,
@@ -440,7 +439,8 @@ class TestStochasticOracle:
 def linear_ball_problem(dim):
     c = np.linspace(-1.0, 1.0, dim)
     return convex_min_problem(
-        f=lambda x: float(c @ x), grad=lambda x: c, geom=EuclideanBall(1.0, dim),
+        f=lambda x: float(c @ x), grad=lambda x: np.broadcast_to(c, x.shape),
+        geom=EuclideanBall(1.0, dim),
         g_bound=float(np.linalg.norm(c)), min_value=-float(np.linalg.norm(c)),
         name="linear-ball",
     )
@@ -491,12 +491,12 @@ class TestPointDimensionChecked:
     def generic_saddle():
         return saddle_problem(
             phi=lambda u, v: float(u @ v),
-            grad_u=lambda u, v: v,
-            grad_v=lambda u, v: u,
+            grads=lambda u, v: (v, u),
             geom_u=EuclideanBall(1.0, 2),
             geom_v=EuclideanBall(1.0, 2),
             # max_v' u.v' - min_u' u'.v over the unit balls.
-            dual_gap_eval=lambda x: float(np.linalg.norm(x[:2]) + np.linalg.norm(x[2:])),
+            dual_gap_eval=lambda x: (np.linalg.norm(x[..., :2], axis=-1)
+                                     + np.linalg.norm(x[..., 2:], axis=-1)),
             g_bound=2.0,
             name="bilinear-balls",
         )
@@ -519,6 +519,19 @@ class TestPointDimensionChecked:
                 p.gap(good, bad)
         assert p.operator(good).shape == good.shape
 
+    @pytest.mark.parametrize("grad", [
+        lambda x: x[..., :1],  # one coordinate per point
+        lambda x: np.array([1.0, 2.0]),  # one vector, whatever the stack
+        lambda x: np.full(x.shape, np.nan),
+    ], ids=["one-coordinate", "ignores-stack", "nan"])
+    def test_operator_value_must_be_a_finite_vector(self, grad):
+        # As the solver loop refuses it, not a NaN row or a broadcast scalar.
+        p = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
+                               g_bound=1.0, min_value=0.0, name="bad-grad")
+        message = "'bad-grad': operator value must be a finite vector of dimension 2"
+        with pytest.raises(ValueError, match=message):
+            p.operator([0.0, 0.0])
+
 
 class TestProblemValues:
     """A problem's bounds and reference minimum are checked when it is built."""
@@ -537,7 +550,7 @@ class TestProblemValues:
     def test_non_finite_min_value_rejected(self, min_value):
         message = f"'convex-min': min_value must be finite, got {min_value}"
         with pytest.raises(ValueError, match=message):
-            convex_min_problem(f=lambda x: 0.0, grad=lambda x: np.zeros(2),
+            convex_min_problem(f=lambda x: 0.0, grad=np.zeros_like,
                                geom=EuclideanBall(1.0, 2), g_bound=1.0, min_value=min_value)
 
 
@@ -667,6 +680,8 @@ class TestCatalog:
         ({"dual_gap_eval": lambda x: 0.5 * np.vecdot(x, x) + 2.0},
          "gap sample 0 above F(x).x - min_K F(x).y"),
         ({"dual_gap_eval": lambda x: np.zeros(len(x))}, "gap sample 0 below Delta(x, y)"),
+        ({"operator_eval": lambda x: x[..., :1]}, "operator at sample 0: problem 'half-norm-sq': "
+         "operator value must be a finite vector of dimension 2"),
     ])
     def test_adapter_invariants_flag_broken_problem(self, fields, label):
         assert adapter_invariants(quadratic_on_ball(), 0) == (True, "")

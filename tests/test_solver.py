@@ -441,9 +441,9 @@ class TestGuards:
         assert err.value.eta == pytest.approx(math.sqrt(0.5))
 
     @pytest.mark.parametrize("grad", [
-        lambda x: np.array([np.inf, 0.0, 0.0]),  # would slip through the entropic prox
-        lambda x: np.array([np.nan, 0.0, 0.0]),  # would crash the simplex projection
-        lambda x: np.zeros(2),
+        lambda x: np.zeros_like(x) + [np.inf, 0.0, 0.0],  # would slip through the entropic prox
+        lambda x: np.zeros_like(x) + [np.nan, 0.0, 0.0],  # would crash the simplex projection
+        lambda x: np.zeros((len(x), 2)),
         lambda x: np.float64(0.5),
     ], ids=["inf", "nan", "short", "scalar"])
     @pytest.mark.parametrize("geom", [EntropicSimplex(3), EuclideanSimplex(3)],
@@ -633,8 +633,8 @@ class TestTraceMemory:
 
 
 def bilinear_saddle(geom_u, geom_v, seed):
-    """u.B.v over the two blocks; its gradients and duality gap take one
-    point at a time."""
+    """u.B.v over the two blocks; its gradients take the stack, and its
+    duality gap maps a per-point gap over the rows."""
     B = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(geom_u.dim, geom_v.dim))
 
     def gap(x):  # max_v' u.B.v' - min_u' u'.B.v by the blocks' exact linear minimizers
@@ -643,19 +643,19 @@ def bilinear_saddle(geom_u, geom_v, seed):
 
     return saddle_problem(
         phi=lambda u, v: float(u @ B @ v),
-        grad_u=lambda u, v: np.matvec(B, v),
-        grad_v=lambda u, v: np.vecmat(u, B),
-        geom_u=geom_u, geom_v=geom_v, g_bound=10.0, dual_gap_eval=gap,
+        grads=lambda u, v: (np.matvec(B, v), np.vecmat(u, B)),
+        geom_u=geom_u, geom_v=geom_v, g_bound=10.0,
+        dual_gap_eval=lambda x: np.array([gap(row) for row in x]),
     )
 
 
 def user_box_quadratic():
-    """A user objective whose gradient takes one point at a time; its minimum
-    over the box is 0.5, at c clipped to the box."""
+    """A user objective over a box, which takes one point at a time; its
+    minimum over the box is 0.5, at c clipped to the box."""
     c = np.array([0.5, 2.0, -0.3])
     return convex_min_problem(
         f=lambda x: 0.5 * float((x - c) @ (x - c)),
-        grad=lambda x: np.array([x[0] - c[0], x[1] - c[1], x[2] - c[2]]),
+        grad=lambda x: x - c,
         geom=EuclideanBox(-np.ones(3), np.ones(3)),
         g_bound=5.0, min_value=0.5, minimizer=[0.5, 1.0, -0.3], name="user-box",
     )
@@ -776,93 +776,55 @@ class TestSeedBatch:
                 mirror_prox(problem, SolverConfig(iterations=5), oracles=oracles)
 
     @staticmethod
-    def nan_on_second_seed(batched):
+    def nan_on_second_seed():
         """x - 0.5, except NaN for the second seed's loss g_3 at step 3."""
         calls = []
 
         def grad(x):
             calls.append(1)
             out = x - 0.5
-            if batched and len(calls) == 6:  # step 3: hint M_3, then loss g_3
+            if len(calls) == 6:  # step 3: hint M_3, then loss g_3
                 out[1] = np.nan
-            if not batched and len(calls) == 3 * 5 + 2:  # rows go seed after seed
-                out = out * np.nan
             return out
 
         return convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
-                                  g_bound=2.0, min_value=0.0, name="nan-seed",
-                                  batched=batched)
+                                  g_bound=2.0, min_value=0.0, name="nan-seed")
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
     @pytest.mark.parametrize("grad", [lambda x: x[..., :1], lambda x: 0.5],
                              ids=["one-coordinate", "scalar"])
-    def test_wrong_shape_aborts_at_the_first_step(self, grad, batched):
+    def test_wrong_shape_aborts_at_the_first_step(self, grad):
         problem = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=EuclideanBall(1.0, 2),
-                                     g_bound=2.0, min_value=0.0, batched=batched)
+                                     g_bound=2.0, min_value=0.0)
         with pytest.raises(DivergenceError,
                            match="operator value must be a finite vector of dimension 2") as err:
             mirror_prox(problem, SolverConfig(iterations=10),
                         oracles={4: None, 8: None})
         assert (err.value.t, err.value.seed) == (1, 4)
 
-    @pytest.mark.parametrize("adapter", ["convex-min-grad", "saddle-dual-gap"])
-    def test_ragged_per_point_values_abort_naming_the_seed(self, adapter):
-        # Rows go seed after seed, so the second call is seed 8's at t = 1.
-        def second_call_returns(usual, odd):
-            calls = []
-
-            def value(x):
-                calls.append(1)
-                return (odd if len(calls) == 2 else usual)(x)
-
-            return value
-
-        ball = EuclideanBall(1.0, 2)
-        if adapter == "convex-min-grad":
-            grad = second_call_returns(lambda x: x, lambda x: x[:1])
-            problem = convex_min_problem(f=lambda x: 0.0, grad=grad, geom=ball,
-                                         g_bound=2.0, min_value=0.0)
-            error, message = DivergenceError, "operator value must be a finite vector"
-        else:
-            def zero(u, v):
-                return np.zeros(2)
-
-            gap = second_call_returns(lambda x: 0.0, lambda x: np.zeros(2))
-            problem = saddle_problem(phi=lambda u, v: 0.0, grad_u=zero, grad_v=zero,
-                                     geom_u=ball, geom_v=ball, g_bound=1.0,
-                                     dual_gap_eval=gap)
-            error, message = GapCheckError, "running average: duality gap nan is not finite"
-        with pytest.raises(error, match=message) as err:
-            mirror_prox(problem, SolverConfig(iterations=10, eval_every=1),
-                        oracles={4: None, 8: None})
-        assert (err.value.t, err.value.seed) == (1, 8)
-
     def test_saddle_block_shapes_checked_at_every_call(self):
-        # The right total length from the wrong blocks, from the third call of
-        # each gradient on: the build makes the first, and rows go seed after
-        # seed, so the third is seed 8's hint at t = 1.
+        # The right total length from the wrong blocks, from the third call on:
+        # the build makes the first, and each call takes the whole stack, so
+        # the third is the loss at t = 1, whose first seed is 4.
         calls = []
 
-        def grad_u(u, v):
+        def grads(u, v):
             calls.append(1)
-            return u[..., :1] if len(calls) >= 3 else u
-
-        def grad_v(u, v):
-            return np.concatenate([v, v[..., :1]], axis=-1) if len(calls) >= 3 else v
+            if len(calls) >= 3:
+                return u[..., :1], np.concatenate([v, v[..., :1]], axis=-1)
+            return u, v
 
         ball = EuclideanBall(1.0, 2)
-        problem = saddle_problem(phi=lambda u, v: 0.0, grad_u=grad_u, grad_v=grad_v,
+        problem = saddle_problem(phi=lambda u, v: 0.0, grads=grads,
                                  geom_u=ball, geom_v=ball, g_bound=10.0,
-                                 dual_gap_eval=lambda x: 0.0)
+                                 dual_gap_eval=lambda x: np.zeros(len(x)))
         with pytest.raises(DivergenceError,
                            match="operator value must be a finite vector of dimension 4") as err:
             mirror_prox(problem, SolverConfig(iterations=5),
                         oracles={4: None, 8: None})
-        assert (err.value.t, err.value.seed) == (1, 8)
+        assert (err.value.t, err.value.seed) == (1, 4)
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "row-by-row"])
-    def test_abort_names_the_seed(self, batched):
-        problem = self.nan_on_second_seed(batched)
+    def test_abort_names_the_seed(self):
+        problem = self.nan_on_second_seed()
         oracles = {seed: None for seed in self.SEEDS}
         with pytest.raises(DivergenceError) as err:
             mirror_prox(problem, SolverConfig(iterations=10), oracles=oracles)
@@ -915,8 +877,8 @@ def per_point_golden_runs(name):
 
 
 class TestPerPointGolden:
-    """A user problem whose callables take one point at a time reproduces its
-    stored traces bit for bit."""
+    """A user problem whose objectives take one point at a time, and whose
+    evaluators take the stack, reproduces its stored traces bit for bit."""
 
     FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "per_point_user.json").read_text())
 
