@@ -459,13 +459,13 @@ def solver_invariants(
 
 
 def invariant_checks(seed: int) -> List[Tuple[str, bool, str]]:
-    """``adapter_invariants`` on every catalog problem and ``solver_invariants``
-    on four of them, and with noise on ``rps``; ``(name, ok, detail)`` each."""
-    make = operators.make_problem
+    """``adapter_invariants`` on every catalog problem, by name, then
+    ``solver_invariants`` on every one, in catalog order, and with noise on
+    ``rps``; ``(name, ok, detail)`` each."""
+    make, catalog = operators.make_problem, operators.builtin_problems()
     checks = [(f"adapter-{name}", *adapter_invariants(make(name), seed))
-              for name in sorted(operators.builtin_problems())]
-    checks += [(f"solver-{name}", *solver_invariants(make(name), seed))
-               for name in ("rps", "random-game", "quadratic-ball", "l1-ball")]
+              for name in sorted(catalog)]
+    checks += [(f"solver-{name}", *solver_invariants(make(name), seed)) for name in catalog]
     checks.append(("solver-rps-stochastic", *solver_invariants(make("rps"), seed, 0.25)))
     return checks
 

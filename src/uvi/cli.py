@@ -2,16 +2,16 @@
 
 Subcommands:
 
-* ``uvi run <config.json>`` - one solver run per seed, writing
-  ``trace_<seed>.csv`` and ``summary.json`` into the output directory.
-* ``uvi sweep <config.json> --T 500,1000,2000,4000`` - repeats the run
-  across iteration budgets and fits the log-log rate exponent. Each seed
-  is solved once, at max(T), with every other budget read off an exact
-  checkpoint of that run (see ``uvi.solver``), so each ``T_<T>/``
-  directory is byte-identical to a separate ``uvi run`` with that T. The
-  T list may be unsorted and hold duplicates; the ``T=`` lines and
-  ``sweep_summary.json`` follow it as given, and the rate fit takes each
-  distinct budget once.
+* ``uvi sweep <config.json> --T 500,1000,2000,4000`` - solves each seed
+  once, at max(T), writes ``trace_<seed>.csv`` and ``summary.json`` for
+  every budget into ``T_<T>/``, reading each shorter budget off an exact
+  checkpoint of that run (see ``uvi.solver``), and fits the log-log rate
+  exponent. The T list may be unsorted and hold duplicates; the ``T=``
+  lines and ``sweep_summary.json`` follow it as given, and the rate fit
+  takes each distinct budget once.
+* ``uvi run <config.json>`` - the one-budget case of the same path
+  (``run_experiment``), written into the output directory itself, so each
+  ``T_<T>/`` directory of a sweep is byte-identical to a run with that T.
 * ``uvi verify --suite {lemmas,invariants,all} --seed N`` - prints the
   pass/fail table of the inequality oracles, the invariant sweeps or both,
   the suites of ``uvi.analysis.SUITES``, which the tests assert too.
@@ -180,14 +180,6 @@ def _optional(parse, key: str, value):
     return None if value is None else parse(key, value)
 
 
-def _oracle_for_seed(config, seed: int) -> Optional[operators.StochasticOracle]:
-    if not config.noise_bound:
-        return None
-    noise_stream, = np.random.SeedSequence(seed).spawn(1)
-    return operators.StochasticOracle(base=config.problem, noise_bound=config.noise_bound,
-                                      rng_seed=noise_stream)
-
-
 def _fmt(x: float) -> str:
     return "%.17g" % x
 
@@ -248,34 +240,42 @@ def _seed_entry(config: ExperimentConfig, seed: int, trace, out: Path) -> dict:
     return entry
 
 
-def _solve_seeds(config: ExperimentConfig, budgets: dict, outs: dict) -> dict:
-    """Write every seed's trace CSV for each budget; the summary entries, by T.
+def run_experiment(config: ExperimentConfig, t_list: Optional[List[int]] = None) -> dict:
+    """Solve every seed once and write each budget's trace CSVs and
+    summary.json; the summaries, by T.
 
-    ``budgets`` maps each T to its ``SolverConfig``, ``outs`` to its output
-    directory. Every seed is solved once, at max(T), in one batch; without
-    a nonzero noise bound, the seeds share one row, solved as the first seed.
+    A sweep's budgets are the T of ``t_list``, each written into ``T_<T>/``;
+    a run (``t_list`` None) is the one budget ``config.solve.iterations``,
+    written into the output directory itself. Every budget and directory
+    is checked first (ValueError, or ConfigError for a directory). The
+    seeds are solved in one batch, at max(T), and every other budget is a
+    checkpoint of that solve; without a nonzero noise bound, the seeds
+    share one row, solved as the first seed.
     """
-    rows = config.seeds if config.noise_bound else config.seeds[:1]
-    oracles = {seed: _oracle_for_seed(config, seed) for seed in rows}
+    out = _output_dir(config)
+    if t_list is None:
+        budgets, outs = {config.solve.iterations: config.solve}, {config.solve.iterations: out}
+    elif not t_list:
+        raise ConfigError("sweep needs at least one T value")
+    else:
+        budgets = {T: dataclasses.replace(config.solve, iterations=int(T)) for T in t_list}
+        outs = {T: out / f"T_{T}" for T in budgets}
+    _make_dirs(outs.values())
+    oracles = {config.seeds[0]: None}
+    if config.noise_bound:
+        oracles = {seed: operators.StochasticOracle(
+            base=config.problem, noise_bound=config.noise_bound,
+            rng_seed=np.random.SeedSequence(seed).spawn(1)[0]) for seed in config.seeds}
     # Both step rules go through the name bench/worker.py wraps to time each solve.
     traces = solver.universal_mirror_prox(config.problem, budgets[max(budgets)],
                                           oracles=oracles, checkpoints=budgets).traces
-    return {T: [_seed_entry(config, seed, traces.get(seed, traces[rows[0]]).prefix(T), outs[T])
-                for seed in config.seeds]
-            for T in budgets}
-
-
-def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute one run per seed; write CSV traces and summary.json.
-
-    The output directory is created first; ConfigError if it cannot be.
-    """
-    out = _output_dir(config)
-    _make_dirs([out])
-    T = config.solve.iterations
-    per_seed = _solve_seeds(config, {T: config.solve}, {T: out})[T]
-    summary = _write_summary(config, config.solve, per_seed, out)
-    return {"summary": summary, "out_dir": out}
+    first = traces[config.seeds[0]]
+    summaries = {}
+    for T, solve in budgets.items():
+        per_seed = [_seed_entry(config, seed, traces.get(seed, first).prefix(T), outs[T])
+                    for seed in config.seeds]
+        summaries[T] = _write_summary(config, solve, per_seed, outs[T])
+    return summaries
 
 
 def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
@@ -322,55 +322,35 @@ def _write_summary(config: ExperimentConfig, solve: solver.SolverConfig,
 
 
 def cmd_run(config_path: str) -> int:
-    try:
-        config = ExperimentConfig.from_file(config_path)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        result = run_experiment(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except solver.SolverError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    print(
-        f"run complete: {len(config.seeds)} seed(s), "
-        f"mean final gap {result['summary']['mean_final_gap']:.6g} "
-        f"-> {result['out_dir']}"
-    )
-    return EXIT_OK
+    return _solve_and_write(config_path, None)
 
 
 def cmd_sweep(config_path: str, t_list: List[int]) -> int:
+    return _solve_and_write(config_path, t_list)
+
+
+def _solve_and_write(config_path: str, t_list: Optional[List[int]]) -> int:
+    """``uvi run`` (``t_list`` None) and ``uvi sweep``: ``run_experiment``,
+    then what each prints, and the sweep's rate fit and sweep_summary.json."""
     try:
         config = ExperimentConfig.from_file(config_path)
-        if len(t_list) < 1:
-            raise ConfigError("sweep needs at least one T value")
-        # SolverConfig checks every budget before the first solve writes anything.
-        budgets = {T: dataclasses.replace(config.solve, iterations=int(T)) for T in t_list}
-        base_out = _output_dir(config)
-        outs = {T: base_out / f"T_{T}" for T in budgets}
-        _make_dirs(outs.values())
+        summaries = run_experiment(config, t_list)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        per_seed = _solve_seeds(config, budgets, outs)
     except solver.SolverError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    mean_gaps = {T: _write_summary(config, solve, per_seed[T], outs[T])["mean_final_gap"]
-                 for T, solve in budgets.items()}
-    points = [(T, mean_gaps[T]) for T in t_list]
-    for T, mean_gap in points:
-        print(f"T={T}: mean final gap {mean_gap:.6g}")
-
-    sweep_summary = {"t_values": [int(t) for t, _ in points],
-                     "mean_final_gaps": [g for _, g in points]}
+    out = _output_dir(config)
+    mean_gaps = {T: summary["mean_final_gap"] for T, summary in summaries.items()}
+    if t_list is None:
+        print(f"run complete: {len(config.seeds)} seed(s), "
+              f"mean final gap {mean_gaps[config.solve.iterations]:.6g} -> {out}")
+        return EXIT_OK
+    for T in t_list:
+        print(f"T={T}: mean final gap {mean_gaps[T]:.6g}")
+    sweep_summary = {"t_values": [int(T) for T in t_list],
+                     "mean_final_gaps": [mean_gaps[T] for T in t_list]}
     try:
         # One point per distinct budget: a repeated T is not more data.
         fit = analysis.rate_fit(list(mean_gaps.items()))
@@ -379,7 +359,7 @@ def cmd_sweep(config_path: str, t_list: List[int]) -> int:
     except ValueError as exc:
         sweep_summary["rate_fit"] = None
         print(f"rate fit skipped: {exc}")
-    _write_json(base_out / "sweep_summary.json", sweep_summary)
+    _write_json(out / "sweep_summary.json", sweep_summary)
     return EXIT_OK
 
 

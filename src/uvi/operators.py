@@ -187,7 +187,8 @@ def saddle_problem(
     given. ``grads(u, v)`` maps the blocks of a stack of points to the pair
     (grad_u phi, grad_v phi) and ``dual_gap_eval`` takes the stack; ``phi``
     takes one point. A pair of the wrong shapes raises GeometryError at the
-    build and is a NaN value later, which the solver loop reports.
+    build and is a NaN value later, which the solver loop reports; a gap
+    that is not one value per row raises ValueError at the build.
     """
     geom = ProductGeometry(geom_u, geom_v)
     x0 = np.concatenate([geom_u.min_point(), geom_v.min_point()])[None]
@@ -197,6 +198,10 @@ def saddle_problem(
             f"block-dimension mismatch: gradients have shapes {gu.shape}/{gv.shape}, "
             f"geometry blocks have dims {geom_u.dim}/{geom_v.dim}"
         )
+    gap_shape = np.shape(dual_gap_eval(x0))
+    if gap_shape != (1,):
+        raise ValueError(f"saddle {name!r}: dual_gap_eval must return one value per row, "
+                         f"got shape {gap_shape}")
 
     def operator_eval(x):
         u, v = geom._split(x)
@@ -457,8 +462,8 @@ def _make_rps() -> VIProblem:
 def _make_random_game(d1: int = 3, d2: int = 3, seed: int = 0) -> VIProblem:
     d1, d2, seed = _integer("d1", d1), _integer("d2", d2), _integer("seed", seed)
     for key, value in (("d1", d1), ("d2", d2)):
-        if value < 1:
-            raise ValueError(f"{key} must be a positive integer, got {value}")
+        if value < 2:
+            raise ValueError(f"{key} must be an integer >= 2, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)

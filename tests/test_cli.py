@@ -204,9 +204,12 @@ class TestRun:
         ({"problem": {"name": "random-game", "params": {"seed": -1}}},
          "seed must be a non-negative integer, got -1"),
         ({"problem": {"name": "random-game", "params": {"d1": -1}}},
-         "d1 must be a positive integer, got -1"),
+         "d1 must be an integer >= 2, got -1"),
         ({"problem": {"name": "random-game", "params": {"d2": 0}}},
-         "d2 must be a positive integer, got 0"),
+         "d2 must be an integer >= 2, got 0"),
+        # This used to read the simplex's "simplex needs dimension >= 2".
+        ({"problem": {"name": "random-game", "params": {"d1": 1, "d2": 3}}},
+         "d1 must be an integer >= 2, got 1"),
         ({"problem": {"name": "piecewise-max", "params": {"slopes": [[1.0, 0.0]]}}},
          "slopes and offsets must be given together"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
@@ -226,7 +229,7 @@ class TestRun:
             "noise-sigma-sq-key", "seeds-int", "seeds-string", "l1-x0-1e200-norm-overflows",
             "l1-x0-1e160-norm-overflows", "mode-kind-unknown", "fixed-step-without-eta",
             "box-widths-square-overflows", "game-seed-negative", "d1-negative", "d2-zero",
-            "slopes-without-offsets"])
+            "d1-one", "slopes-without-offsets"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)
@@ -473,6 +476,13 @@ class TestSweep:
     def test_sweep_bad_config(self, tmp_path):
         path = write_config(tmp_path, problem={"name": "bogus", "params": {}})
         assert cli.cmd_sweep(str(path), [100]) == 2
+
+    def test_empty_sweep_is_not_a_run(self, tmp_path, monkeypatch, capsys):
+        solves = count_solves(monkeypatch)
+        path = write_config(tmp_path)
+        assert cli.cmd_sweep(str(path), []) == 2
+        assert capsys.readouterr().err == "error: sweep needs at least one T value\n"
+        assert solves == [] and not (tmp_path / "out").exists()
 
     def test_unusable_output_dir_exits_2_before_solving(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "blocker").write_text("a file, not a directory")
@@ -852,7 +862,7 @@ class TestVerify:
     def test_invariants_suite_passes(self, capsys):
         assert cli.cmd_verify("invariants", seed=42) == 0
         rows, last = verify_rows(capsys.readouterr().out)
-        assert (rows, last) == (self.ALL_ROWS[6:], "VERIFY PASS (10 checks)")
+        assert (rows, last) == (self.ALL_ROWS[6:], "VERIFY PASS (11 checks)")
 
     def test_broken_catalog_problem_fails(self, monkeypatch, capsys):
         catalog = operators.builtin_problems()
@@ -865,7 +875,7 @@ class TestVerify:
             "adapter-quadratic-ball  FAIL  G bound at sample 0",
             "solver-quadratic-ball   FAIL  solver aborted: aborted at step t=1, eta=1.41421: "
             "movement/eta ratio 0.707107 exceeds operator bound 0.5",
-            "VERIFY FAIL (2/10 checks failed)",
+            "VERIFY FAIL (2/11 checks failed)",
         ]
 
 

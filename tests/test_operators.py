@@ -101,6 +101,21 @@ class TestSaddleAdapter:
                 g_bound=1.0,
             )
 
+    def test_per_point_dual_gap_refused_at_build(self):
+        # A gap written for one point returns a float for a stack; it used to
+        # build and abort only at the first gap step of a solve.
+        with pytest.raises(ValueError, match=r"^saddle 'per-point': dual_gap_eval must "
+                                             r"return one value per row, got shape \(\)$"):
+            saddle_problem(
+                phi=lambda u, v: float(u @ v),
+                grads=lambda u, v: (v, u),
+                geom_u=EuclideanBall(1.0, 2),
+                geom_v=EuclideanBall(1.0, 2),
+                dual_gap_eval=lambda x: float(np.linalg.norm(x[:2]) + np.linalg.norm(x[2:])),
+                g_bound=2.0,
+                name="per-point",
+            )
+
 
 class TestMatrixGame:
     def test_rps_constants(self):
@@ -236,7 +251,7 @@ class TestConcurrentProducts:
         calls = count_concurrent_calls(monkeypatch)
         A = np.random.default_rng(6).uniform(-1.0, 1.0, size=shape)
         self.assert_bitwise(matrix_game(A))
-        assert len(calls) == 5  # the build's block check, then the four above
+        assert len(calls) == 6  # the build's block and gap checks, then the four above
 
     def test_1000x1000_game_at_default_threshold_is_bitwise(self, monkeypatch, game_1000):
         assert game_1000.params["matrix"].nbytes >= operators._CONCURRENT_BYTES
