@@ -27,10 +27,11 @@ A matrix game's operator and duality gap both need the two products A v
 and u A. When the payoff array holds at least 4 MiB (``_CONCURRENT_BYTES``;
 1000x1000 holds 8 MB), A v runs on one helper thread, started on first use,
 while the calling thread computes u A; numpy releases the GIL inside both.
-Each product is the same numpy call on the same arrays as when run in turn,
-so no output bit can change; neither product is split, as that would change
-its reduction order. Smaller games run both in turn: handing a call to the
-thread costs more than it saves below the measured crossover, which lies
+Each caller waits on its own reply queue, so any number of threads share
+the helper. Each product is the same numpy call on the same arrays as when
+run in turn, so no output bit can change; neither product is split, as that
+would change its reduction order. Smaller games run both in turn: handing a
+call to the thread costs more than it saves below the measured crossover,
 between 500x500 (1.9 MiB) and 550x550 (2.3 MiB) at one point.
 """
 
@@ -176,7 +177,6 @@ def saddle_problem(
     g_bound: float,
     smoothness: Optional[float] = None,
     name: str = "saddle",
-    known_solution=None,
 ) -> VIProblem:
     """Adapt a convex-concave function phi(u, v) to the gap-function interface.
 
@@ -224,7 +224,6 @@ def saddle_problem(
         dual_gap_eval=dual_gap_eval,
         g_bound=float(g_bound),
         smoothness=smoothness,
-        known_solution=known_solution,
     )
 
 
@@ -237,27 +236,13 @@ def saddle_problem(
 _CONCURRENT_BYTES = 1 << 22
 
 
-class _Job:
-    """One call for the helper thread; ``done`` is released once it has run."""
-
-    __slots__ = ("call", "done", "value", "error")
-
-    def __init__(self, call):
-        self.call, self.value, self.error = call, None, None
-        self.done = threading.Lock()
-        self.done.acquire()
-
-    def run(self):
-        try:
-            self.value = self.call()
-        except BaseException as exc:
-            self.error = exc
-        self.done.release()
-
-
 def _helper_loop(jobs):
     while True:
-        jobs.get().run()
+        call, reply = jobs.get()
+        try:
+            reply.put((call(), None))
+        except BaseException as exc:
+            reply.put((None, exc))
 
 
 _jobs = None  # the helper thread's queue; the thread starts on first use
@@ -277,27 +262,26 @@ def _concurrently(first, second):
     """(first(), second()), running ``first`` on the helper thread meanwhile.
 
     Returns, or raises the error of ``second`` or else of ``first``, only
-    once both calls have finished. Each caller waits on its own job only,
+    once both calls have finished. Each caller waits on its own reply queue,
     so any number of threads may share the helper.
     """
     global _jobs
+    import queue  # here, so that small problems do not import it
     with _jobs_lock:
         if _jobs is None:
-            import queue  # here, so that small problems do not import it
-
             _jobs = queue.SimpleQueue()
             threading.Thread(target=_helper_loop, args=(_jobs,), name="uvi-products",
                              daemon=True).start()
         jobs = _jobs
-    job = _Job(first)
-    jobs.put(job)
+    reply = queue.SimpleQueue()
+    jobs.put((first, reply))
     try:
         value = second()
     finally:
-        job.done.acquire()
-    if job.error is not None:
-        raise job.error
-    return job.value, value
+        first_value, error = reply.get()
+    if error is not None:
+        raise error
+    return first_value, value
 
 
 def matrix_game(A, *, name: str = "matrix-game") -> VIProblem:
@@ -437,14 +421,20 @@ def _real(key: str, value) -> float:
 
 
 def _array(key: str, value, ndim: int) -> np.ndarray:
-    """A finite float array of ``ndim`` (1 or 2) dimensions."""
+    """A finite, non-empty float array of ``ndim`` (1 or 2) dimensions. Bools
+    and strings are not numbers, and a ragged input holds lists as entries."""
+    entries = np.asarray(value, dtype=object)
     try:
-        x = np.asarray(value, dtype=float)
+        if any(isinstance(e, bool) or not isinstance(e, numbers.Real) for e in entries.flat):
+            raise TypeError
+        x = entries.astype(float)
     except (TypeError, OverflowError):
         raise ValueError(f"{key} must hold numbers in the float range, got {value!r}") from None
     if x.ndim != ndim:
         raise ValueError(f"{key} must be a {ndim}-D {('vector', 'matrix')[ndim - 1]}, "
                          f"got shape {x.shape}")
+    if x.size == 0:
+        raise ValueError(f"{key} must not be empty, got {value!r}")
     if not np.isfinite(x).all():
         raise ValueError(f"{key} must have finite entries, got {value!r}")
     return x
@@ -605,9 +595,9 @@ def _make_piecewise_max(slopes=None, offsets=None, lower=-1.0, upper=1.0) -> VIP
 
 def builtin_problems() -> dict:
     """Catalog of named problem factories addressable from run configs; each
-    raises ValueError on a param that is not a number, integer or finite
-    array of the kind it takes, and ``piecewise-max`` also when its
-    reference LP fails."""
+    raises ValueError on a param that is not a number, integer or finite,
+    non-empty array of the kind it takes, and ``piecewise-max`` also when
+    its reference LP fails."""
     return {
         "rps": _make_rps,
         "random-game": _make_random_game,
@@ -617,7 +607,7 @@ def builtin_problems() -> dict:
     }
 
 
-def make_problem(name: str, **params) -> VIProblem:
+def make_problem(name: str, /, **params) -> VIProblem:
     catalog = builtin_problems()
     if name not in catalog:
         known = ", ".join(sorted(catalog))

@@ -212,6 +212,25 @@ class TestRun:
          "d1 must be an integer >= 2, got 1"),
         ({"problem": {"name": "piecewise-max", "params": {"slopes": [[1.0, 0.0]]}}},
          "slopes and offsets must be given together"),
+        # This used to end in make_problem's "got multiple values for argument 'name'".
+        ({"problem": {"name": "random-game", "params": {"name": "x"}}},
+         "problem 'random-game' has no param 'name'; known params: d1, d2, seed"),
+        # Array entries follow the rule for numbers: the first three used to run.
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": ["1", "2"]}}},
+         "x0 must hold numbers in the float range, got ['1', '2']"),
+        ({"problem": {"name": "l1-ball", "params": {"x0": [True, False]}}},
+         "x0 must hold numbers in the float range, got [True, False]"),
+        ({"problem": {"name": "piecewise-max", "params": {"slopes": [[1.0]], "offsets": ["0"]}}},
+         "offsets must hold numbers in the float range, got ['0']"),
+        # These used to read numpy's or the geometry's words, without the key.
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": "abc"}}},
+         "x0 must hold numbers in the float range, got 'abc'"),
+        ({"problem": {"name": "l1-ball", "params": {"x0": [[1], 2]}}},
+         "x0 must hold numbers in the float range, got [[1], 2]"),
+        ({"problem": {"name": "quadratic-ball", "params": {"x0": []}}},
+         "x0 must not be empty, got []"),
+        ({"problem": {"name": "piecewise-max", "params": {"slopes": [[]], "offsets": [0]}}},
+         "slopes must not be empty, got [[]]"),
     ], ids=["g0-inf", "g0-nan", "eta-inf", "eta-square-underflows", "noise-nan",
             "noise-inf", "noise-square-overflows", "T-fraction", "T-bool", "seed-fraction",
             "record-every-fraction", "eval-every-bool", "seeds-duplicate", "seed-negative",
@@ -229,7 +248,8 @@ class TestRun:
             "noise-sigma-sq-key", "seeds-int", "seeds-string", "l1-x0-1e200-norm-overflows",
             "l1-x0-1e160-norm-overflows", "mode-kind-unknown", "fixed-step-without-eta",
             "box-widths-square-overflows", "game-seed-negative", "d1-negative", "d2-zero",
-            "d1-one", "slopes-without-offsets"])
+            "d1-one", "slopes-without-offsets", "param-named-name", "x0-strings", "x0-bools",
+            "offsets-strings", "x0-string", "x0-ragged", "x0-empty", "slopes-empty"])
     def test_bad_numeric_config_exits_2_before_solving(self, tmp_path, monkeypatch, capsys,
                                                        overrides, message):
         monkeypatch.delenv("UVI_OUTPUT_DIR", raising=False)

@@ -282,8 +282,12 @@ class TestConcurrentProducts:
             assert problem.operator_eval(x).tobytes() == value.tobytes()
             assert np.asarray(problem.dual_gap_eval(x)).tobytes() == gap.tobytes()
 
-    @pytest.mark.parametrize("side", ["helper", "caller"])
-    def test_error_is_raised_after_both_calls_finish(self, side):
+    # A SystemExit is no Exception; the helper must still reply, and live on.
+    @pytest.mark.parametrize("side, error", [("helper", ZeroDivisionError),
+                                             ("caller", ZeroDivisionError),
+                                             ("helper", SystemExit)],
+                             ids=["helper", "caller", "helper-system-exit"])
+    def test_error_is_raised_after_both_calls_finish(self, side, error):
         finished = []
 
         def slow():
@@ -292,12 +296,13 @@ class TestConcurrentProducts:
             return 1.0
 
         def fail():
-            raise ZeroDivisionError(side)
+            raise error(side)
 
         first, second = (fail, slow) if side == "helper" else (slow, fail)
-        with pytest.raises(ZeroDivisionError, match=side):
+        with pytest.raises(error, match=side):
             operators._concurrently(first, second)
         assert finished == ["slow"]
+        assert operators._concurrently(lambda: 1, lambda: 2) == (1, 2)
 
     def test_helper_side_product_error_propagates(self, monkeypatch):
         monkeypatch.setattr(operators, "_CONCURRENT_BYTES", 0)
@@ -663,6 +668,15 @@ class TestCatalog:
                 make_problem(name, x0=x0)
         with pytest.raises(ValueError, match="radius must be a number, got True"):
             make_problem(name, radius=True)
+
+    def test_array_params_take_real_numbers_of_any_kind(self):
+        # numpy arrays of any real dtype, numpy scalars and ints beyond int64.
+        for x0 in (np.array([3, 0], dtype=np.int32), np.array([3, 0], dtype=np.float32),
+                   [np.float64(3), np.int8(0)], (10**20, 0)):
+            p = make_problem("quadratic-ball", x0=x0)
+            np.testing.assert_array_equal(p.known_solution, [1.0, 0.0])
+        p = make_problem("piecewise-max", slopes=np.eye(2, dtype=int), offsets=np.zeros(2))
+        assert p.geom.dim == 2
 
     def test_box_bounds_must_be_numbers(self):
         with pytest.raises(ValueError, match="upper must be a number, got '1'"):
